@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 from .contfrac import Rational, _eval_entries, _positive_entries
 
@@ -116,6 +117,18 @@ def _knot_key(num: int, den: int) -> tuple[int, int] | None:
     if p <= 1 or p % 2 == 0:
         return None
     return p, _canonical_q(p, den % p)
+
+
+def _slope_residues(p: int, q: int) -> set[int]:
+    """Every r in (0, p) with _knot_key(p, r) == (p, q), for a canonical (p, q):
+    q, p - q, q^-1 and p - q^-1, fewer when q is self-inverse mod p."""
+    qi = pow(q, -1, p)
+    return {q, p - q, qi, p - qi}
+
+
+def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], tuple]:
+    """(p, r) -> (p, q) for every slope residue r of each knot key (p, q)."""
+    return {(p, r): (p, q) for p, q in keys for r in _slope_residues(p, q)}
 
 
 def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:

@@ -13,6 +13,12 @@ The pipeline short-circuits in order of cost:
 A sequence with crossing sum c evaluating to the knot would be an alternating
 minimal diagram, so it is all-positive up to mirror and Step1 already saw it;
 the search can therefore start above c.
+
+The sweep behind Search and :func:`global_c2_map` skips sequences with a
+negative first entry: its negation has the same magnitudes, comes earlier (+
+sorts before -) and evaluates to the mirror, the same knot.  A value num/den
+is in the class of K(p, q) exactly when |num| = p and den mod p is a slope
+residue q, p - q, q^-1 or p - q^-1: one set lookup, no canonicalization.
 """
 
 from __future__ import annotations
@@ -24,14 +30,18 @@ from typing import Iterable, Iterator
 from .contfrac import (
     ContinuedFraction,
     ExpansionClass,
-    _eval_entries,
     _semi_even_entries,
     classify_type,
-    crossing_sum,
     positive_expansion,
     positive_expansion_variant,
 )
-from .knot import TwoBridgeKnot, _knot_key, crossing_number, slope_family
+from .knot import (
+    TwoBridgeKnot,
+    _residue_lookup,
+    _slope_residues,
+    crossing_number,
+    slope_family,
+)
 
 __all__ = [
     "C2Result",
@@ -98,14 +108,13 @@ def _semi_even_pick(k: TwoBridgeKnot) -> tuple[int, ContinuedFraction]:
 
 def step1_check(k: TwoBridgeKnot) -> C2Result | None:
     """Try the eight positive sequences; a Type A/B hit means value = c(K)."""
-    c = crossing_number(k)
     for slope in slope_family(k):
         cf = positive_expansion(slope)
         for cand in (cf, positive_expansion_variant(cf)):
             cls = classify_type(cand)
             if cls is not ExpansionClass.NEITHER:
-                m, _ = _semi_even_pick(k)
-                return C2Result(c, cand, cls, METHOD_STEP1, m, c)
+                c = crossing_number(k)
+                return C2Result(c, cand, cls, METHOD_STEP1, _semi_even_pick(k)[0], c)
     return None
 
 
@@ -129,33 +138,35 @@ def step2_bound(k: TwoBridgeKnot) -> int:
 # Enumeration of Type A / Type B sequences by crossing sum
 
 
+def _fills(total: int, units: list[int], weight: int, least: int):
+    """Every (m, rest), m in lexicographic order, with m[j] a positive multiple
+    of units[j] and rest = total - weight * sum(m) >= least (m = units must
+    fit).  m is one list, updated in place."""
+    m = list(units)
+    rest = total - weight * sum(m)
+    while True:
+        yield m, rest
+        j = len(m) - 1
+        while j >= 0 and rest - weight * units[j] < least:  # slot j is full
+            rest += weight * (m[j] - units[j])
+            m[j] = units[j]
+            j -= 1
+        if j < 0:
+            return
+        m[j] += units[j]
+        rest -= weight * units[j]
+
+
 def _type_a_magnitudes(total: int) -> Iterator[tuple[int, ...]]:
     """Magnitude patterns of Type A sequences with the given crossing sum.
 
     Even length; odd positions carry any magnitude >= 1, even positions an
     even magnitude >= 2.  Ordered by length, then lexicographically.
     """
-    n = 2
-    while 3 * n // 2 <= total:
-        # mins[j] = least possible sum of slots j..n
-        mins = [0] * (n + 2)
-        for j in range(n, 0, -1):
-            mins[j] = mins[j + 1] + (2 if j % 2 == 0 else 1)
-        out: list[tuple[int, ...]] = []
-
-        def rec(j: int, rem: int, prefix: tuple[int, ...]) -> None:
-            if j == n:
-                # Last slot is an even position: magnitude rem, even >= 2.
-                if rem >= 2 and rem % 2 == 0:
-                    out.append(prefix + (rem,))
-                return
-            lo, step = (1, 1) if j % 2 else (2, 2)
-            for m in range(lo, rem - mins[j + 1] + 1, step):
-                rec(j + 1, rem - m, prefix + (m,))
-
-        rec(1, total, ())
-        yield from out
-        n += 2
+    for n in range(2, 2 * total // 3 + 1, 2):  # least sum of length n: 3n/2
+        for m, rest in _fills(total, [1 + j % 2 for j in range(n - 1)], 1, 2):
+            if rest % 2 == 0:  # the last slot is an even position
+                yield (*m, rest)
 
 
 def _type_b_halves(total: int) -> Iterator[tuple[int, ...]]:
@@ -164,43 +175,9 @@ def _type_b_halves(total: int) -> Iterator[tuple[int, ...]]:
     Non-center magnitudes count twice, the center once and must be odd, so
     these exist only for odd totals.  Ordered by length, then lexicographically.
     """
-    if total % 2 == 0:
-        return
-    n = 1
-    while n <= total:
-        h = (n + 1) // 2
-        out: list[tuple[int, ...]] = []
-
-        def rec(j: int, rem: int, prefix: tuple[int, ...]) -> None:
-            if j == h:
-                out.append(prefix + (rem,))  # rem is odd >= 1 by the bounds
-                return
-            for m in range(1, (rem - (2 * (h - 1 - j) + 1)) // 2 + 1):
-                rec(j + 1, rem - 2 * m, prefix + (m,))
-
-        rec(1, total, ())
-        yield from out
-        n += 2
-
-
-def _iter_type_a(total: int) -> Iterator[tuple[int, ...]]:
-    for mag in _type_a_magnitudes(total):
-        for signs in product((1, -1), repeat=len(mag)):
-            yield tuple(s * m for s, m in zip(signs, mag))
-
-
-def _iter_type_b(total: int) -> Iterator[tuple[int, ...]]:
-    for half in _type_b_halves(total):
-        for signs in product((1, -1), repeat=len(half)):
-            head = tuple(s * m for s, m in zip(signs, half))
-            yield head + head[-2::-1]
-
-
-def _iter_with_class(total: int):
-    for seq in _iter_type_a(total):
-        yield seq, ExpansionClass.TYPE_A
-    for seq in _iter_type_b(total):
-        yield seq, ExpansionClass.TYPE_B
+    for h in range(1, (total + 1) // 2 + 1) if total % 2 else ():
+        for m, rest in _fills(total, [1] * (h - 1), 2, 1):
+            yield (*m, rest)
 
 
 def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
@@ -214,18 +191,64 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
     """
     if t < 1:
         raise ValueError(f"crossing sum must be >= 1, got {t}")
-    for seq, _ in _iter_with_class(t):
-        yield ContinuedFraction._trusted(seq)
+    for mag in _type_a_magnitudes(t):
+        for signs in product((1, -1), repeat=len(mag)):
+            yield ContinuedFraction._trusted(tuple(s * m for s, m in zip(signs, mag)))
+    for half in _type_b_halves(t):
+        for signs in product((1, -1), repeat=len(half)):
+            head = tuple(s * m for s, m in zip(signs, half))
+            yield ContinuedFraction._trusted(head + head[-2::-1])
+
+
+def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
+    """(key, sequence, class) at each key's first hit: among the sequences
+    with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
+    order, the first whose value num/den has lookup[|num|, den mod |num|] ==
+    key.  The key's residues then leave lookup; the sweep ends when it is empty.
+
+    Signs run as a binary counter over kept prefix continuants, so a flip at
+    position i recomputes only the prefixes from i on.  A Type B palindrome is
+    evaluated from its half h: its continuant matrix is M(h) M(h[:-1])^T.
+    """
+    A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
+    for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
+        for a in map(list, patterns):
+            n = len(a)
+            # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
+            P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
+            i = 0
+            while True:
+                for j in range(i, n):
+                    P[j + 2] = a[j] * P[j + 1] + P[j]
+                    Q[j + 2] = a[j] * Q[j + 1] + Q[j]
+                if cls is B:
+                    num = P[n] * (P[n + 1] + P[n - 1])
+                    den = Q[n + 1] * P[n] + Q[n] * P[n - 1]
+                else:
+                    num, den = P[n + 1], Q[n + 1]
+                num = abs(num)  # the residues of a class are closed under negation
+                if num > 1 and (num, den % num) in lookup:
+                    key = lookup[num, den % num]
+                    for r in _slope_residues(*key):
+                        del lookup[key[0], r]
+                    entries = tuple(a + a[-2::-1]) if cls is B else tuple(a)
+                    yield key, ContinuedFraction._trusted(entries), cls
+                    if not lookup:
+                        return
+                # Next signs: trailing - slots back to +, the slot before turns -.
+                i = n - 1
+                while i and a[i] < 0:
+                    a[i] = -a[i]
+                    i -= 1
+                if not i:
+                    break
+                a[i] = -a[i]
 
 
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
     into k's slope class, or None."""
-    key = (k.p, k.q)
-    for seq, _ in _iter_with_class(t):
-        if _knot_key(*_eval_entries(seq)) == key:
-            return ContinuedFraction._trusted(seq)
-    return None
+    return next((cf for _, cf, _ in _sweep(t, _residue_lookup([(k.p, k.q)]))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +267,7 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     pending: dict[tuple[int, int], tuple[TwoBridgeKnot, int, int, ContinuedFraction]] = {}
 
     for k in sorted(set(knots)):
-        r1 = step1_check(k)
+        r1 = step1_check(k)  # computes c(K) only on a hit
         if r1 is not None:
             results[k] = r1
             continue
@@ -257,34 +280,15 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
         else:
             pending[(k.p, k.q)] = (k, c, m, wit)
 
-    if pending:
-        lo = min(c + 1 for (_, c, _, _) in pending.values())
-        hi = max(m - 1 for (_, _, m, _) in pending.values())
-        for t in range(lo, hi + 1):
-            active = {
-                key
-                for key, (_, c, m, _) in pending.items()
-                if c + 1 <= t <= m - 1
-            }
-            if not active:
-                continue
-            for seq, cls in _iter_with_class(t):
-                key = _knot_key(*_eval_entries(seq))
-                if key in active:
-                    active.discard(key)
-                    k, c, m, _ = pending.pop(key)
-                    results[k] = C2Result(
-                        t, ContinuedFraction._trusted(seq), cls, METHOD_SEARCH, m, c
-                    )
-                    if not active:
-                        break
-            if not pending:
-                break
-        for k, c, m, wit in pending.values():
-            results[k] = C2Result(
-                m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c
-            )
-
+    for t in sorted({t for _, c, m, _ in pending.values() for t in range(c + 1, m)}):
+        lookup = _residue_lookup(key for key, (_, c, m, _) in pending.items() if c < t < m)
+        if not lookup:
+            continue
+        for key, cf, cls in _sweep(t, lookup):
+            k, c, m, _ = pending.pop(key)
+            results[k] = C2Result(t, cf, cls, METHOD_SEARCH, m, c)
+    for k, c, m, wit in pending.values():
+        results[k] = C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c)
     return results
 
 
@@ -299,10 +303,10 @@ def global_c2_map(
     """Independent cross-check: sweep t = 1, 2, 3, ... over the full
     enumeration and record the first t at which each knot appears.
 
-    Uses only enumeration, evaluation, and canonicalization, none of the
-    stepwise machinery, so agreement with :func:`c2` is meaningful.  Returns
-    {knot: (t, first witness)} for every knot with crossing number up to
-    max_crossing.  Every knot is found by the time t reaches its semi-even
+    Uses only enumeration, evaluation, and the slope-class lookup, none of
+    the stepwise machinery, so agreement with :func:`c2` is meaningful.
+    Returns {knot: (t, first witness)} for every knot with crossing number up
+    to max_crossing.  Every knot is found by the time t reaches its semi-even
     bound (that expansion is itself an enumerated Type A sequence); passing a
     bound without a hit would be an implementation bug and raises.
     """
@@ -315,21 +319,16 @@ def global_c2_map(
         for k in enumerate_knots(c):
             targets[(k.p, k.q)] = (k, _semi_even_pick(k)[0])
 
+    lookup = _residue_lookup(targets)
     found: dict[tuple[int, int], tuple[int, ContinuedFraction]] = {}
     t = 0
-    while len(found) < len(targets):
+    while lookup:
         t += 1
         net = max(m for key, (_, m) in targets.items() if key not in found)
         if t > net:
             raise RuntimeError(
                 f"enumeration passed every pending bound ({net}) without a hit"
             )
-        remaining = len(targets) - len(found)
-        for seq, _ in _iter_with_class(t):
-            key = _knot_key(*_eval_entries(seq))
-            if key in targets and key not in found:
-                found[key] = (t, ContinuedFraction._trusted(seq))
-                remaining -= 1
-                if remaining == 0:
-                    break
+        for key, cf, _ in _sweep(t, lookup):
+            found[key] = (t, cf)
     return {targets[key][0]: hit for key, hit in found.items()}

@@ -17,6 +17,8 @@ EXPECTED_TABLE = {
     12: (176, {0: 49, 1: 98, 2: 26, 3: 3}),
     13: (352, {0: 109, 1: 152, 2: 89, 3: 2}),
     14: (693, {0: 128, 1: 351, 2: 177, 3: 37}),
+    15: (1387, {0: 275, 1: 545, 2: 499, 3: 66, 4: 2}),
+    16: (2752, {0: 349, 1: 1160, 2: 899, 3: 334, 4: 10}),
 }
 
 

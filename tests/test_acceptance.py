@@ -92,11 +92,12 @@ def test_criterion_1_census_3_to_12(criterion):
         st["detail"] = f"{dt:.2f}s, target 120s"
 
 
-def test_criterion_2_census_13_and_14(criterion):
-    with criterion(2, "extended rows c=13 (352: 109/152/89/2) and c=14 (693: 128/351/177/37)") as st:
+def test_criterion_2_census_13_to_16(criterion):
+    with criterion(2, "extended rows c=13..16 (352, 693, 1387, 2752 knots) match exactly") as st:
         t0 = time.perf_counter()
-        rows = build_table(13, 14)
+        rows = build_table(13, 16)
         dt = time.perf_counter() - t0
+        assert [row.c for row in rows] == [13, 14, 15, 16]
         for row in rows:
             count, offsets = EXPECTED_TABLE[row.c]
             assert row.two_bridge_count == count
@@ -118,13 +119,13 @@ def test_criterion_3_worked_example(criterion):
 
 def test_criterion_4_dual_method_cross_check(criterion, solved_le_10):
     with criterion(4, "independent sweep agrees with the stepwise solver") as st:
-        proc = run_cli("table", "--min", "3", "--max", "12", "--cross-check")
+        proc = run_cli("table", "--min", "3", "--max", "15", "--cross-check")
         assert proc.returncode == 0, proc.stderr
         oracle = global_c2_map(10)
         assert set(oracle) == set(solved_le_10)
         for k, res in solved_le_10.items():
             assert oracle[k][0] == res.value, f"disagreement at {k}"
-        st["detail"] = f"cli rows 3..12 plus {len(oracle)} knots to c=10"
+        st["detail"] = f"cli rows 3..15 plus {len(oracle)} knots to c=10"
 
 
 def test_criterion_5_expansion_suite_exhaustive(criterion):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -5,12 +6,22 @@ import pytest
 from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
+    _eval_entries,
     classify_type,
     crossing_sum,
     eval_cf,
 )
-from twobridge.knot import canonicalize, crossing_number, fraction_to_knot
+from twobridge.knot import (
+    _knot_key,
+    _residue_lookup,
+    canonicalize,
+    crossing_number,
+    fraction_to_knot,
+)
 from twobridge.solver import (
+    _sweep,
+    _type_a_magnitudes,
+    _type_b_halves,
     METHOD_EXHAUSTED,
     METHOD_SEARCH,
     METHOD_STEP1,
@@ -93,6 +104,87 @@ class TestEnumerator:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             next(enumerate_type_ab(0))
+
+    @pytest.mark.parametrize(
+        "patterns,total,length,first",
+        [
+            (_type_a_magnitudes, 200, 4, (1, 2, 1, 196)),
+            (_type_b_halves, 201, 4, (1, 1, 1, 195)),
+        ],
+    )
+    def test_patterns_stream(self, patterns, total, length, first):
+        # The first pattern of a length must come without that whole length
+        # being built first: at a large total that is ~10^5 tuples and more.
+        tracemalloc.start()
+        try:
+            got = next(mag for mag in patterns(total) if len(mag) == length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == first
+        assert peak < 64 * 1024
+
+
+class _EveryValue(dict):
+    """A lookup that every knot-valued sequence hits, under its own probe
+    (|num|, den mod |num|), and that never runs empty: _sweep then yields its
+    whole stream."""
+
+    def __contains__(self, probe):
+        return True
+
+    def __getitem__(self, probe):
+        return probe
+
+    def __delitem__(self, probe):
+        pass
+
+    def __len__(self):
+        return 1
+
+
+@pytest.fixture(scope="module")
+def keys_le_14():
+    return [(k.p, k.q) for c in range(3, 15) for k in enumerate_knots(c)]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_stream_is_the_positive_half_in_order(self, t):
+        # Values with |num| <= 1 (zero, the unknot, infinity) are no knot and
+        # are never looked up, so they are left out on both sides.
+        want = [
+            cf.entries
+            for cf in enumerate_type_ab(t)
+            if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
+        ]
+        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue())] == want
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_probes_and_classes(self, t):
+        for (p, r), cf, cls in _sweep(t, _EveryValue()):
+            num, den = _eval_entries(cf.entries)
+            assert p == abs(num)
+            assert r in {den % p, -den % p}
+            assert cls is classify_type(cf)
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
+        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _residue_lookup(keys_le_14))]
+        for key, entries in got:
+            assert key == _knot_key(*_eval_entries(entries))
+        targets, first = set(keys_le_14), {}
+        for cf in enumerate_type_ab(t):
+            key = _knot_key(*_eval_entries(cf.entries))
+            if key in targets:
+                first.setdefault(key, cf.entries)
+        assert got == list(first.items())
+
+    def test_knot_key_ignores_negation(self):
+        for t in range(1, 11):
+            for cf in enumerate_type_ab(t):
+                neg = tuple(-a for a in cf.entries)
+                assert _knot_key(*_eval_entries(neg)) == _knot_key(*_eval_entries(cf.entries))
 
 
 class TestSteps:
@@ -192,6 +284,20 @@ class TestC2:
             assert classify_type(res.witness) is res.witness_class
             assert res.base_crossing == crossing_number(k)
             assert res.base_crossing <= res.value <= res.semi_even_bound
+
+    def test_crossing_number_once_per_knot(self, monkeypatch):
+        import twobridge.solver as solver
+
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return crossing_number(k)
+
+        monkeypatch.setattr(solver, "crossing_number", counted)
+        knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
+        solve_many(knots)
+        assert sorted(calls) == sorted(knots)
 
     def test_search_branch_self_corrects(self, monkeypatch):
         # If the greedy bound ever came out loose, the level sweep must
