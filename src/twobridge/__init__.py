@@ -23,6 +23,7 @@ from .knot import (
     TwoBridgeKnot,
     canonicalize,
     crossing_number,
+    enumerate_knots,
     fraction_to_knot,
     mod_inverse,
     slope_family,
@@ -47,7 +48,6 @@ from .table import (
     CrossCheckError,
     TableRow,
     build_table,
-    enumerate_knots,
     table_row,
 )
 

@@ -38,6 +38,8 @@ from .table import CrossCheckError, build_table
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
 
 CACHE_ENV_VAR = "TWOBRIDGE_CACHE_DIR"
+# The SVG grows by about 400 bytes per crossing: 10,000 crossings is ~4 MB.
+_MAX_RENDER_CROSSINGS = 10_000
 
 
 class NameLookupError(Exception):
@@ -89,6 +91,13 @@ def read_names(path: str) -> list[NameRecord]:
     return records
 
 
+def _lookup_name(path: str, name: str) -> TwoBridgeKnot:
+    for rec in read_names(path):
+        if rec.name == name:
+            return rec.knot
+    raise NameLookupError(f"name not found: {name}")
+
+
 def _entries_str(cf: ContinuedFraction) -> str:
     return "[" + ",".join(str(a) for a in cf.entries) + "]"
 
@@ -136,10 +145,7 @@ def _resolve_knot(args: argparse.Namespace) -> TwoBridgeKnot:
             raise ValueError("give either --name or --p/--q, not both")
         if args.names_file is None:
             raise ValueError("--name requires --names-file")
-        for rec in read_names(args.names_file):
-            if rec.name == args.name:
-                return rec.knot
-        raise NameLookupError(f"name not found: {args.name}")
+        return _lookup_name(args.names_file, args.name)
     if args.p is None or args.q is None:
         raise ValueError("need --p and --q (or --name with --names-file)")
     return canonicalize(args.p, args.q)
@@ -217,6 +223,10 @@ def cmd_render(args: argparse.Namespace) -> int:
         if args.p is None or args.q is None:
             raise ValueError("need both --p and --q")
         cf = c2(canonicalize(args.p, args.q)).witness
+    if crossing_sum(cf) > _MAX_RENDER_CROSSINGS:
+        raise ValueError(
+            f"{crossing_sum(cf)} crossings is above the render limit {_MAX_RENDER_CROSSINGS}"
+        )
     svg = to_svg(layout(cf))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -224,14 +234,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_names(args: argparse.Namespace) -> int:
-    records = read_names(args.csv)
     if args.lookup is not None:
-        for rec in records:
-            if rec.name == args.lookup:
-                print(f"K({rec.knot.p},{rec.knot.q})")
-                return 0
-        raise NameLookupError(f"name not found: {args.lookup}")
-    print(f"ok: {len(records)} names")
+        print(_lookup_name(args.csv, args.lookup))
+    else:
+        print(f"ok: {len(read_names(args.csv))} names")
     return 0
 
 

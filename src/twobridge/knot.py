@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .contfrac import Rational, _eval_entries, _positive_entries
 
@@ -22,6 +22,7 @@ __all__ = [
     "slope_family",
     "fraction_to_knot",
     "crossing_number",
+    "enumerate_knots",
 ]
 
 
@@ -33,18 +34,20 @@ def mod_inverse(q: int, p: int) -> int:
         raise ValueError(f"q must lie in (0, p), got q={q}, p={p}")
     if gcd(p, q) != 1:
         raise ValueError(f"q must be coprime to p, got q={q}, p={p}")
-    return pow(q, -1, p)
+    return _slopes(p, q)[2]
 
 
-def _even_rep(p: int, q: int) -> int:
-    # Exactly one of q, p - q is even when p is odd.
-    return q if q % 2 == 0 else p - q
+def _slopes(p: int, q: int) -> tuple[int, int, int, int]:
+    """The denominators q, p - q, q^-1, p - q^-1 (mod p) of the slopes of
+    K(p, q), in :func:`slope_family` order.  One of each pair is even."""
+    qi = pow(q, -1, p)
+    return q, p - q, qi, p - qi
 
 
 def _canonical_q(p: int, q: int) -> int:
-    qe = _even_rep(p, q)
-    ie = _even_rep(p, pow(qe, -1, p))
-    return qe if qe <= ie else ie
+    a, b, ai, bi = _slopes(p, q)
+    e, ei = a if a % 2 == 0 else b, ai if ai % 2 == 0 else bi
+    return e if e <= ei else ei
 
 
 @dataclass(frozen=True, order=True)
@@ -94,14 +97,7 @@ def slope_family(k: TwoBridgeKnot) -> tuple[Rational, Rational, Rational, Ration
 
     This is a multiset: entries repeat whenever q is self-inverse mod p.
     """
-    p, q = k.p, k.q
-    qi = pow(q, -1, p)
-    return (
-        Rational(p, q),
-        Rational(p, p - q),
-        Rational(p, qi),
-        Rational(p, p - qi),
-    )
+    return tuple(Rational(k.p, r) for r in _slopes(k.p, k.q))
 
 
 def _knot_key(num: int, den: int) -> tuple[int, int] | None:
@@ -120,10 +116,8 @@ def _knot_key(num: int, den: int) -> tuple[int, int] | None:
 
 
 def _slope_residues(p: int, q: int) -> set[int]:
-    """Every r in (0, p) with _knot_key(p, r) == (p, q), for a canonical (p, q):
-    q, p - q, q^-1 and p - q^-1, fewer when q is self-inverse mod p."""
-    qi = pow(q, -1, p)
-    return {q, p - q, qi, p - qi}
+    """Every r in (0, p) with _knot_key(p, r) == (p, q), for a canonical (p, q)."""
+    return set(_slopes(p, q))
 
 
 def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], tuple]:
@@ -146,3 +140,24 @@ def crossing_number(k: TwoBridgeKnot) -> int:
             f"positive expansions of the four slopes of {k} disagree: {sorted(sums)}"
         )
     return sums.pop()
+
+
+def _compositions_last_ge2(total: int) -> Iterator[tuple[int, ...]]:
+    # All (a_1, ..., a_n) with a_i >= 1 and a_n >= 2 summing to total.
+    def rec(rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if rem >= 2:
+            yield prefix + (rem,)
+        for a in range(1, rem - 1):
+            yield from rec(rem - a, prefix + (a,))
+
+    yield from rec(total, ())
+
+
+def enumerate_knots(c: int) -> set[TwoBridgeKnot]:
+    """All two-bridge knots with crossing number c, canonical and deduplicated:
+    each composition of c with last part >= 2 is the positive expansion of a slope."""
+    if c < 3:
+        raise ValueError(f"two-bridge knots need c >= 3, got {c}")
+    keys = {_knot_key(*_eval_entries(comp)) for comp in _compositions_last_ge2(c)}
+    keys.discard(None)
+    return {TwoBridgeKnot(p, q) for p, q in keys}

@@ -194,23 +194,17 @@ class _Connectors:
     def _flip(self, pt):
         return (pt[0], 2 * self.ay - pt[1])
 
-    def line(self, p1, p2, mirror: bool = True) -> None:
-        self.parts.append(_line(p1, p2, "strand", self.st.strand_color, self.st.stroke_width))
-        if mirror:
-            self.parts.append(
-                _line(self._flip(p1), self._flip(p2), "strand", self.st.strand_color, self.st.stroke_width)
-            )
+    def line(self, p1, p2) -> None:
+        for a, b in ((p1, p2), (self._flip(p1), self._flip(p2))):
+            self.parts.append(_line(a, b, "strand", self.st.strand_color, self.st.stroke_width))
 
-    def path(self, points, mirror: bool = True) -> None:
-        self.parts.append(_path(points, "strand", self.st.strand_color, self.st.stroke_width))
-        if mirror:
-            self.parts.append(
-                _path([self._flip(p) for p in points], "strand", self.st.strand_color, self.st.stroke_width)
-            )
+    def path(self, points) -> None:
+        for pts in (points, [self._flip(p) for p in points]):
+            self.parts.append(_path(pts, "strand", self.st.strand_color, self.st.stroke_width))
 
-    def s_curve(self, p, q, mirror: bool = True) -> None:
+    def s_curve(self, p, q) -> None:
         mx = (p[0] + q[0]) // 2
-        self.path([p, (mx, p[1]), (mx, q[1]), q], mirror=mirror)
+        self.path([p, (mx, p[1]), (mx, q[1]), q])
 
 
 def _columns(lay: DiagramLayout, st: SvgStyle):

@@ -14,6 +14,9 @@ A sequence with crossing sum c evaluating to the knot would be an alternating
 minimal diagram, so it is all-positive up to mirror and Step1 already saw it;
 the search can therefore start above c.
 
+Steps 1 and 2 run once per knot, in ``_rungs``; :func:`step1_check`,
+:func:`step2_bound` and :func:`solve_many` read their answers from it.
+
 The sweep behind Search and :func:`global_c2_map` skips sequences with a
 negative first entry: its negation has the same magnitudes, comes earlier (+
 sorts before -) and evaluates to the mirror, the same knot.  A value num/den
@@ -39,7 +42,9 @@ from .knot import (
     TwoBridgeKnot,
     _residue_lookup,
     _slope_residues,
+    _slopes,
     crossing_number,
+    enumerate_knots,
     slope_family,
 )
 
@@ -89,49 +94,55 @@ class C2Result:
 
 
 def _semi_even_pick(k: TwoBridgeKnot) -> tuple[int, ContinuedFraction]:
-    """Best semi-even expansion over the even-denominator slopes.
-
-    The two even denominators may coincide (q self-inverse mod p).  Ties on
-    crossing sum break toward the smaller denominator.
-    """
-    p, q = k.p, k.q
-    qi = pow(q, -1, p)
-    dens = sorted({q, qi if qi % 2 == 0 else p - qi})
-    best: tuple[int, int, list[int]] | None = None
-    for d in dens:
-        entries = _semi_even_entries(p, d)
-        s = sum(abs(a) for a in entries)
-        if best is None or (s, d) < (best[0], best[1]):
-            best = (s, d, entries)
-    return best[0], ContinuedFraction._trusted(tuple(best[2]))
+    """Best semi-even expansion over the (one or two) even-denominator slopes,
+    ties on crossing sum going to the smaller denominator."""
+    s, _, entries = min(
+        (sum(abs(a) for a in e), d, e)
+        for d in {r for r in _slopes(k.p, k.q) if r % 2 == 0}
+        for e in [_semi_even_entries(k.p, d)]
+    )
+    return s, ContinuedFraction._trusted(tuple(entries))
 
 
-def step1_check(k: TwoBridgeKnot) -> C2Result | None:
-    """Try the eight positive sequences; a Type A/B hit means value = c(K)."""
-    for slope in slope_family(k):
-        cf = positive_expansion(slope)
-        for cand in (cf, positive_expansion_variant(cf)):
-            cls = classify_type(cand)
-            if cls is not ExpansionClass.NEITHER:
-                c = crossing_number(k)
-                return C2Result(c, cand, cls, METHOD_STEP1, _semi_even_pick(k)[0], c)
-    return None
-
-
-def step2_bound(k: TwoBridgeKnot) -> int:
-    """Semi-even upper bound m; meaningful once step1_check has failed.
-
-    A bound of c(K) would mean a mixed-sign sequence matches the crossing
-    number, contradicting Step 1 having failed, so m <= c(K) raises.
-    """
-    c = crossing_number(k)
-    m, _ = _semi_even_pick(k)
+def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
+    """m, checked to exceed c: m = c(K) would be a minimal diagram Step 1 missed."""
     if m <= c:
         raise RuntimeError(
             f"semi-even bound {m} for {k} does not exceed c={c}; "
             "Step 1 must already decide this knot"
         )
     return m
+
+
+def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | None]:
+    """(c, m, semi-even witness, result) of the rungs below the search, each
+    computed once: result is the Step1 or Step2 C2Result, or None when only
+    the search can decide k."""
+    c = crossing_number(k)
+    m, wit = _semi_even_pick(k)
+    for slope in slope_family(k):
+        cf = positive_expansion(slope)
+        for cand in (cf, positive_expansion_variant(cf)):
+            cls = classify_type(cand)
+            if cls is not ExpansionClass.NEITHER:
+                return c, m, wit, C2Result(c, cand, cls, METHOD_STEP1, m, c)
+    _bound_above(k, c, m)
+    if m == c + 1:
+        return c, m, wit, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_STEP2, m, c)
+    return c, m, wit, None
+
+
+def step1_check(k: TwoBridgeKnot) -> C2Result | None:
+    """Try the eight positive sequences; a Type A/B hit means value = c(K)."""
+    res = _rungs(k)[3]
+    return res if res is not None and res.method == METHOD_STEP1 else None
+
+
+def step2_bound(k: TwoBridgeKnot) -> int:
+    """Semi-even upper bound m; meaningful once step1_check has failed.
+    Raises RuntimeError when m <= c(K)."""
+    c, m, _, _ = _rungs(k)
+    return _bound_above(k, c, m)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +278,9 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     pending: dict[tuple[int, int], tuple[TwoBridgeKnot, int, int, ContinuedFraction]] = {}
 
     for k in sorted(set(knots)):
-        r1 = step1_check(k)  # computes c(K) only on a hit
-        if r1 is not None:
-            results[k] = r1
-            continue
-        c = crossing_number(k)
-        m, wit = _semi_even_pick(k)
-        if m <= c:
-            raise RuntimeError(f"semi-even bound {m} below c={c} for {k}")
-        if m == c + 1:
-            results[k] = C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_STEP2, m, c)
+        c, m, wit, res = _rungs(k)
+        if res is not None:
+            results[k] = res
         else:
             pending[(k.p, k.q)] = (k, c, m, wit)
 
@@ -310,8 +314,6 @@ def global_c2_map(
     bound (that expansion is itself an enumerated Type A sequence); passing a
     bound without a hit would be an implementation bug and raises.
     """
-    from .table import enumerate_knots  # late import, table builds on solver
-
     if max_crossing < 3:
         raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
     targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int]] = {}

@@ -1,23 +1,22 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
-crossing number, tallied over all two-bridge knots of each crossing number.
+crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
-Knots with crossing number c are enumerated through the compositions of c
-whose last part is >= 2: each such composition is the canonical positive
-expansion of a slope, and keeping the odd numerators and canonicalizing
-dedupes the census.  Rows can be cached one file per crossing number, keyed
-by an algorithm version that must be bumped whenever any result-affecting
-rule changes.
+Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
+Bump it for any change to a row's counts or offsets, or to the row's JSON
+layout.  The cache stores no witnesses, so a change that alters only
+witnesses needs no bump.  A row file is written to a temporary name in the
+same directory and renamed onto its path, so a reader never sees half a row.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
-from .contfrac import _eval_entries
-from .knot import TwoBridgeKnot, _knot_key
+from .knot import TwoBridgeKnot, enumerate_knots
 from .solver import C2Result, global_c2_map, solve_many
 
 __all__ = [
@@ -76,29 +75,6 @@ class TableRow:
         )
 
 
-def _compositions_last_ge2(total: int) -> Iterator[tuple[int, ...]]:
-    # All (a_1, ..., a_n) with a_i >= 1 and a_n >= 2 summing to total.
-    def rec(rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if rem >= 2:
-            yield prefix + (rem,)
-        for a in range(1, rem - 1):
-            yield from rec(rem - a, prefix + (a,))
-
-    yield from rec(total, ())
-
-
-def enumerate_knots(c: int) -> set[TwoBridgeKnot]:
-    """All two-bridge knots with crossing number c, canonical and deduplicated."""
-    if c < 3:
-        raise ValueError(f"two-bridge knots need c >= 3, got {c}")
-    keys = set()
-    for comp in _compositions_last_ge2(c):
-        key = _knot_key(*_eval_entries(comp))
-        if key is not None:
-            keys.add(key)
-    return {TwoBridgeKnot(p, q) for p, q in keys}
-
-
 def _tally(c: int, results: dict[TwoBridgeKnot, C2Result]) -> TableRow:
     offsets: dict[int, int] = {0: 0}
     for res in results.values():
@@ -128,7 +104,13 @@ def _read_cached_row(cache_dir: str | Path, c: int) -> TableRow | None:
 def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
     path = _cache_path(cache_dir, row.c)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(row.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(row.to_json_dict(), indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def build_table(

@@ -214,6 +214,17 @@ class TestRender:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spelling", [("--cf", "10000001"), ("--cf", "10001,2"), ("--p", "20003", "--q", "2")]
+    )
+    def test_refuses_above_crossing_limit(self, capsys, tmp_path, spelling):
+        # 10001,2 is Type A and the c2 witness of K(20003,2): 10003 crossings.
+        out_path = tmp_path / "x.svg"
+        code, _, err = run(capsys, "render", *spelling, "--out", str(out_path))
+        assert code == 2
+        assert "limit" in err
+        assert not out_path.exists()
+
     def test_cf_and_pq_conflict(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -9,6 +9,7 @@ from twobridge.knot import (
     TwoBridgeKnot,
     canonicalize,
     crossing_number,
+    enumerate_knots,
     fraction_to_knot,
     mod_inverse,
     slope_family,
@@ -149,3 +150,17 @@ class TestCrossingNumber:
         cf = positive_expansion(r)
         assert eval_cf(cf) == r
         assert crossing_number(k) == crossing_sum(cf)
+
+
+class TestEnumerateKnots:
+    @staticmethod
+    def ernst_sumners(c):
+        # Two-bridge knots with crossing number c, mirrors identified
+        # (Ernst and Sumners, 1987).
+        if c % 2 == 0:
+            return (2 ** (c - 3) + 2 ** ((c - 4) // 2) - (c % 4 == 2)) // 3
+        return (2 ** (c - 3) + 2 ** ((c - 3) // 2) + (c % 4 == 3)) // 3
+
+    @pytest.mark.parametrize("c", range(3, 19))
+    def test_count_matches_closed_form(self, c):
+        assert len(enumerate_knots(c)) == self.ernst_sumners(c)

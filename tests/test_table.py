@@ -120,6 +120,29 @@ class TestCache:
             table.solve_many = orig
         assert again == rows
 
+    def test_failed_replace_leaves_previous_row(self, tmp_path, monkeypatch):
+        import twobridge.table as table
+
+        real_replace = table.os.replace
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
+        monkeypatch.setattr(table.os, "replace", fail)
+        with pytest.raises(OSError):
+            build_table(5, 5, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setattr(table.os, "replace", real_replace)
+        build_table(5, 5, cache_dir=tmp_path)
+        before = path.read_text()
+        monkeypatch.setattr(table.os, "replace", fail)
+        with pytest.raises(OSError):
+            table._write_cached_row(tmp_path, TableRow(5, 3, {0: 3}))
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_corrupt_cache_is_rebuilt(self, tmp_path):
         build_table(5, 5, cache_dir=tmp_path)
         path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
