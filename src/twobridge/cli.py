@@ -38,7 +38,7 @@ from .table import CrossCheckError, build_table
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
 
 CACHE_ENV_VAR = "TWOBRIDGE_CACHE_DIR"
-# The SVG grows by about 400 bytes per crossing: 10,000 crossings is ~4 MB.
+# The SVG takes 400 to 700 bytes per crossing: up to about 7 MB at the limit.
 _MAX_RENDER_CROSSINGS = 10_000
 
 

@@ -130,16 +130,23 @@ def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:
     return None if key is None else TwoBridgeKnot(*key)
 
 
-def crossing_number(k: TwoBridgeKnot) -> int:
-    """Crossing number, read off as the entry sum of any slope's positive
-    expansion.  All four slopes must agree; disagreement would invalidate the
+def _positive_family(k: TwoBridgeKnot) -> tuple[int, list[list[int]]]:
+    """(c, the positive expansion entries of the four slopes in slope_family
+    order): c is their common entry sum.  Disagreement would invalidate the
     whole pipeline and is raised as a hard error."""
-    sums = {sum(_positive_entries(s.num, s.den)) for s in slope_family(k)}
+    family = [_positive_entries(k.p, r) for r in _slopes(k.p, k.q)]
+    sums = {sum(e) for e in family}
     if len(sums) != 1:
         raise RuntimeError(
             f"positive expansions of the four slopes of {k} disagree: {sorted(sums)}"
         )
-    return sums.pop()
+    return sums.pop(), family
+
+
+def crossing_number(k: TwoBridgeKnot) -> int:
+    """Crossing number, read off as the entry sum of any slope's positive
+    expansion; all four slopes must agree."""
+    return _positive_family(k)[0]
 
 
 def _compositions_last_ge2(total: int) -> Iterator[tuple[int, ...]]:

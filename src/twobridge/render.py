@@ -27,6 +27,7 @@ Output is deterministic: equal input and style give byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .contfrac import (
     ContinuedFraction,
@@ -208,18 +209,16 @@ class _Connectors:
 
 
 def _columns(lay: DiagramLayout, st: SvgStyle):
-    """Group boxes into left-to-right columns and assign x extents."""
+    """Group boxes into left-to-right columns, each in layout order (Type B
+    folds position n + 1 - i onto i), and assign x extents."""
     d = st.unit // 2
-    if lay.expansion_class is ExpansionClass.TYPE_A:
-        n = len(lay.cf.entries)
-        cols = [[b for b in lay.twist_boxes if b.position == i] for i in range(1, n + 1)]
-    else:
-        n = len(lay.cf.entries)
-        h = (n + 1) // 2
-        cols = [
-            [b for b in lay.twist_boxes if b.position in (i, n + 1 - i)]
-            for i in range(1, h + 1)
-        ]
+    n = len(lay.cf.entries)
+    fold = lay.expansion_class is not ExpansionClass.TYPE_A
+
+    def column(b: TwistBox) -> int:
+        return min(b.position, n + 1 - b.position) if fold else b.position
+
+    cols = [list(g) for _, g in groupby(sorted(lay.twist_boxes, key=column), key=column)]
     x = st.margin
     placed = []
     for col in cols:

@@ -15,7 +15,9 @@ minimal diagram, so it is all-positive up to mirror and Step1 already saw it;
 the search can therefore start above c.
 
 Steps 1 and 2 run once per knot, in ``_rungs``; :func:`step1_check`,
-:func:`step2_bound` and :func:`solve_many` read their answers from it.
+:func:`step2_bound` and :func:`solve_many` read their answers from it.  One
+``knot._positive_family`` pass expands the four slopes once and gives both c
+and the Step1 candidates.
 
 The sweep behind Search and :func:`global_c2_map` skips sequences with a
 negative first entry: its negation has the same magnitudes, comes earlier (+
@@ -35,17 +37,15 @@ from .contfrac import (
     ExpansionClass,
     _semi_even_entries,
     classify_type,
-    positive_expansion,
     positive_expansion_variant,
 )
 from .knot import (
     TwoBridgeKnot,
+    _positive_family,
     _residue_lookup,
     _slope_residues,
     _slopes,
-    crossing_number,
     enumerate_knots,
-    slope_family,
 )
 
 __all__ = [
@@ -118,10 +118,10 @@ def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | No
     """(c, m, semi-even witness, result) of the rungs below the search, each
     computed once: result is the Step1 or Step2 C2Result, or None when only
     the search can decide k."""
-    c = crossing_number(k)
+    c, family = _positive_family(k)
     m, wit = _semi_even_pick(k)
-    for slope in slope_family(k):
-        cf = positive_expansion(slope)
+    for entries in family:
+        cf = ContinuedFraction._trusted(tuple(entries))
         for cand in (cf, positive_expansion_variant(cf)):
             cls = classify_type(cand)
             if cls is not ExpansionClass.NEITHER:

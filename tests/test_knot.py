@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from twobridge.contfrac import Rational, crossing_sum, eval_cf, positive_expansion
 from twobridge.knot import (
     TwoBridgeKnot,
+    _positive_family,
     canonicalize,
     crossing_number,
     enumerate_knots,
@@ -150,6 +151,10 @@ class TestCrossingNumber:
         cf = positive_expansion(r)
         assert eval_cf(cf) == r
         assert crossing_number(k) == crossing_sum(cf)
+        assert _positive_family(k) == (
+            crossing_number(k),
+            [list(positive_expansion(s).entries) for s in slope_family(k)],
+        )
 
 
 class TestEnumerateKnots:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from svgcheck import axis_y, crossing_groups, parse_primitives, symmetry_defect
@@ -144,3 +146,13 @@ class TestSvg:
     def test_all_coordinates_integral(self):
         # parse_primitives raises on any non-integral coordinate
         parse_primitives(to_svg(layout(cf(2, 6, 1, 4))))
+
+    def test_long_palindrome_columns(self):
+        # 9,999 ones, just under the CLI's render limit: every crossing is
+        # drawn once, column by column, arm pairs before the center.
+        n = 9_999
+        svg = to_svg(layout(cf(*[1] * n)))
+        assert svg.count('<g class="crossing"') == n
+        positions = [int(x) for x in re.findall(r'data-position="(\d+)"', svg)]
+        h = (n + 1) // 2
+        assert positions == [x for i in range(1, h) for x in (i, n + 1 - i)] + [h]

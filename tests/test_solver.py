@@ -2,7 +2,9 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given
 
+from test_knot import knots
 from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
@@ -19,6 +21,7 @@ from twobridge.knot import (
     fraction_to_knot,
 )
 from twobridge.solver import (
+    _rungs,
     _sweep,
     _type_a_magnitudes,
     _type_b_halves,
@@ -286,18 +289,27 @@ class TestC2:
             assert res.base_crossing <= res.value <= res.semi_even_bound
 
     def test_crossing_number_once_per_knot(self, monkeypatch):
+        # One pass over the four slopes gives c and the Step1 candidates.
+        import twobridge.knot as knot
         import twobridge.solver as solver
 
-        calls = []
+        calls, expansions = [], []
+        real, real_entries = solver._positive_family, knot._positive_entries
 
         def counted(k):
             calls.append(k)
-            return crossing_number(k)
+            return real(k)
 
-        monkeypatch.setattr(solver, "crossing_number", counted)
+        def counted_entries(p, q):
+            expansions.append((p, q))
+            return real_entries(p, q)
+
+        monkeypatch.setattr(solver, "_positive_family", counted)
+        monkeypatch.setattr(knot, "_positive_entries", counted_entries)
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
         solve_many(knots)
         assert sorted(calls) == sorted(knots)
+        assert len(expansions) == 4 * len(knots)
 
     def test_search_branch_self_corrects(self, monkeypatch):
         # If the greedy bound ever came out loose, the level sweep must
@@ -319,6 +331,24 @@ class TestC2:
         assert res.method == METHOD_SEARCH
         assert res.witness.entries == (1, 2, -2, -2)
         assert res.semi_even_bound == 9
+
+
+class TestRungsLargeP:
+    @given(knots(max_p=10**6))
+    def test_rung_witnesses_check_out(self, k):
+        # Steps 1 and 2 only: most knots this large need the sweep.
+        c, m, wit, res = _rungs(k)
+        assert c == crossing_number(k)
+        assert fraction_to_knot(eval_cf(wit)) == k
+        assert classify_type(wit) is ExpansionClass.TYPE_A
+        assert crossing_sum(wit) == m
+        if res is not None:
+            assert res.method in (METHOD_STEP1, METHOD_STEP2)
+            assert (res.base_crossing, res.semi_even_bound) == (c, m)
+            assert fraction_to_knot(eval_cf(res.witness)) == k
+            assert classify_type(res.witness) is res.witness_class
+            assert crossing_sum(res.witness) == res.value
+            assert c <= res.value <= m
 
 
 class TestGlobalMap:
