@@ -130,17 +130,21 @@ def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:
     return None if key is None else TwoBridgeKnot(*key)
 
 
-def _positive_family(k: TwoBridgeKnot) -> tuple[int, list[list[int]]]:
-    """(c, the positive expansion entries of the four slopes in slope_family
-    order): c is their common entry sum.  Disagreement would invalidate the
-    whole pipeline and is raised as a hard error."""
-    family = [_positive_entries(k.p, r) for r in _slopes(k.p, k.q)]
+def _positive_family(
+    k: TwoBridgeKnot,
+) -> tuple[int, tuple[int, int, int, int], list[list[int]]]:
+    """(c, the four slope denominators from :func:`_slopes`, the positive
+    expansion entries of those slopes in the same order): c is their common
+    entry sum.  Disagreement would invalidate the whole pipeline and is raised
+    as a hard error."""
+    slopes = _slopes(k.p, k.q)
+    family = [_positive_entries(k.p, r) for r in slopes]
     sums = {sum(e) for e in family}
     if len(sums) != 1:
         raise RuntimeError(
             f"positive expansions of the four slopes of {k} disagree: {sorted(sums)}"
         )
-    return sums.pop(), family
+    return sums.pop(), slopes, family
 
 
 def crossing_number(k: TwoBridgeKnot) -> int:

@@ -16,8 +16,14 @@ the search can therefore start above c.
 
 Steps 1 and 2 run once per knot, in ``_rungs``; :func:`step1_check`,
 :func:`step2_bound` and :func:`solve_many` read their answers from it.  One
-``knot._positive_family`` pass expands the four slopes once and gives both c
-and the Step1 candidates.
+``knot._positive_family`` pass computes the slope residues and expands the
+four slopes once; it gives c, the Step1 candidates and the even denominators
+of the semi-even pick.
+
+``_solve_stream`` yields each knot's result as soon as it is known and sweeps
+each crossing total once for every knot pending at it.  :func:`solve_many`
+collects it; the census builder feeds it the knots of every row it computes,
+so the rows share one sweep per total.
 
 The sweep behind Search and :func:`global_c2_map` skips sequences with a
 negative first entry: its negation has the same magnitudes, comes earlier (+
@@ -93,12 +99,14 @@ class C2Result:
 # Steps 1 and 2
 
 
-def _semi_even_pick(k: TwoBridgeKnot) -> tuple[int, ContinuedFraction]:
-    """Best semi-even expansion over the (one or two) even-denominator slopes,
-    ties on crossing sum going to the smaller denominator."""
+def _semi_even_pick(
+    k: TwoBridgeKnot, slopes: tuple[int, int, int, int]
+) -> tuple[int, ContinuedFraction]:
+    """Best semi-even expansion over the (one or two) even denominators among
+    k's slope denominators, ties on crossing sum going to the smaller one."""
     s, _, entries = min(
         (sum(abs(a) for a in e), d, e)
-        for d in {r for r in _slopes(k.p, k.q) if r % 2 == 0}
+        for d in {r for r in slopes if r % 2 == 0}
         for e in [_semi_even_entries(k.p, d)]
     )
     return s, ContinuedFraction._trusted(tuple(entries))
@@ -118,8 +126,8 @@ def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | No
     """(c, m, semi-even witness, result) of the rungs below the search, each
     computed once: result is the Step1 or Step2 C2Result, or None when only
     the search can decide k."""
-    c, family = _positive_family(k)
-    m, wit = _semi_even_pick(k)
+    c, slopes, family = _positive_family(k)
+    m, wit = _semi_even_pick(k, slopes)
     for entries in family:
         cf = ContinuedFraction._trusted(tuple(entries))
         for cand in (cf, positive_expansion_variant(cf)):
@@ -266,6 +274,36 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 # Full solves
 
 
+def _solve_stream(
+    knots: Iterable[TwoBridgeKnot],
+) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
+    """(knot, result) for each of the distinct knots, as soon as it is known.
+
+    Step1 and Step2 results come first, in input order.  Then each crossing
+    total t in some pending knot's span c < t < m is swept once, over every
+    knot pending at t: a Search hit is yielded when the sweep finds it, and a
+    knot left pending past its last total m - 1 is yielded ExhaustedToBound
+    before any larger total is swept.
+    """
+    pending: dict[tuple[int, int], tuple[TwoBridgeKnot, int, int, ContinuedFraction]] = {}
+    for k in knots:
+        c, m, wit, res = _rungs(k)
+        if res is None:
+            pending[(k.p, k.q)] = (k, c, m, wit)
+        else:
+            yield k, res
+
+    # t runs up to each m: at t = m a knot still pending has run out.
+    for t in sorted({t for _, c, m, _ in pending.values() for t in range(c + 1, m + 1)}):
+        for key in [key for key, (_, _, m, _) in pending.items() if m == t]:
+            k, c, m, wit = pending.pop(key)
+            yield k, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c)
+        lookup = _residue_lookup(key for key, (_, c, m, _) in pending.items() if c < t < m)
+        for key, cf, cls in _sweep(t, lookup) if lookup else ():
+            k, c, m, _ = pending.pop(key)
+            yield k, C2Result(t, cf, cls, METHOD_SEARCH, m, c)
+
+
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     """Solve a batch of knots, sharing each enumeration sweep across them.
 
@@ -274,26 +312,7 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     sequence that hits it, which is the same sequence the per-knot search
     would find.
     """
-    results: dict[TwoBridgeKnot, C2Result] = {}
-    pending: dict[tuple[int, int], tuple[TwoBridgeKnot, int, int, ContinuedFraction]] = {}
-
-    for k in sorted(set(knots)):
-        c, m, wit, res = _rungs(k)
-        if res is not None:
-            results[k] = res
-        else:
-            pending[(k.p, k.q)] = (k, c, m, wit)
-
-    for t in sorted({t for _, c, m, _ in pending.values() for t in range(c + 1, m)}):
-        lookup = _residue_lookup(key for key, (_, c, m, _) in pending.items() if c < t < m)
-        if not lookup:
-            continue
-        for key, cf, cls in _sweep(t, lookup):
-            k, c, m, _ = pending.pop(key)
-            results[k] = C2Result(t, cf, cls, METHOD_SEARCH, m, c)
-    for k, c, m, wit in pending.values():
-        results[k] = C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c)
-    return results
+    return dict(_solve_stream(sorted(set(knots))))
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
@@ -319,7 +338,7 @@ def global_c2_map(
     targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int]] = {}
     for c in range(3, max_crossing + 1):
         for k in enumerate_knots(c):
-            targets[(k.p, k.q)] = (k, _semi_even_pick(k)[0])
+            targets[(k.p, k.q)] = (k, _semi_even_pick(k, _slopes(k.p, k.q))[0])
 
     lookup = _residue_lookup(targets)
     found: dict[tuple[int, int], tuple[int, ContinuedFraction]] = {}

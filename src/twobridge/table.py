@@ -1,6 +1,10 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
 crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
+:func:`build_table` feeds the knots of every row it has to compute through one
+``solver._solve_stream``, so the rows share one sweep per crossing total, and
+writes each row as soon as its last knot is in.
+
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
 layout.  The cache stores no witnesses, so a change that alters only
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .knot import TwoBridgeKnot, enumerate_knots
-from .solver import C2Result, global_c2_map, solve_many
+from .solver import C2Result, _solve_stream, global_c2_map, solve_many
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -122,26 +126,39 @@ def build_table(
 ) -> list[TableRow]:
     """Rows for c_min..c_max inclusive.
 
+    The knots of every row not read from the cache go through one solve
+    stream, so each crossing total is swept once for all of them.  A row is
+    tallied as its results arrive and written to the cache as soon as its last
+    knot is in, so an interrupted build keeps every row it completed.
+
     With cross_check, every per-knot value is recomputed fresh (cache rows are
-    not trusted) and compared against the independent global sweep; the first
-    disagreement raises CrossCheckError.
+    not trusted) and compared against the independent global sweep; a
+    disagreement raises CrossCheckError for the least disagreeing knot in
+    (c, knot) order, once every row up to that knot's is complete.  Only rows
+    that agree throughout are written.
     """
     if not 3 <= c_min <= c_max:
         raise ValueError(f"need 3 <= c_min <= c_max, got {c_min}..{c_max}")
     oracle = global_c2_map(c_max) if cross_check else None
-    rows = []
-    for c in range(c_min, c_max + 1):
-        row = None
-        if cache_dir is not None and not cross_check:
-            row = _read_cached_row(cache_dir, c)
-        if row is None:
-            results = solve_many(enumerate_knots(c))
-            if oracle is not None:
-                for k, res in sorted(results.items()):
-                    if oracle[k][0] != res.value:
-                        raise CrossCheckError(k, res.value, oracle[k][0])
-            row = _tally(c, results)
+    read = cache_dir is not None and not cross_check
+    rows: dict[int, TableRow | None] = {
+        c: _read_cached_row(cache_dir, c) if read else None for c in range(c_min, c_max + 1)
+    }
+    todo = {c: sorted(enumerate_knots(c)) for c, row in rows.items() if row is None}
+    left = {c: len(knots) for c, knots in todo.items()}
+    offsets: dict[int, dict[int, int]] = {c: {0: 0} for c in todo}
+    bad: dict[int, tuple[TwoBridgeKnot, int, int]] = {}
+    for k, res in _solve_stream(k for knots in todo.values() for k in knots):
+        c, j = res.base_crossing, res.value - res.base_crossing
+        offsets[c][j] = offsets[c].get(j, 0) + 1
+        if oracle is not None and oracle[k][0] != res.value:
+            miss = (k, res.value, oracle[k][0])
+            bad[c] = min(bad.get(c, miss), miss)
+        left[c] -= 1
+        if not left[c] and c not in bad:
+            rows[c] = TableRow(c, len(todo[c]), offsets[c])
             if cache_dir is not None:
-                _write_cached_row(cache_dir, row)
-        rows.append(row)
-    return rows
+                _write_cached_row(cache_dir, rows[c])
+        if bad and not any(left[d] for d in todo if d <= min(bad)):
+            raise CrossCheckError(*bad[min(bad)])
+    return list(rows.values())

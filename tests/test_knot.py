@@ -153,6 +153,7 @@ class TestCrossingNumber:
         assert crossing_number(k) == crossing_sum(cf)
         assert _positive_family(k) == (
             crossing_number(k),
+            tuple(s.den for s in slope_family(k)),
             [list(positive_expansion(s).entries) for s in slope_family(k)],
         )
 

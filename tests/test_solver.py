@@ -311,6 +311,42 @@ class TestC2:
         assert sorted(calls) == sorted(knots)
         assert len(expansions) == 4 * len(knots)
 
+    def test_slopes_once_per_knot_on_the_rung_path(self, monkeypatch):
+        # _rungs lists a knot's slope residues once, for c, Step1 and the
+        # semi-even pick alike; the sweep's residue lookups are counted apart.
+        import twobridge.knot as knot
+        import twobridge.solver as solver
+
+        knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
+        real_slopes, real_rungs = knot._slopes, solver._rungs
+        inside, rung_calls, sweep_calls = [], [], []
+
+        def counted_slopes(p, q):
+            (rung_calls if inside else sweep_calls).append((p, q))
+            return real_slopes(p, q)
+
+        def counted_rungs(k):
+            inside.append(k)
+            try:
+                return real_rungs(k)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(knot, "_slopes", counted_slopes)
+        monkeypatch.setattr(solver, "_slopes", counted_slopes)
+        monkeypatch.setattr(solver, "_rungs", counted_rungs)
+        results = solve_many(knots)
+        assert sorted(rung_calls) == sorted((k.p, k.q) for k in knots)
+        # A swept knot's residues are listed once per total it is pending at,
+        # and once more when a Search hit takes them out of the lookup.
+        lookups = sum(
+            r.value - r.base_crossing + (1 if r.method == METHOD_SEARCH else -1)
+            for r in results.values()
+            if r.method in (METHOD_SEARCH, METHOD_EXHAUSTED)
+        )
+        assert lookups > 0
+        assert len(sweep_calls) == lookups
+
     def test_search_branch_self_corrects(self, monkeypatch):
         # If the greedy bound ever came out loose, the level sweep must
         # still land on the true value; simulate a looser rule.
@@ -319,8 +355,8 @@ class TestC2:
         real = solver._semi_even_pick
         k13 = canonicalize(13, 5)
 
-        def loose(k):
-            m, w = real(k)
+        def loose(k, slopes):
+            m, w = real(k, slopes)
             if k == k13:
                 return m + 2, w
             return m, w

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from conftest import EXPECTED_TABLE
+from twobridge.cli import main
 from twobridge.knot import canonicalize, crossing_number
+from twobridge.solver import _rungs
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -78,24 +80,43 @@ class TestBuildTable:
             build_table(2, 5)
 
     def test_cross_check_detects_corruption(self, monkeypatch):
-        import twobridge.table as table
-
-        real = table.solve_many
-
-        def corrupt(knots):
-            res = real(knots)
-            victim = min(res, key=lambda k: (k.p, k.q))
-            good = res[victim]
-            res[victim] = dataclasses.replace(
-                good, value=good.value + 1, semi_even_bound=good.semi_even_bound + 1
-            )
-            return res
-
-        monkeypatch.setattr(table, "solve_many", corrupt)
+        victim = min(enumerate_knots(6))
+        _corrupt(monkeypatch, {victim})
         with pytest.raises(CrossCheckError) as exc:
             build_table(6, 6, cross_check=True)
         assert exc.value.knot is not None
         assert exc.value.direct != exc.value.oracle
+
+    def test_cross_check_names_the_least_row_first(self, monkeypatch, capsys):
+        # Results arrive last row first, so the row-7 disagreement is seen
+        # before the row-6 one; the error must still name the row-6 knot.
+        six, seven = max(enumerate_knots(6)), min(enumerate_knots(7))
+        _corrupt(monkeypatch, {six, seven}, reverse=True)
+        with pytest.raises(CrossCheckError) as exc:
+            build_table(6, 7, cross_check=True)
+        assert exc.value.knot == six
+        assert main(["table", "--min", "6", "--max", "7", "--cross-check"]) == 4
+        assert f"cross-check failed at {six}:" in capsys.readouterr().err
+
+
+def _corrupt(monkeypatch, victims, reverse=False):
+    """Make build_table's solve stream report value + 1 for the victims,
+    optionally yielding every result in reverse order."""
+    import twobridge.table as table
+
+    real = table._solve_stream
+
+    def corrupt(knots):
+        results = []
+        for k, res in real(knots):
+            if k in victims:
+                res = dataclasses.replace(
+                    res, value=res.value + 1, semi_even_bound=res.semi_even_bound + 1
+                )
+            results.append((k, res))
+        yield from reversed(results) if reverse else results
+
+    monkeypatch.setattr(table, "_solve_stream", corrupt)
 
 
 class TestCache:
@@ -110,14 +131,16 @@ class TestCache:
         import twobridge.table as table
 
         def boom(knots):
-            raise AssertionError("cache should have been used")
+            for k in knots:
+                raise AssertionError(f"cache should have been used, not {k} solved")
+            yield from ()
 
-        orig = table.solve_many
-        table.solve_many = boom
+        orig = table._solve_stream
+        table._solve_stream = boom
         try:
             again = build_table(5, 6, cache_dir=tmp_path)
         finally:
-            table.solve_many = orig
+            table._solve_stream = orig
         assert again == rows
 
     def test_failed_replace_leaves_previous_row(self, tmp_path, monkeypatch):
@@ -171,3 +194,66 @@ class TestCache:
         path.write_text(json.dumps(blob))
         rows = build_table(5, 5, cross_check=True, cache_dir=tmp_path)
         assert rows[0].two_bridge_count == 2
+
+
+class TestSharedSweep:
+    """build_table streams every row it computes through one solve, so each
+    crossing total is swept once, and writes each row as it completes."""
+
+    @staticmethod
+    def _record_sweeps(monkeypatch, stop_at=None):
+        import twobridge.solver as solver
+
+        real, totals = solver._sweep, []
+
+        def recorded(t, lookup):
+            if t == stop_at:
+                raise KeyboardInterrupt
+            totals.append(t)
+            return real(t, lookup)
+
+        monkeypatch.setattr(solver, "_sweep", recorded)
+        return totals
+
+    def test_each_total_swept_once(self, monkeypatch):
+        spans = set()
+        for c in range(3, 15):
+            for k in enumerate_knots(c):
+                c_k, m, _, res = _rungs(k)
+                if res is None:
+                    spans.update(range(c_k + 1, m))
+        totals = self._record_sweeps(monkeypatch)
+        build_table(3, 14)
+        assert len(totals) == len(set(totals))
+        assert totals == sorted(spans)
+
+    def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
+        import twobridge.solver as solver
+
+        cold = build_table(4, 8)
+        build_table(5, 5, cache_dir=tmp_path)
+        build_table(7, 7, cache_dir=tmp_path)
+        real, solved = solver._rungs, []
+
+        def recorded(k):
+            solved.append(k)
+            return real(k)
+
+        monkeypatch.setattr(solver, "_rungs", recorded)
+        assert build_table(4, 8, cache_dir=tmp_path) == cold
+        want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
+        assert sorted(solved) == sorted(want)
+
+    def test_interrupted_build_keeps_completed_rows(self, monkeypatch, tmp_path):
+        import twobridge.table as table
+
+        cold_dir, cut_dir = tmp_path / "cold", tmp_path / "cut"
+        build_table(3, 12, cache_dir=cold_dir)
+        self._record_sweeps(monkeypatch, stop_at=14)
+        with pytest.raises(KeyboardInterrupt):
+            build_table(3, 12, cache_dir=cut_dir)
+        for c in range(3, 12):
+            want = table._cache_path(cold_dir, c).read_text()
+            assert table._cache_path(cut_dir, c).read_text() == want
+        assert not table._cache_path(cut_dir, 12).exists()
+        assert not list(cut_dir.glob("*.tmp"))
