@@ -269,19 +269,23 @@ def _type_b_violation(entries: tuple[int, ...]) -> str | None:
     n = len(entries)
     if n % 2 == 0:
         return "length is even"
-    if any(entries[i] != entries[n - 1 - i] for i in range(n // 2)):
+    if entries[: n // 2] != entries[: n // 2 : -1]:
         return "entries are not a signed palindrome"
     if entries[n // 2] % 2 == 0:
         return "central entry is even"
     return None
 
 
+def _shape(entries) -> ExpansionClass:
+    """:func:`classify_type` of a bare entry sequence, a tuple or a list."""
+    if _type_a_violation(entries) is None:
+        return ExpansionClass.TYPE_A
+    if _type_b_violation(entries) is None:
+        return ExpansionClass.TYPE_B
+    return ExpansionClass.NEITHER
+
+
 def classify_type(cf: ContinuedFraction) -> ExpansionClass:
     """Type A: even length, even entries at even positions.  Type B: odd
     length, signed palindrome, odd central entry.  Anything else: Neither."""
-    e = cf.entries
-    if _type_a_violation(e) is None:
-        return ExpansionClass.TYPE_A
-    if _type_b_violation(e) is None:
-        return ExpansionClass.TYPE_B
-    return ExpansionClass.NEITHER
+    return _shape(cf.entries)

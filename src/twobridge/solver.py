@@ -14,6 +14,18 @@ A sequence with crossing sum c evaluating to the knot would be an alternating
 minimal diagram, so it is all-positive up to mirror and Step1 already saw it;
 the search can therefore start above c.
 
+Sign changes cost crossings: a sequence with crossing sum t and s sign
+changes between adjacent entries evaluates to a knot with c <= t - s.  The
+identity [.., a, -b, tail] = [.., a - 1, 1, b - 1, -tail] keeps the value
+and removes one crossing and one sign change; the zeros it may leave merge
+without adding crossings ([x, 0, y] = [x + y], a trailing [.., y, x, 0] =
+[.., y], and a leading [0, x, rest] names the knot of [rest]).  So at
+crossing sum t a knot is hit only by sign vectors with at most t - c
+changes, and the sweep takes that as a budget: ``_solve_stream`` passes t
+minus the least c pending at t, :func:`search_at` passes t - c(k).
+:func:`global_c2_map` passes none: the oracle walks every sign vector, so
+the census cross-check keeps testing the lemma.
+
 Steps 1 and 2 run once per knot, in ``_rungs``; :func:`step1_check`,
 :func:`step2_bound` and :func:`solve_many` read their answers from it.  One
 ``knot._positive_family`` pass computes the slope residues and expands the
@@ -42,8 +54,7 @@ from .contfrac import (
     ContinuedFraction,
     ExpansionClass,
     _semi_even_entries,
-    classify_type,
-    positive_expansion_variant,
+    _shape,
 )
 from .knot import (
     TwoBridgeKnot,
@@ -51,6 +62,7 @@ from .knot import (
     _residue_lookup,
     _slope_residues,
     _slopes,
+    crossing_number,
     enumerate_knots,
 )
 
@@ -129,11 +141,12 @@ def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | No
     c, slopes, family = _positive_family(k)
     m, wit = _semi_even_pick(k, slopes)
     for entries in family:
-        cf = ContinuedFraction._trusted(tuple(entries))
-        for cand in (cf, positive_expansion_variant(cf)):
-            cls = classify_type(cand)
+        # The canonical expansion (last entry >= 2) and its [.., a - 1, 1] variant.
+        for cand in (entries, entries[:-1] + [entries[-1] - 1, 1]):
+            cls = _shape(cand)
             if cls is not ExpansionClass.NEITHER:
-                return c, m, wit, C2Result(c, cand, cls, METHOD_STEP1, m, c)
+                cf = ContinuedFraction._trusted(tuple(cand))
+                return c, m, wit, C2Result(c, cf, cls, METHOD_STEP1, m, c)
     _bound_above(k, c, m)
     if m == c + 1:
         return c, m, wit, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_STEP2, m, c)
@@ -219,7 +232,7 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
             yield ContinuedFraction._trusted(head + head[-2::-1])
 
 
-def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
+def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
     """(key, sequence, class) at each key's first hit: among the sequences
     with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
     order, the first whose value num/den has lookup[|num|, den mod |num|] ==
@@ -228,13 +241,28 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
     Signs run as a binary counter over kept prefix continuants, so a flip at
     position i recomputes only the prefixes from i on.  A Type B palindrome is
     evaluated from its half h: its continuant matrix is M(h) M(h[:-1])^T.
+
+    With a budget, only sequences with at most budget sign changes between
+    adjacent entries are evaluated (budget // 2 on a Type B half, whose
+    palindrome doubles its changes), in the same order: the counter steps
+    from one sign vector within the cap to the next, skipping every prefix
+    already over it, and keeps the positions of the changes so that each step
+    reads the next flip off the last run.  By the lemma in the module
+    docstring this drops no first hit of a knot with c >= t - budget.  No
+    budget, or one the pattern cannot exceed, runs the plain counter.
     """
+    if budget is not None and budget < 0:
+        return
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
-        for a in map(list, patterns):
-            n = len(a)
+        cap = budget if budget is None or cls is A else budget // 2
+        for mag in patterns:
+            a, n = list(mag), len(mag)
+            free = cap is None or cap >= n - 1
             # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
             P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
+            # The positions j with a[j - 1], a[j] of opposite signs, ascending.
+            changes: list[int] = []
             i = 0
             while True:
                 for j in range(i, n):
@@ -254,12 +282,42 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
                     yield key, ContinuedFraction._trusted(entries), cls
                     if not lookup:
                         return
-                # Next signs: trailing - slots back to +, the slot before turns -.
-                i = n - 1
-                while i and a[i] < 0:
+                if free:
+                    # Next signs: trailing - slots back to +, the slot before turns -.
+                    i = n - 1
+                    while i and a[i] < 0:
+                        a[i] = -a[i]
+                        i -= 1
+                    if not i:
+                        break
                     a[i] = -a[i]
-                    i -= 1
-                if not i:
+                    continue
+                # Next signs within the cap: the last + whose flip keeps the
+                # changes up to it within the cap turns -, and the slots after
+                # it take the least completion, + while a change is left, else
+                # -.  The last run, from start on, says where that + is.
+                start = changes[-1] if changes else 0
+                if len(changes) % 2:  # a - run: the + just before it
+                    i = start - 1
+                    if not i:
+                        break
+                    if len(changes) > 1 and changes[-2] == i:  # a lone +
+                        del changes[-2:]
+                    else:
+                        changes[-1] = i
+                    if len(changes) < cap:  # the - run turns back to +
+                        changes.append(start)
+                        a[start:] = mag[start:]
+                elif start == n - 1:  # a lone + at the end
+                    i = n - 1
+                    changes.pop()
+                elif len(changes) < cap:  # a + run with a change left: its end
+                    i = n - 1
+                    changes.append(i)
+                elif start:  # a + run at the cap: its first slot
+                    i = start
+                    changes[-1] = start + 1
+                else:  # all +, and a cap of 0
                     break
                 a[i] = -a[i]
 
@@ -267,7 +325,9 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
     into k's slope class, or None."""
-    return next((cf for _, cf, _ in _sweep(t, _residue_lookup([(k.p, k.q)]))), None)
+    # No sequence with more than t - c(k) sign changes evaluates to k.
+    hits = _sweep(t, _residue_lookup([(k.p, k.q)]), t - crossing_number(k))
+    return next((cf for _, cf, _ in hits), None)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +358,10 @@ def _solve_stream(
         for key in [key for key, (_, _, m, _) in pending.items() if m == t]:
             k, c, m, wit = pending.pop(key)
             yield k, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c)
-        lookup = _residue_lookup(key for key, (_, c, m, _) in pending.items() if c < t < m)
-        for key, cf, cls in _sweep(t, lookup) if lookup else ():
+        # No knot of crossing number c is hit with more than t - c sign changes.
+        live = {key: c for key, (_, c, m, _) in pending.items() if c < t < m}
+        hits = _sweep(t, _residue_lookup(live), t - min(live.values())) if live else ()
+        for key, cf, cls in hits:
             k, c, m, _ = pending.pop(key)
             yield k, C2Result(t, cf, cls, METHOD_SEARCH, m, c)
 

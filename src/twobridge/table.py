@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .knot import TwoBridgeKnot, enumerate_knots
-from .solver import C2Result, _solve_stream, global_c2_map, solve_many
+from .solver import _solve_stream, global_c2_map
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -79,17 +79,9 @@ class TableRow:
         )
 
 
-def _tally(c: int, results: dict[TwoBridgeKnot, C2Result]) -> TableRow:
-    offsets: dict[int, int] = {0: 0}
-    for res in results.values():
-        j = res.value - res.base_crossing
-        offsets[j] = offsets.get(j, 0) + 1
-    return TableRow(c, len(results), offsets)
-
-
 def table_row(c: int) -> TableRow:
     """Census row for one crossing number (no caching, no cross-check)."""
-    return _tally(c, solve_many(enumerate_knots(c)))
+    return build_table(c, c)[0]
 
 
 def _cache_path(cache_dir: str | Path, c: int) -> Path:

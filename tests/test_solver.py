@@ -14,6 +14,7 @@ from twobridge.contfrac import (
     eval_cf,
 )
 from twobridge.knot import (
+    TwoBridgeKnot,
     _knot_key,
     _residue_lookup,
     canonicalize,
@@ -44,17 +45,18 @@ from twobridge.table import enumerate_knots
 # by classify_type.  Independent of the solver's shape-directed generators.
 
 
-def brute_sequences(t):
-    def comps(rem):
-        if rem == 0:
-            yield ()
-            return
-        for a in range(1, rem + 1):
-            for rest in comps(rem - a):
-                yield (a,) + rest
+def compositions(rem):
+    if rem == 0:
+        yield ()
+        return
+    for a in range(1, rem + 1):
+        for rest in compositions(rem - a):
+            yield (a,) + rest
 
+
+def brute_sequences(t):
     out = set()
-    for mags in comps(t):
+    for mags in compositions(t):
         for signs in product((1, -1), repeat=len(mags)):
             e = tuple(m * s for m, s in zip(mags, signs))
             if classify_type(ContinuedFraction(e)) is not ExpansionClass.NEITHER:
@@ -188,6 +190,89 @@ class TestSweep:
             for cf in enumerate_type_ab(t):
                 neg = tuple(-a for a in cf.entries)
                 assert _knot_key(*_eval_entries(neg)) == _knot_key(*_eval_entries(cf.entries))
+
+
+def sign_changes(entries):
+    return sum((x > 0) != (y > 0) for x, y in zip(entries, entries[1:]))
+
+
+@pytest.fixture(scope="module")
+def keys_by_c_le_14():
+    return {c: [(k.p, k.q) for k in enumerate_knots(c)] for c in range(3, 15)}
+
+
+class TestSignBudget:
+    """A signed sequence with crossing sum t and s sign changes evaluates to
+    a knot with c <= t - s, so a sweep at t may skip every sign vector with
+    more than t - c changes for the knots it looks for."""
+
+    def test_lemma_for_every_signed_sequence_up_to_sum_11(self):
+        # The first sign is fixed: negation keeps the changes and the knot.
+        crossing, seen, tight = {}, 0, 0
+        for t in range(1, 12):
+            for mags in compositions(t):
+                for signs in product((1, -1), repeat=len(mags) - 1):
+                    e = (mags[0], *(s * m for s, m in zip(signs, mags[1:])))
+                    seen += 1
+                    key = _knot_key(*_eval_entries(e))
+                    if key is None:
+                        continue
+                    if key not in crossing:
+                        crossing[key] = crossing_number(TwoBridgeKnot(*key))
+                    bound = t - sign_changes(e)
+                    assert crossing[key] <= bound, e
+                    tight += crossing[key] == bound
+        assert seen == 88_573
+        assert tight > 0
+
+    @pytest.mark.parametrize("t", range(1, 14))
+    def test_stream_is_the_unbudgeted_one_within_the_changes(self, t):
+        # Type B palindromes have twice their half's changes, so a budget b
+        # admits halves with b // 2: the filter on the whole sequence says so.
+        full = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue())]
+        for budget in range(-1, 8):
+            got = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue(), budget)]
+            assert got == [(e, cls) for e, cls in full if sign_changes(e) <= budget]
+        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue(), t)] == [e for e, _ in full]
+
+    @pytest.mark.parametrize("t", range(4, 16))
+    def test_first_hits_of_the_knots_within_budget(self, t, keys_by_c_le_14):
+        hits = 0
+        for budget in (1, 2, 3):
+            keys = [key for c, ks in keys_by_c_le_14.items() if t - budget <= c < t for key in ks]
+            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _residue_lookup(keys))]
+            got = _sweep(t, _residue_lookup(keys), budget)
+            assert [(key, cf.entries, cls) for key, cf, cls in got] == want
+            hits += len(want)
+        assert hits > 0
+
+    def test_search_at_below_and_above_c(self):
+        for c in range(3, 10):
+            for k in enumerate_knots(c):
+                for t in range(c - 1, c + 5):
+                    full = _sweep(t, _residue_lookup([(k.p, k.q)]))
+                    want = next((cf for _, cf, _ in full), None)
+                    assert search_at(k, t) == want
+                    if t < c:
+                        assert want is None
+
+    def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
+        # Raising every semi-even bound by 3 makes the Search rung decide
+        # most knots; the budgeted solve must match the unbudgeted one.
+        import twobridge.solver as solver
+
+        real_pick, real_sweep = solver._semi_even_pick, solver._sweep
+
+        def loose(k, slopes):
+            m, w = real_pick(k, slopes)
+            return m + 3, w
+
+        monkeypatch.setattr(solver, "_semi_even_pick", loose)
+        knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
+        budgeted = solve_many(knots)
+        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget=None: real_sweep(t, lookup))
+        assert solve_many(knots) == budgeted
+        assert sum(r.method == METHOD_SEARCH for r in budgeted.values()) > 400
 
 
 class TestSteps:

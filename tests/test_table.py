@@ -206,11 +206,11 @@ class TestSharedSweep:
 
         real, totals = solver._sweep, []
 
-        def recorded(t, lookup):
+        def recorded(t, lookup, budget=None):
             if t == stop_at:
                 raise KeyboardInterrupt
             totals.append(t)
-            return real(t, lookup)
+            return real(t, lookup, budget)
 
         monkeypatch.setattr(solver, "_sweep", recorded)
         return totals
