@@ -238,85 +238,93 @@ def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
     order, the first whose value num/den has lookup[|num|, den mod |num|] ==
     key.  The key's residues then leave lookup; the sweep ends when it is empty.
 
-    Signs run as a binary counter over kept prefix continuants, so a flip at
-    position i recomputes only the prefixes from i on.  A Type B palindrome is
-    evaluated from its half h: its continuant matrix is M(h) M(h[:-1])^T.
+    Signs run as a counter over the head a[:-1] with kept prefix
+    continuants, so a flip at position i recomputes only the prefixes from i
+    on; both signs of the last entry are read off the head's continuants.  A
+    Type B palindrome is evaluated from its half h: its continuant matrix is
+    M(h) M(h[:-1])^T.
 
     With a budget, only sequences with at most budget sign changes between
     adjacent entries are evaluated (budget // 2 on a Type B half, whose
     palindrome doubles its changes), in the same order: the counter steps
-    from one sign vector within the cap to the next, skipping every prefix
-    already over it, and keeps the positions of the changes so that each step
-    reads the next flip off the last run.  By the lemma in the module
-    docstring this drops no first hit of a knot with c >= t - budget.  No
-    budget, or one the pattern cannot exceed, runs the plain counter.
+    from one head within the cap to the next, skipping every prefix already
+    over it, and keeps the positions of the changes so that each step reads
+    the next flip off the last run; the last entry takes its other sign only
+    while a change is left.  By the lemma in the module docstring this drops
+    no first hit of a knot with c >= t - budget.  No budget caps a pattern
+    of length n at n - 1 changes, which every sign vector meets, so the same
+    counter then walks them all.
     """
     if budget is not None and budget < 0:
         return
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
-        cap = budget if budget is None or cls is A else budget // 2
         for mag in patterns:
-            a, n = list(mag), len(mag)
-            free = cap is None or cap >= n - 1
+            a, n, last = list(mag), len(mag), mag[-1]
+            # A sign vector of length n has at most n - 1 changes.
+            cap = n - 1 if budget is None else min(n - 1, budget if cls is A else budget // 2)
             # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
             P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-            # The positions j with a[j - 1], a[j] of opposite signs, ascending.
-            changes: list[int] = []
-            i = 0
+            # The counter walks the signs of the head a[:-1]; C[1 .. k] are
+            # the positions j with a[j - 1], a[j] of opposite signs,
+            # ascending, and C[0] = -1 stands for the run start before 0.
+            C, k, i = [-1] * n, 0, 0
             while True:
-                for j in range(i, n):
+                for j in range(i, n - 1):
                     P[j + 2] = a[j] * P[j + 1] + P[j]
                     Q[j + 2] = a[j] * Q[j + 1] + Q[j]
-                if cls is B:
-                    num = P[n] * (P[n + 1] + P[n - 1])
-                    den = Q[n + 1] * P[n] + Q[n] * P[n - 1]
+                p1, p0, q1, q0 = P[n], P[n - 1], Q[n], Q[n - 1]
+                # The last slot: + then -, each if the changes allow.
+                if k < cap:
+                    xs = (last, -last)
+                elif n > 1 and a[-2] < 0:
+                    xs = (-last,)
                 else:
-                    num, den = P[n + 1], Q[n + 1]
-                num = abs(num)  # the residues of a class are closed under negation
-                if num > 1 and (num, den % num) in lookup:
-                    key = lookup[num, den % num]
-                    for r in _slope_residues(*key):
-                        del lookup[key[0], r]
-                    entries = tuple(a + a[-2::-1]) if cls is B else tuple(a)
-                    yield key, ContinuedFraction._trusted(entries), cls
-                    if not lookup:
-                        return
-                if free:
-                    # Next signs: trailing - slots back to +, the slot before turns -.
-                    i = n - 1
-                    while i and a[i] < 0:
-                        a[i] = -a[i]
-                        i -= 1
-                    if not i:
-                        break
-                    a[i] = -a[i]
-                    continue
-                # Next signs within the cap: the last + whose flip keeps the
-                # changes up to it within the cap turns -, and the slots after
-                # it take the least completion, + while a change is left, else
-                # -.  The last run, from start on, says where that + is.
-                start = changes[-1] if changes else 0
-                if len(changes) % 2:  # a - run: the + just before it
+                    xs = (last,)
+                for x in xs:
+                    num, den = x * p1 + p0, x * q1 + q0
+                    if cls is B:
+                        num, den = p1 * (num + p0), den * p1 + q1 * p0
+                    num = abs(num)  # the residues of a class are closed under negation
+                    if num > 1 and (num, den % num) in lookup:
+                        key = lookup[num, den % num]
+                        for r in _slope_residues(*key):
+                            del lookup[key[0], r]
+                        a[-1] = x
+                        entries = tuple(a + a[-2::-1]) if cls is B else tuple(a)
+                        yield key, ContinuedFraction._trusted(entries), cls
+                        if not lookup:
+                            return
+                if n < 3:  # a[0] is +: the head has one sign vector
+                    break
+                # Next head signs within the cap: the last + whose flip keeps
+                # the changes up to it within the cap turns -, and the slots
+                # after it take the least completion, + while a change is
+                # left, else -.  The last run, from start on, says where
+                # that + is.
+                start = C[k]
+                if k & 1:  # a - run: the + just before it
                     i = start - 1
                     if not i:
                         break
-                    if len(changes) > 1 and changes[-2] == i:  # a lone +
-                        del changes[-2:]
+                    if C[k - 1] == i:  # a lone +
+                        k -= 2
                     else:
-                        changes[-1] = i
-                    if len(changes) < cap:  # the - run turns back to +
-                        changes.append(start)
-                        a[start:] = mag[start:]
-                elif start == n - 1:  # a lone + at the end
-                    i = n - 1
-                    changes.pop()
-                elif len(changes) < cap:  # a + run with a change left: its end
-                    i = n - 1
-                    changes.append(i)
-                elif start:  # a + run at the cap: its first slot
+                        C[k] = i
+                    if k < cap:  # the - run turns back to +
+                        k += 1
+                        C[k] = start
+                        a[start:-1] = mag[start:-1]
+                elif start == n - 2:  # a lone + at the end
                     i = start
-                    changes[-1] = start + 1
+                    k -= 1
+                elif k < cap:  # a + run with a change left: its end
+                    i = n - 2
+                    k += 1
+                    C[k] = i
+                elif k:  # a + run at the cap: its first slot
+                    i = start
+                    C[k] = start + 1
                 else:  # all +, and a cap of 0
                     break
                 a[i] = -a[i]
