@@ -4,7 +4,8 @@ The package computes, for a two-bridge knot K(p,q), the minimal crossing
 count achievable by a half-turn symmetric (Type A or Type B) continued
 fraction of one of its slopes, along with the classical crossing number,
 census tables over crossing ranges, and SVG drawings of the symmetric
-diagrams.  All arithmetic is exact integer work; nothing here floats.
+diagrams.  All arithmetic is exact integer work; the only floats are the
+two SVG line widths of ``SvgStyle``.
 """
 
 from .contfrac import (

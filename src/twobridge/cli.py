@@ -63,7 +63,11 @@ def read_names(path: str) -> list[NameRecord]:
     row number.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"{path} row {reader.line_num}: {exc}") from None
     if not rows or [cell.strip() for cell in rows[0]] != ["name", "p", "q"]:
         raise ValueError(f"{path}: expected header line 'name,p,q'")
     records: list[NameRecord] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .contfrac import Rational, _eval_entries, _positive_entries
 
@@ -153,15 +153,23 @@ def crossing_number(k: TwoBridgeKnot) -> int:
     return _positive_family(k)[0]
 
 
-def _compositions_last_ge2(total: int) -> Iterator[tuple[int, ...]]:
-    # All (a_1, ..., a_n) with a_i >= 1 and a_n >= 2 summing to total.
-    def rec(rem: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if rem >= 2:
-            yield prefix + (rem,)
-        for a in range(1, rem - 1):
-            yield from rec(rem - a, prefix + (a,))
-
-    yield from rec(total, ())
+def _fills(total: int, units: list[int], weight: int, least: int):
+    """Every (m, rest), m in lexicographic order, with m[j] a positive multiple
+    of units[j] and rest = total - weight * sum(m) >= least (m = units must
+    fit).  m is one list, updated in place."""
+    m = list(units)
+    rest = total - weight * sum(m)
+    while True:
+        yield m, rest
+        j = len(m) - 1
+        while j >= 0 and rest - weight * units[j] < least:  # slot j is full
+            rest += weight * (m[j] - units[j])
+            m[j] = units[j]
+            j -= 1
+        if j < 0:
+            return
+        m[j] += units[j]
+        rest -= weight * units[j]
 
 
 def enumerate_knots(c: int) -> set[TwoBridgeKnot]:
@@ -169,6 +177,7 @@ def enumerate_knots(c: int) -> set[TwoBridgeKnot]:
     each composition of c with last part >= 2 is the positive expansion of a slope."""
     if c < 3:
         raise ValueError(f"two-bridge knots need c >= 3, got {c}")
-    keys = {_knot_key(*_eval_entries(comp)) for comp in _compositions_last_ge2(c)}
+    comps = ((*m, rest) for n in range(1, c) for m, rest in _fills(c, [1] * (n - 1), 1, 2))
+    keys = {_knot_key(*_eval_entries(comp)) for comp in comps}
     keys.discard(None)
     return {TwoBridgeKnot(p, q) for p, q in keys}

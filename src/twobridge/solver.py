@@ -37,16 +37,19 @@ each crossing total once for every knot pending at it.  :func:`solve_many`
 collects it; the census builder feeds it the knots of every row it computes,
 so the rows share one sweep per total.
 
-The sweep behind Search and :func:`global_c2_map` skips sequences with a
-negative first entry: its negation has the same magnitudes, comes earlier (+
-sorts before -) and evaluates to the mirror, the same knot.  A value num/den
-is in the class of K(p, q) exactly when |num| = p and den mod p is a slope
-residue q, p - q, q^-1 or p - q^-1: one set lookup, no canonicalization.
+The sweep behind Search and :func:`global_c2_map` reads the sign vectors of
+each magnitude pattern, within the budget and in product order, from a table
+of steps cached per length and cap.  It skips sequences with a negative first
+entry: its negation has the same magnitudes, comes earlier (+ sorts before -)
+and evaluates to the mirror, the same knot.  A value num/den is in the class
+of K(p, q) exactly when |num| = p and den mod p is a slope residue q, p - q,
+q^-1 or p - q^-1: one set lookup, no canonicalization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -58,6 +61,7 @@ from .contfrac import (
 )
 from .knot import (
     TwoBridgeKnot,
+    _fills,
     _positive_family,
     _residue_lookup,
     _slope_residues,
@@ -170,25 +174,6 @@ def step2_bound(k: TwoBridgeKnot) -> int:
 # Enumeration of Type A / Type B sequences by crossing sum
 
 
-def _fills(total: int, units: list[int], weight: int, least: int):
-    """Every (m, rest), m in lexicographic order, with m[j] a positive multiple
-    of units[j] and rest = total - weight * sum(m) >= least (m = units must
-    fit).  m is one list, updated in place."""
-    m = list(units)
-    rest = total - weight * sum(m)
-    while True:
-        yield m, rest
-        j = len(m) - 1
-        while j >= 0 and rest - weight * units[j] < least:  # slot j is full
-            rest += weight * (m[j] - units[j])
-            m[j] = units[j]
-            j -= 1
-        if j < 0:
-            return
-        m[j] += units[j]
-        rest -= weight * units[j]
-
-
 def _type_a_magnitudes(total: int) -> Iterator[tuple[int, ...]]:
     """Magnitude patterns of Type A sequences with the given crossing sum.
 
@@ -232,28 +217,52 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
             yield ContinuedFraction._trusted(head + head[-2::-1])
 
 
+@lru_cache
+def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The sign vectors of a pattern of length n with a + first entry and at
+    most cap changes between adjacent entries, as steps.
+
+    The heads, signs of slots 0 .. n - 2, come in product order (+ before -):
+    each kept prefix is extended by + and then by -, so the work grows with
+    the heads kept, not with 2^n.  Step (i, signs, lasts) turns the previous
+    head into the next one: i is the first slot that differs, signs are the
+    new signs of slots i .. n - 2, and lasts are the signs that the last slot
+    may take within the cap, + first.
+    """
+    if n == 1:  # the one entry is the first
+        return ((0, (), (1,)),)
+    # (i, signs of slots i .. j, changes) for each kept head of slots 0 .. j.
+    heads = [(0, (1,), 0)]
+    for j in range(1, n - 1):
+        longer = []
+        for i, signs, k in heads:
+            if k < cap:  # + keeps i; the - head after it differs from it first at j
+                longer.append((i, signs + (1,), k + (signs[-1] < 0)))
+                longer.append((j, (-1,), k + (signs[-1] > 0)))
+            else:
+                longer.append((i, signs + signs[-1:], k))
+        heads = longer
+    return tuple((i, signs, (1, -1) if k < cap else signs[-1:]) for i, signs, k in heads)
+
+
 def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
     """(key, sequence, class) at each key's first hit: among the sequences
     with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
     order, the first whose value num/den has lookup[|num|, den mod |num|] ==
     key.  The key's residues then leave lookup; the sweep ends when it is empty.
 
-    Signs run as a counter over the head a[:-1] with kept prefix
-    continuants, so a flip at position i recomputes only the prefixes from i
-    on; both signs of the last entry are read off the head's continuants.  A
-    Type B palindrome is evaluated from its half h: its continuant matrix is
-    M(h) M(h[:-1])^T.
+    The signs of each pattern come from :func:`_sign_steps`.  The prefix
+    continuants of the head a[:-1] are kept, so a step from slot i recomputes
+    only the prefixes from i on, and each sign of the last entry is read off
+    the head's continuants.  A Type B palindrome is evaluated from its half h:
+    its continuant matrix is M(h) M(h[:-1])^T.
 
     With a budget, only sequences with at most budget sign changes between
     adjacent entries are evaluated (budget // 2 on a Type B half, whose
-    palindrome doubles its changes), in the same order: the counter steps
-    from one head within the cap to the next, skipping every prefix already
-    over it, and keeps the positions of the changes so that each step reads
-    the next flip off the last run; the last entry takes its other sign only
-    while a change is left.  By the lemma in the module docstring this drops
-    no first hit of a knot with c >= t - budget.  No budget caps a pattern
-    of length n at n - 1 changes, which every sign vector meets, so the same
-    counter then walks them all.
+    palindrome doubles its changes), in the same order.  By the lemma in the
+    module docstring this drops no first hit of a knot with c >= t - budget.
+    No budget caps a pattern of length n at n - 1 changes, which every sign
+    vector meets.
     """
     if budget is not None and budget < 0:
         return
@@ -261,27 +270,17 @@ def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
     for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
         for mag in patterns:
             a, n, last = list(mag), len(mag), mag[-1]
-            # A sign vector of length n has at most n - 1 changes.
             cap = n - 1 if budget is None else min(n - 1, budget if cls is A else budget // 2)
             # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
             P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-            # The counter walks the signs of the head a[:-1]; C[1 .. k] are
-            # the positions j with a[j - 1], a[j] of opposite signs,
-            # ascending, and C[0] = -1 stands for the run start before 0.
-            C, k, i = [-1] * n, 0, 0
-            while True:
-                for j in range(i, n - 1):
-                    P[j + 2] = a[j] * P[j + 1] + P[j]
-                    Q[j + 2] = a[j] * Q[j + 1] + Q[j]
+            for i, signs, lasts in _sign_steps(n, cap):
+                for j, s in enumerate(signs, i):
+                    a[j] = x = s * mag[j]
+                    P[j + 2] = x * P[j + 1] + P[j]
+                    Q[j + 2] = x * Q[j + 1] + Q[j]
                 p1, p0, q1, q0 = P[n], P[n - 1], Q[n], Q[n - 1]
-                # The last slot: + then -, each if the changes allow.
-                if k < cap:
-                    xs = (last, -last)
-                elif n > 1 and a[-2] < 0:
-                    xs = (-last,)
-                else:
-                    xs = (last,)
-                for x in xs:
+                for s in lasts:
+                    x = s * last
                     num, den = x * p1 + p0, x * q1 + q0
                     if cls is B:
                         num, den = p1 * (num + p0), den * p1 + q1 * p0
@@ -295,39 +294,6 @@ def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
                         yield key, ContinuedFraction._trusted(entries), cls
                         if not lookup:
                             return
-                if n < 3:  # a[0] is +: the head has one sign vector
-                    break
-                # Next head signs within the cap: the last + whose flip keeps
-                # the changes up to it within the cap turns -, and the slots
-                # after it take the least completion, + while a change is
-                # left, else -.  The last run, from start on, says where
-                # that + is.
-                start = C[k]
-                if k & 1:  # a - run: the + just before it
-                    i = start - 1
-                    if not i:
-                        break
-                    if C[k - 1] == i:  # a lone +
-                        k -= 2
-                    else:
-                        C[k] = i
-                    if k < cap:  # the - run turns back to +
-                        k += 1
-                        C[k] = start
-                        a[start:-1] = mag[start:-1]
-                elif start == n - 2:  # a lone + at the end
-                    i = start
-                    k -= 1
-                elif k < cap:  # a + run with a change left: its end
-                    i = n - 2
-                    k += 1
-                    C[k] = i
-                elif k:  # a + run at the cap: its first slot
-                    i = start
-                    C[k] = start + 1
-                else:  # all +, and a cap of 0
-                    break
-                a[i] = -a[i]
 
 
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:

@@ -92,7 +92,10 @@ def _read_cached_row(cache_dir: str | Path, c: int) -> TableRow | None:
     path = _cache_path(cache_dir, c)
     try:
         row = TableRow.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError):
+        # Unreadable, or valid JSON of another shape (offsets as a list, an
+        # infinite c, nesting too deep to parse): a miss, so the row is rebuilt.
         return None
     return row if row.c == c else None
 

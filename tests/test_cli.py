@@ -280,6 +280,14 @@ class TestNames:
         code, _, err = run(capsys, "names", "--csv", str(tmp_path / "none.csv"))
         assert code == 2
 
+    def test_field_over_the_csv_limit(self, capsys, tmp_path):
+        path = self.write(tmp_path, "name,p,q\n3_1,3,2\n" + "x" * 200_000 + ",5,2\n")
+        for argv in (["names", "--csv", path], ["c2", "--name", "3_1", "--names-file", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and f"{path} row 3" in err
+
 
 class TestParser:
     def test_unknown_command(self, capsys):

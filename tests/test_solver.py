@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from twobridge.knot import (
 )
 from twobridge.solver import (
     _rungs,
+    _sign_steps,
     _sweep,
     _type_a_magnitudes,
     _type_b_halves,
@@ -224,6 +226,16 @@ class TestSignBudget:
                     tight += crossing[key] == bound
         assert seen == 88_573
         assert tight > 0
+
+    def test_sign_table_grows_with_its_output(self):
+        # A head of length n - 1 has n - 2 adjacent pairs, at most cap of
+        # which change.  A table filtered from all 2^(n - 2) heads would not
+        # finish at n = 40.
+        assert len(_sign_steps(1, 0)) == 1
+        for n in range(2, 41):
+            for cap in range(4):
+                assert len(_sign_steps(n, cap)) == sum(comb(n - 2, s) for s in range(cap + 1))
+        assert len(_sign_steps(40, 2)) == 742
 
     @pytest.mark.parametrize("t", range(1, 14))
     def test_stream_is_the_unbudgeted_one_within_the_changes(self, t):

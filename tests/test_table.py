@@ -166,10 +166,24 @@ class TestCache:
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_corrupt_cache_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{ not json",
+            '{"c": 5, "count": 2, "offsets": [2]}',
+            '{"c": 5, "count": 2, "offsets": null}',
+            "[5, 2, {}]",
+            '{"c": Infinity, "count": 2, "offsets": {"0": 2}}',
+            "[" * 100_000,
+        ],
+        ids=[
+            "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep"
+        ],
+    )
+    def test_corrupt_cache_is_rebuilt(self, tmp_path, text):
         build_table(5, 5, cache_dir=tmp_path)
         path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
-        path.write_text("{ not json")
+        path.write_text(text)
         rows = build_table(5, 5, cache_dir=tmp_path)
         assert rows[0].two_bridge_count == 2
         # and the bad file was replaced with a good one
