@@ -255,24 +255,29 @@ def semi_even_expansion(r: Rational) -> ContinuedFraction:
 # Shape classification
 
 
-def _type_a_violation(entries: tuple[int, ...]) -> str | None:
+def _type_a_violation(entries: tuple[int, ...]) -> int | None:
+    """None for a Type A sequence, else its first failed condition: 0 for an
+    odd length, or the position (from 1) of the first odd entry at an even
+    position.  It builds no text; :func:`twobridge.render.layout` words it."""
     n = len(entries)
     if n % 2:
-        return "length is odd"
+        return 0
     for i in range(1, n, 2):
         if entries[i] % 2:
-            return f"entry at position {i + 1} is odd"
+            return i + 1
     return None
 
 
-def _type_b_violation(entries: tuple[int, ...]) -> str | None:
+def _type_b_violation(entries: tuple[int, ...]) -> int | None:
+    """None for a Type B sequence, else its first failed condition: 0 for an
+    even length, 1 for no signed palindrome, 2 for an even central entry."""
     n = len(entries)
     if n % 2 == 0:
-        return "length is even"
+        return 0
     if entries[: n // 2] != entries[: n // 2 : -1]:
-        return "entries are not a signed palindrome"
+        return 1
     if entries[n // 2] % 2 == 0:
-        return "central entry is even"
+        return 2
     return None
 
 

@@ -65,6 +65,16 @@ class DiagramLayout:
     twist_boxes: tuple[TwistBox, ...]
 
 
+_NOT_TYPE_B = ("length is even", "entries are not a signed palindrome", "central entry is even")
+
+
+def _why_neither(entries: tuple[int, ...]) -> str:
+    """The first condition of each class that the entries fail, in words."""
+    a, b = _type_a_violation(entries), _type_b_violation(entries)
+    why_a = f"entry at position {a} is odd" if a else "length is odd"
+    return f"not Type A ({why_a}); not Type B ({_NOT_TYPE_B[b]})"
+
+
 def layout(cf: ContinuedFraction) -> DiagramLayout:
     """Symmetric box layout of a Type A or Type B sequence.
 
@@ -74,9 +84,7 @@ def layout(cf: ContinuedFraction) -> DiagramLayout:
     """
     cls = classify_type(cf)
     if cls is ExpansionClass.NEITHER:
-        ra = _type_a_violation(cf.entries)
-        rb = _type_b_violation(cf.entries)
-        raise ValueError(f"no symmetric layout: not Type A ({ra}); not Type B ({rb})")
+        raise ValueError(f"no symmetric layout: {_why_neither(cf.entries)}")
 
     e = cf.entries
     boxes: list[TwistBox] = []

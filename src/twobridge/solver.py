@@ -23,14 +23,17 @@ without adding crossings ([x, 0, y] = [x + y], a trailing [.., y, x, 0] =
 crossing sum t a knot is hit only by sign vectors with at most t - c
 changes, and the sweep takes that as a budget: ``_solve_stream`` passes t
 minus the least c pending at t, :func:`search_at` passes t - c(k).
-:func:`global_c2_map` passes none: the oracle walks every sign vector, so
-the census cross-check keeps testing the lemma.
+:func:`global_c2_map` passes t, which no sign vector exceeds, so no cap
+binds: the oracle walks every sign vector, and the census cross-check keeps
+testing the lemma.
 
-Steps 1 and 2 run once per knot, in ``_rungs``; :func:`step1_check`,
-:func:`step2_bound` and :func:`solve_many` read their answers from it.  One
-``knot._positive_family`` pass computes the slope residues and expands the
-four slopes once; it gives c, the Step1 candidates and the even denominators
-of the semi-even pick.
+Steps 1 and 2 run once per knot, in ``_rungs``, which returns the knot's
+C2Result: the Step1 or Step2 result, or else ExhaustedToBound at m with the
+semi-even witness, which only a Search hit below m can replace.
+:func:`step1_check`, :func:`step2_bound` and :func:`solve_many` read that
+record.  One ``knot._positive_family`` pass computes the slope residues and
+expands the four slopes once; it gives c, the Step1 candidates and the even
+denominators of the semi-even pick.
 
 ``_solve_stream`` yields each knot's result as soon as it is known and sweeps
 each crossing total once for every knot pending at it.  :func:`solve_many`
@@ -138,10 +141,10 @@ def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
     return m
 
 
-def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | None]:
-    """(c, m, semi-even witness, result) of the rungs below the search, each
-    computed once: result is the Step1 or Step2 C2Result, or None when only
-    the search can decide k."""
+def _rungs(k: TwoBridgeKnot) -> C2Result:
+    """k's result from the rungs below the search, each computed once: the
+    Step1 or Step2 result, or else ExhaustedToBound at the semi-even bound m
+    with its witness, which a Search hit below m may still replace."""
     c, slopes, family = _positive_family(k)
     m, wit = _semi_even_pick(k, slopes)
     for entries in family:
@@ -150,24 +153,23 @@ def _rungs(k: TwoBridgeKnot) -> tuple[int, int, ContinuedFraction, C2Result | No
             cls = _shape(cand)
             if cls is not ExpansionClass.NEITHER:
                 cf = ContinuedFraction._trusted(tuple(cand))
-                return c, m, wit, C2Result(c, cf, cls, METHOD_STEP1, m, c)
+                return C2Result(c, cf, cls, METHOD_STEP1, m, c)
     _bound_above(k, c, m)
-    if m == c + 1:
-        return c, m, wit, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_STEP2, m, c)
-    return c, m, wit, None
+    method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
+    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c)
 
 
 def step1_check(k: TwoBridgeKnot) -> C2Result | None:
     """Try the eight positive sequences; a Type A/B hit means value = c(K)."""
-    res = _rungs(k)[3]
-    return res if res is not None and res.method == METHOD_STEP1 else None
+    res = _rungs(k)
+    return res if res.method == METHOD_STEP1 else None
 
 
 def step2_bound(k: TwoBridgeKnot) -> int:
     """Semi-even upper bound m; meaningful once step1_check has failed.
     Raises RuntimeError when m <= c(K)."""
-    c, m, _, _ = _rungs(k)
-    return _bound_above(k, c, m)
+    res = _rungs(k)
+    return _bound_above(k, res.base_crossing, res.semi_even_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,7 @@ def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int
     return tuple((i, signs, (1, -1) if k < cap else signs[-1:]) for i, signs, k in heads)
 
 
-def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
+def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
     """(key, sequence, class) at each key's first hit: among the sequences
     with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
     order, the first whose value num/den has lookup[|num|, den mod |num|] ==
@@ -257,20 +259,20 @@ def _sweep(t: int, lookup: dict, budget: int | None = None) -> Iterator[tuple]:
     the head's continuants.  A Type B palindrome is evaluated from its half h:
     its continuant matrix is M(h) M(h[:-1])^T.
 
-    With a budget, only sequences with at most budget sign changes between
-    adjacent entries are evaluated (budget // 2 on a Type B half, whose
-    palindrome doubles its changes), in the same order.  By the lemma in the
-    module docstring this drops no first hit of a knot with c >= t - budget.
-    No budget caps a pattern of length n at n - 1 changes, which every sign
-    vector meets.
+    Only sequences with at most budget sign changes between adjacent entries
+    are evaluated (budget // 2 on a Type B half, whose palindrome doubles its
+    changes), in the same order.  By the lemma in the module docstring this
+    drops no first hit of a knot with c >= t - budget.  Budget t caps
+    nothing: a Type A pattern has at most t - 1 changes, and a Type B half,
+    of length at most (t + 1) / 2, at most t // 2.
     """
-    if budget is not None and budget < 0:
+    if budget < 0:
         return
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
         for mag in patterns:
             a, n, last = list(mag), len(mag), mag[-1]
-            cap = n - 1 if budget is None else min(n - 1, budget if cls is A else budget // 2)
+            cap = min(n - 1, budget if cls is A else budget // 2)
             # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
             P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
             for i, signs, lasts in _sign_steps(n, cap):
@@ -313,31 +315,33 @@ def _solve_stream(
 ) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
     """(knot, result) for each of the distinct knots, as soon as it is known.
 
-    Step1 and Step2 results come first, in input order.  Then each crossing
-    total t in some pending knot's span c < t < m is swept once, over every
-    knot pending at t: a Search hit is yielded when the sweep finds it, and a
-    knot left pending past its last total m - 1 is yielded ExhaustedToBound
-    before any larger total is swept.
+    Step1 and Step2 results come first, in input order.  Every other knot
+    stays pending with its record from ``_rungs``, ExhaustedToBound at m.
+    Then each crossing total t in some pending knot's span c < t < m is swept
+    once, over every knot pending at t: a Search hit is yielded when the sweep
+    finds it, and a knot still pending at t = m is yielded with its record
+    before that total is swept.
     """
-    pending: dict[tuple[int, int], tuple[TwoBridgeKnot, int, int, ContinuedFraction]] = {}
+    pending: dict[tuple[int, int], tuple[TwoBridgeKnot, C2Result]] = {}
     for k in knots:
-        c, m, wit, res = _rungs(k)
-        if res is None:
-            pending[(k.p, k.q)] = (k, c, m, wit)
+        res = _rungs(k)
+        if res.method == METHOD_EXHAUSTED:
+            pending[(k.p, k.q)] = (k, res)
         else:
             yield k, res
 
-    # t runs up to each m: at t = m a knot still pending has run out.
-    for t in sorted({t for _, c, m, _ in pending.values() for t in range(c + 1, m + 1)}):
-        for key in [key for key, (_, _, m, _) in pending.items() if m == t]:
-            k, c, m, wit = pending.pop(key)
-            yield k, C2Result(m, wit, ExpansionClass.TYPE_A, METHOD_EXHAUSTED, m, c)
-        # No knot of crossing number c is hit with more than t - c sign changes.
-        live = {key: c for key, (_, c, m, _) in pending.items() if c < t < m}
+    # t runs up to each m, the value of a pending record: at t = m it is final.
+    spans = {t for _, r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
+    for t in sorted(spans):
+        for key in [key for key, (_, r) in pending.items() if r.value == t]:
+            yield pending.pop(key)
+        # Every knot left has m > t.  No knot of crossing number c is hit
+        # with more than t - c sign changes.
+        live = {key: r.base_crossing for key, (_, r) in pending.items() if r.base_crossing < t}
         hits = _sweep(t, _residue_lookup(live), t - min(live.values())) if live else ()
         for key, cf, cls in hits:
-            k, c, m, _ = pending.pop(key)
-            yield k, C2Result(t, cf, cls, METHOD_SEARCH, m, c)
+            k, r = pending.pop(key)
+            yield k, C2Result(t, cf, cls, METHOD_SEARCH, r.semi_even_bound, r.base_crossing)
 
 
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
@@ -386,6 +390,6 @@ def global_c2_map(
             raise RuntimeError(
                 f"enumeration passed every pending bound ({net}) without a hit"
             )
-        for key, cf, _ in _sweep(t, lookup):
+        for key, cf, _ in _sweep(t, lookup, t):
             found[key] = (t, cf)
     return {targets[key][0]: hit for key, hit in found.items()}

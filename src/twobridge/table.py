@@ -88,16 +88,24 @@ def _cache_path(cache_dir: str | Path, c: int) -> Path:
     return Path(cache_dir) / f"c{c}.v{ALGORITHM_VERSION}.json"
 
 
+def _row_text(row: TableRow) -> str:
+    """The row file's whole text: the one spelling a cached row may have."""
+    return json.dumps(row.to_json_dict(), indent=2) + "\n"
+
+
 def _read_cached_row(cache_dir: str | Path, c: int) -> TableRow | None:
     path = _cache_path(cache_dir, c)
     try:
-        row = TableRow.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        text = path.read_text(encoding="utf-8")
+        row = TableRow.from_json_dict(json.loads(text))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
             RecursionError):
         # Unreadable, or valid JSON of another shape (offsets as a list, an
         # infinite c, nesting too deep to parse): a miss, so the row is rebuilt.
         return None
-    return row if row.c == c else None
+    # int() takes true, 5.9 and "5" too: a row is served only if writing it
+    # back gives the same text.
+    return row if row.c == c and text == _row_text(row) else None
 
 
 def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
@@ -106,7 +114,7 @@ def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(row.to_json_dict(), indent=2) + "\n")
+            fh.write(_row_text(row))
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)

@@ -42,6 +42,41 @@ class TestLayout:
         with pytest.raises(ValueError, match=r"not Type A .*odd.*not Type B"):
             layout(cf(2, 1, 1, 2))
 
+    @pytest.mark.parametrize(
+        "entries,why",
+        [
+            ((1, 1), "not Type A (entry at position 2 is odd); not Type B (length is even)"),
+            ((1, 2, 1), "not Type A (length is odd); not Type B (central entry is even)"),
+            (
+                (1, 2, 3),
+                "not Type A (length is odd); not Type B (entries are not a signed palindrome)",
+            ),
+            ((1, 3, 1, 2), "not Type A (entry at position 2 is odd); not Type B (length is even)"),
+            ((2, 2, 1, 1), "not Type A (entry at position 4 is odd); not Type B (length is even)"),
+        ],
+    )
+    def test_rejection_text(self, entries, why):
+        with pytest.raises(ValueError) as err:
+            layout(cf(*entries))
+        assert str(err.value) == f"no symmetric layout: {why}"
+
+    def test_step1_scan_words_no_rejection(self, monkeypatch):
+        # Only layout words a failed shape; the rung scan over every
+        # candidate of every knot through c = 10 must not.
+        import twobridge.render as render
+        from twobridge.knot import enumerate_knots
+        from twobridge.solver import _rungs
+
+        def boom(entries):
+            raise AssertionError(f"worded {entries}")
+
+        monkeypatch.setattr(render, "_why_neither", boom)
+        with pytest.raises(AssertionError, match="worded"):
+            layout(cf(1, 1))
+        for c in range(3, 11):
+            for k in enumerate_knots(c):
+                _rungs(k)
+
     def test_crossing_sum_invariant(self):
         for entries in [(1, 2), (5,), (3, 1, 3), (2, 6, 1, 4), (1, 2, 1, 2, 1)]:
             lay = layout(cf(*entries))

@@ -18,12 +18,14 @@ from twobridge.knot import (
     TwoBridgeKnot,
     _knot_key,
     _residue_lookup,
+    _slopes,
     canonicalize,
     crossing_number,
     fraction_to_knot,
 )
 from twobridge.solver import (
     _rungs,
+    _semi_even_pick,
     _sign_steps,
     _sweep,
     _type_a_magnitudes,
@@ -165,11 +167,11 @@ class TestSweep:
             for cf in enumerate_type_ab(t)
             if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
         ]
-        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue())] == want
+        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue(), t)] == want
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_probes_and_classes(self, t):
-        for (p, r), cf, cls in _sweep(t, _EveryValue()):
+        for (p, r), cf, cls in _sweep(t, _EveryValue(), t):
             num, den = _eval_entries(cf.entries)
             assert p == abs(num)
             assert r in {den % p, -den % p}
@@ -177,7 +179,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
-        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _residue_lookup(keys_le_14))]
+        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _residue_lookup(keys_le_14), t)]
         for key, entries in got:
             assert key == _knot_key(*_eval_entries(entries))
         targets, first = set(keys_le_14), {}
@@ -241,22 +243,24 @@ class TestSignBudget:
     def test_stream_is_the_unbudgeted_one_within_the_changes(self, t):
         # Type B palindromes have twice their half's changes, so a budget b
         # admits halves with b // 2: the filter on the whole sequence says so.
-        # The reference is the product-built enumeration, not the counter.
+        # The reference is the product-built enumeration, not the sign table.
+        # Budget t is the unbudgeted sweep: no sequence has t changes.
         full = [
             (cf.entries, classify_type(cf))
             for cf in enumerate_type_ab(t)
             if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
         ]
-        for budget in (None, *range(-1, t + 1)):
+        for budget in range(-1, t + 1):
             got = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue(), budget)]
-            assert got == [(e, c) for e, c in full if budget is None or sign_changes(e) <= budget]
+            assert got == [(e, c) for e, c in full if sign_changes(e) <= budget]
+        assert got == full
 
     @pytest.mark.parametrize("t", range(4, 16))
     def test_first_hits_of_the_knots_within_budget(self, t, keys_by_c_le_14):
         hits = 0
         for budget in (1, 2, 3):
             keys = [key for c, ks in keys_by_c_le_14.items() if t - budget <= c < t for key in ks]
-            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _residue_lookup(keys))]
+            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _residue_lookup(keys), t)]
             got = _sweep(t, _residue_lookup(keys), budget)
             assert [(key, cf.entries, cls) for key, cf, cls in got] == want
             hits += len(want)
@@ -266,7 +270,7 @@ class TestSignBudget:
         for c in range(3, 10):
             for k in enumerate_knots(c):
                 for t in range(c - 1, c + 5):
-                    full = _sweep(t, _residue_lookup([(k.p, k.q)]))
+                    full = _sweep(t, _residue_lookup([(k.p, k.q)]), t)
                     want = next((cf for _, cf, _ in full), None)
                     assert search_at(k, t) == want
                     if t < c:
@@ -286,7 +290,7 @@ class TestSignBudget:
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
         budgeted = solve_many(knots)
-        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget=None: real_sweep(t, lookup))
+        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: real_sweep(t, lookup, t))
         assert solve_many(knots) == budgeted
         assert sum(r.method == METHOD_SEARCH for r in budgeted.values()) > 400
 
@@ -473,19 +477,22 @@ class TestC2:
 class TestRungsLargeP:
     @given(knots(max_p=10**6))
     def test_rung_witnesses_check_out(self, k):
-        # Steps 1 and 2 only: most knots this large need the sweep.
-        c, m, wit, res = _rungs(k)
-        assert c == crossing_number(k)
+        # Steps 1 and 2 only: most knots this large need the sweep, and
+        # their record is the ExhaustedToBound one at m that a hit may replace.
+        res = _rungs(k)
+        m, wit = _semi_even_pick(k, _slopes(k.p, k.q))
+        c = crossing_number(k)
         assert fraction_to_knot(eval_cf(wit)) == k
         assert classify_type(wit) is ExpansionClass.TYPE_A
         assert crossing_sum(wit) == m
-        if res is not None:
-            assert res.method in (METHOD_STEP1, METHOD_STEP2)
-            assert (res.base_crossing, res.semi_even_bound) == (c, m)
-            assert fraction_to_knot(eval_cf(res.witness)) == k
-            assert classify_type(res.witness) is res.witness_class
-            assert crossing_sum(res.witness) == res.value
-            assert c <= res.value <= m
+        assert res.method in (METHOD_STEP1, METHOD_STEP2, METHOD_EXHAUSTED)
+        assert (res.base_crossing, res.semi_even_bound) == (c, m)
+        if res.method != METHOD_STEP1:
+            assert (res.value, res.witness) == (m, wit)
+        assert fraction_to_knot(eval_cf(res.witness)) == k
+        assert classify_type(res.witness) is res.witness_class
+        assert crossing_sum(res.witness) == res.value
+        assert c <= res.value <= m
 
 
 class TestGlobalMap:

@@ -6,7 +6,7 @@ import pytest
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
 from twobridge.knot import canonicalize, crossing_number
-from twobridge.solver import _rungs
+from twobridge.solver import METHOD_EXHAUSTED, _rungs
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -175,19 +175,25 @@ class TestCache:
             "[5, 2, {}]",
             '{"c": Infinity, "count": 2, "offsets": {"0": 2}}',
             "[" * 100_000,
+            '{"c": 5, "count": true, "offsets": {"0": true}}',
+            '{"c": 5.9, "count": 2.5, "offsets": {"0": 2.7}}',
+            '{"c": "5", "count": "2", "offsets": {"0": "2"}}',
         ],
         ids=[
-            "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep"
+            "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep",
+            "booleans", "floats", "strings",
         ],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, text):
         build_table(5, 5, cache_dir=tmp_path)
         path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
+        good = path.read_text()
         path.write_text(text)
         rows = build_table(5, 5, cache_dir=tmp_path)
         assert rows[0].two_bridge_count == 2
         # and the bad file was replaced with a good one
         assert json.loads(path.read_text())["c"] == 5
+        assert path.read_text() == good
 
     def test_mismatched_cache_content_is_ignored(self, tmp_path):
         build_table(5, 5, cache_dir=tmp_path)
@@ -220,7 +226,7 @@ class TestSharedSweep:
 
         real, totals = solver._sweep, []
 
-        def recorded(t, lookup, budget=None):
+        def recorded(t, lookup, budget):
             if t == stop_at:
                 raise KeyboardInterrupt
             totals.append(t)
@@ -233,9 +239,9 @@ class TestSharedSweep:
         spans = set()
         for c in range(3, 15):
             for k in enumerate_knots(c):
-                c_k, m, _, res = _rungs(k)
-                if res is None:
-                    spans.update(range(c_k + 1, m))
+                res = _rungs(k)
+                if res.method == METHOD_EXHAUSTED:
+                    spans.update(range(res.base_crossing + 1, res.semi_even_bound))
         totals = self._record_sweeps(monkeypatch)
         build_table(3, 14)
         assert len(totals) == len(set(totals))
