@@ -36,6 +36,7 @@ from .solver import (
     METHOD_STEP1,
     METHOD_STEP2,
     C2Result,
+    SearchBudgetExceeded,
     c2,
     enumerate_type_ab,
     global_c2_map,
@@ -66,6 +67,7 @@ __all__ = [
     "METHOD_STEP1",
     "METHOD_STEP2",
     "Rational",
+    "SearchBudgetExceeded",
     "SvgStyle",
     "TableRow",
     "TwistBox",

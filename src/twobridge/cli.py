@@ -6,7 +6,9 @@ range, with CSV/JSON export and caching), render (SVG diagram of a Type A
 or B sequence), names (validate a name,p,q CSV and look names up).
 
 Exit codes: 0 success, 2 bad arguments or invalid input, 3 failed name
-lookup, 4 cross-check disagreement.  All output is deterministic.
+lookup, 4 cross-check disagreement, 5 c2 undecided within the search limit
+(c2 and render --p/--q; stderr names the bracket c <= c2 <= m).  All output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .contfrac import (
 )
 from .knot import TwoBridgeKnot, canonicalize
 from .render import layout, to_svg
-from .solver import c2
+from .solver import SearchBudgetExceeded, c2
 from .table import CrossCheckError, build_table
 
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
@@ -309,6 +311,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 4
+    except SearchBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,47 +6,64 @@ The pipeline short-circuits in order of cost:
    slopes.  A Type A or Type B hit settles the value at the crossing number.
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
-3. Search: stream every Type A / Type B sequence with crossing sum t for
-   t = c + 1 .. m - 1 and stop at the first sequence evaluating into the
-   knot's slope class.  Exhaustion settles the value at m.
+3. Search: for t = c + 1 .. m - 1, find the first Type A / Type B sequence
+   with crossing sum t, in :func:`enumerate_type_ab` order, that evaluates
+   into the knot's slope class.  Exhaustion settles the value at m.
 
-A sequence with crossing sum c evaluating to the knot would be an alternating
-minimal diagram, so it is all-positive up to mirror and Step1 already saw it;
-the search can therefore start above c.
+Sign changes cost crossings.  The identity [.., a, -b, tail] = [.., a - 1,
+1, b - 1, -tail] keeps the value and removes one crossing and one sign
+change; the zeros it may leave merge without adding crossings ([x, 0, y] =
+[x + y], a trailing [.., y, x, 0] = [.., y], and a leading [0, x, rest]
+names the knot of [rest]).  So a sequence with crossing sum t and s sign
+changes between adjacent entries evaluates to a knot with c <= t - s.
 
-Sign changes cost crossings: a sequence with crossing sum t and s sign
-changes between adjacent entries evaluates to a knot with c <= t - s.  The
-identity [.., a, -b, tail] = [.., a - 1, 1, b - 1, -tail] keeps the value
-and removes one crossing and one sign change; the zeros it may leave merge
-without adding crossings ([x, 0, y] = [x + y], a trailing [.., y, x, 0] =
-[.., y], and a leading [0, x, rest] names the knot of [rest]).  So at
-crossing sum t a knot is hit only by sign vectors with at most t - c
-changes, and the sweep takes that as a budget: ``_solve_stream`` passes t
-minus the least c pending at t, :func:`search_at` passes t - c(k).
+The per-knot search behind :func:`c2` and :func:`search_at` turns that
+around.  Take a hit x at t = c + d with a positive first entry (its negation
+names the mirror, the same knot).  Apply the move at its first sign change,
+with its merges, again and again: each step removes at least one crossing,
+so after at most d steps no sign change is left, and what is left is a
+positive sequence of the knot's class with crossing sum c.  The positive
+sequences of a value p/r are its Euclid expansion and the trailing-1
+variant, so it is one of the eight Step1 candidates.  ``_preimages`` undoes
+one such step exactly, at every cost: every x it yields maps back, and
+every preimage is yielded once.  So the hits at t are the Type A / Type B
+sequences among the preimages of the eight candidates that lie d crossings
+up.  For fixed d their number is polynomial in c, where a sweep's grows
+exponentially in t.  Each is evaluated before it counts, and the least
+under ``_order_key``, which reproduces :func:`enumerate_type_ab` order, is
+the answer.  The walk prunes what cannot be Type A: a later step keeps the
+entries after the first sign change in place counted from the right, and
+Type A fixes the parity of every other one of them; Type B needs an odd t
+and a knot with q^2 = +-1 (mod p).  One call builds at most
+``_SEARCH_LIMIT`` sequences and otherwise raises SearchBudgetExceeded with
+the proven bracket c <= c2 <= m.  A c2 or search_at call never sweeps.
+
+Batches keep the shared sweep.  ``_solve_stream`` yields each knot's result
+as soon as it is known and sweeps each crossing total t once for every knot
+pending at it; :func:`solve_many` collects it, and the census builder feeds
+it the knots of every row it computes.  For whole census rows one sweep per
+total costs less than one search per knot, about half the time through
+row 16, and tests hold the two paths equal, witnesses included.  The
+sweep reads the sign vectors of each magnitude pattern, within a budget of
+sign changes and in product order, from a table of steps cached per length
+and cap.  By the lemma a knot is hit at t only by sign vectors with at most
+t - c changes: ``_solve_stream`` passes t minus the least c pending at t.
 :func:`global_c2_map` passes t, which no sign vector exceeds, so no cap
 binds: the oracle walks every sign vector, and the census cross-check keeps
-testing the lemma.
+testing the lemma.  The sweep skips sequences with a negative first entry:
+its negation has the same magnitudes, comes earlier (+ sorts before -) and
+evaluates to the mirror.  A value num/den is in the class of K(p, q) exactly
+when |num| = p and den mod p is a slope residue q, p - q, q^-1 or p - q^-1:
+one set lookup, no canonicalization.
 
 Steps 1 and 2 run once per knot, in ``_rungs``, which returns the knot's
 C2Result: the Step1 or Step2 result, or else ExhaustedToBound at m with the
 semi-even witness, which only a Search hit below m can replace.
-:func:`step1_check`, :func:`step2_bound` and :func:`solve_many` read that
-record.  One ``knot._positive_family`` pass computes the slope residues and
-expands the four slopes once; it gives c, the Step1 candidates and the even
-denominators of the semi-even pick.
-
-``_solve_stream`` yields each knot's result as soon as it is known and sweeps
-each crossing total once for every knot pending at it.  :func:`solve_many`
-collects it; the census builder feeds it the knots of every row it computes,
-so the rows share one sweep per total.
-
-The sweep behind Search and :func:`global_c2_map` reads the sign vectors of
-each magnitude pattern, within the budget and in product order, from a table
-of steps cached per length and cap.  It skips sequences with a negative first
-entry: its negation has the same magnitudes, comes earlier (+ sorts before -)
-and evaluates to the mirror, the same knot.  A value num/den is in the class
-of K(p, q) exactly when |num| = p and den mod p is a slope residue q, p - q,
-q^-1 or p - q^-1: one set lookup, no canonicalization.
+:func:`step1_check`, :func:`step2_bound`, :func:`c2` and :func:`solve_many`
+read that record.  One ``knot._positive_family`` pass computes the slope
+residues and expands the four slopes once; it gives c, the Step1 candidates,
+the roots of the per-knot search and the even denominators of the semi-even
+pick.
 """
 
 from __future__ import annotations
@@ -59,6 +76,7 @@ from typing import Iterable, Iterator
 from .contfrac import (
     ContinuedFraction,
     ExpansionClass,
+    _eval_entries,
     _semi_even_entries,
     _shape,
 )
@@ -75,6 +93,7 @@ from .knot import (
 
 __all__ = [
     "C2Result",
+    "SearchBudgetExceeded",
     "step1_check",
     "step2_bound",
     "enumerate_type_ab",
@@ -88,6 +107,10 @@ METHOD_STEP1 = "Step1"
 METHOD_STEP2 = "Step2"
 METHOD_SEARCH = "Search"
 METHOD_EXHAUSTED = "ExhaustedToBound"
+
+# Work ceiling of one c2 or search_at call: sequences built by the per-knot
+# search, over all the totals it tries.
+_SEARCH_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,6 +135,15 @@ class C2Result:
                 f"inconsistent result: c={self.base_crossing}, "
                 f"value={self.value}, bound={self.semi_even_bound}"
             )
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """The per-knot search reached its work ceiling before deciding c2(knot);
+    only the proven bracket c <= c2 <= m is known."""
+
+    def __init__(self, knot: TwoBridgeKnot, c: int, m: int):
+        super().__init__(f"c2 of {knot} undecided within the search limit: {c} <= c2 <= {m}")
+        self.knot, self.c, self.m = knot, c, m
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +173,31 @@ def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
     return m
 
 
+def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
+    """The eight Step1 candidates: each positive expansion of the four slopes
+    (last entry >= 2) and its [.., a - 1, 1] variant."""
+    for entries in family:
+        yield entries
+        yield entries[:-1] + [entries[-1] - 1, 1]
+
+
 def _rungs(k: TwoBridgeKnot) -> C2Result:
     """k's result from the rungs below the search, each computed once: the
     Step1 or Step2 result, or else ExhaustedToBound at the semi-even bound m
     with its witness, which a Search hit below m may still replace."""
-    c, slopes, family = _positive_family(k)
+    return _rungs_of(k, *_positive_family(k))
+
+
+def _rungs_of(
+    k: TwoBridgeKnot, c: int, slopes: tuple[int, int, int, int], family: list[list[int]]
+) -> C2Result:
+    """:func:`_rungs` from k's ``_positive_family``."""
     m, wit = _semi_even_pick(k, slopes)
-    for entries in family:
-        # The canonical expansion (last entry >= 2) and its [.., a - 1, 1] variant.
-        for cand in (entries, entries[:-1] + [entries[-1] - 1, 1]):
-            cls = _shape(cand)
-            if cls is not ExpansionClass.NEITHER:
-                cf = ContinuedFraction._trusted(tuple(cand))
-                return C2Result(c, cf, cls, METHOD_STEP1, m, c)
+    for cand in _candidates(family):
+        cls = _shape(cand)
+        if cls is not ExpansionClass.NEITHER:
+            cf = ContinuedFraction._trusted(tuple(cand))
+            return C2Result(c, cf, cls, METHOD_STEP1, m, c)
     _bound_above(k, c, m)
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
     return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c)
@@ -298,12 +342,176 @@ def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
                             return
 
 
+# ---------------------------------------------------------------------------
+# Per-knot search: the preimages of the eight Step1 candidates
+
+
+def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-a for a in entries)
+
+
+def _unstack(stack: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The head L + (a,) of a preimage [L, a, -b, ..], L positive, from the
+    positive entries that its move leaves before b - 1: those are L + (a - 1,
+    1) when a >= 2, or L[:-1] + (l + 1,), merged from [.., l, 0, 1], when a =
+    1.  None for (1,): a = 1 with L empty is the leading case."""
+    if stack[-1] > 1:
+        return stack[:-1] + (stack[-1] - 1, 1)
+    return stack[:-2] + (stack[-2] + 1,) if len(stack) > 1 else None
+
+
+def _pairs(room: int) -> Iterator[tuple[int, ...]]:
+    """Every (s_1, .., s_k), k >= 0, of positive entries with 2 * sum <= room:
+    the entries that cancel in pairs when a merge leaves another zero."""
+    yield ()
+    for s in range(1, room // 2 + 1):
+        for rest in _pairs(room - 2 * s):
+            yield (s, *rest)
+
+
+def _preimages(
+    y: tuple[int, ...], room: int, a_only: bool
+) -> Iterator[tuple[int, ...]]:
+    """Every x with a positive first entry that the move at its first sign
+    change, with the zero merges it leaves, carries to y or -y, at a cost of
+    crossing_sum(x) - crossing_sum(y) <= room crossings.
+
+    The move turns x = L + [a, -b] + R, L positive, into [L, a - 1, 1, b - 1,
+    -R].  A zero at a - 1 merges into L (or, with L empty, leaves a leading
+    [0, 1, ..] that drops the 1); a zero at b - 1 merges the entries on its
+    two sides, again while they cancel, until one survives, R runs out (the
+    trailing rule drops the entry left of the zero) or the left side does (the
+    leading rule drops the entry right of it).  Each x is yielded once and
+    maps back to y, so preimages of distinct sequences never meet.
+
+    With a_only, only the x that can still lead to a Type A sequence are
+    yielded.  Counted from the right, a Type A sequence has an even entry at
+    every odd place.  Every later move keeps in place, counted from the
+    right, the entries after the first negative y[j] of y (y[j] too, unless
+    the move costs 3 or more), and x keeps those after the y[i] it merges
+    into.  So y[low:], low the least index that qualifies, must cover both.
+    And an x of cost room must not put two odd entries side by side around
+    its -1.
+    """
+    n = len(y)
+    j = next((i for i, a in enumerate(y) if a < 0), n)  # y[:j] is positive
+    low = 0
+    if a_only:
+        low = next((i + 1 for i in range(n - 1, -1, -2) if y[i] % 2), 0)
+        if low > (j if room < 3 else j + 1):
+            return
+    # b >= 2: y = stack + [b - 1] + (-R), cost 1.
+    for i in range(max(1, low - 1), j):
+        head = _unstack(y[:i])
+        if head:
+            yield head + (-1 - y[i],) + _negated(y[i + 1:])
+    # a = 1 with L empty and b >= 2: [0, 1, b - 1, -R] names the knot of [b - 1, -R].
+    if room >= 2 and low <= 1:
+        yield (1, -1 - y[0]) + _negated(y[1:])
+    # b = 1: the entries tops = (s_1, .., s_k) cancel against the top of the
+    # stack first, then the zero ends in one of three ways.  The first is a
+    # merge s + q = v into y[i] (or, at i = 0, into -y[0], the result then
+    # being negated), at cost s + |q| - |v|.
+    merges = [(i, y) for i in range(max(0, low - 1), min(j + 1, n))]
+    if low <= 1:
+        merges.append((0, _negated(y)))
+    for tops in _pairs(room - 1):
+        spent = 1 + 2 * sum(tops)
+        rest = room - spent
+        stacked = tops[::-1]
+        for i, z in merges:
+            v = z[i]
+            top = max(v, 0) + rest // 2
+            if a_only and not rest:
+                top = 0 if tops else min(top, 1)
+            for s in range(1, top + 1):
+                cost = spent + s + abs(v - s) - abs(v)
+                if s == v or a_only and cost == room and (tops or s > 1):
+                    continue
+                head = _unstack(z[:i] + (s,) + stacked)
+                if head:
+                    yield head + (-1,) + tops + (s - v,) + _negated(z[i + 1:])
+        last = rest if a_only else rest + 1  # the three below end in odd neighbours
+        # R runs out: the trailing rule drops the entry x above y.
+        if j == n:
+            for x in range(1, last):
+                yield _unstack(y + (x,) + stacked) + (-1,) + tops
+        # The stack runs out: the leading rule drops the entry x before +-y.
+        head = _unstack(stacked) if tops and not low else None
+        for x in range(1, last if head else 1):
+            for sx, z in product((x, -x), (y, _negated(y))):
+                yield head + (-1,) + tops + (-sx,) + _negated(z)
+    # a = 1 with L empty and b = 1: [0, 1, 0, -x, +-y] names the knot of +-y.
+    if not low:
+        for x in range(1, room - 2 if a_only else room - 1):
+            for sx, z in product((x, -x), (y, _negated(y))):
+                yield (1, -1, -sx) + _negated(z)
+
+
+def _order_key(entries: tuple[int, ...], cls: ExpansionClass) -> tuple:
+    """:func:`enumerate_type_ab` order as a sort key: class A before B, then
+    length, then magnitudes, then signs with + first; a Type B sequence is
+    compared by its half, centre last."""
+    if cls is ExpansionClass.TYPE_B:
+        entries = entries[: len(entries) // 2 + 1]
+    return (
+        cls is ExpansionClass.TYPE_B,
+        len(entries),
+        tuple(abs(a) for a in entries),
+        tuple(a < 0 for a in entries),
+    )
+
+
+def _least_hit(
+    k: TwoBridgeKnot, c: int, family: list[list[int]], t: int, m: int, work: list[int]
+) -> tuple[tuple[int, ...], ExpansionClass] | None:
+    """(entries, class) of the first sequence in :func:`enumerate_type_ab`
+    order at crossing sum t that evaluates into k's slope class, or None.
+
+    The hits are the preimages, t - c crossings up, of the eight positive
+    Step1 candidates under :func:`_preimages` (see the module docstring).
+    The tree is walked depth first; each sequence taken from it costs one
+    unit of work[0], and running out raises SearchBudgetExceeded with c <=
+    c2 <= m.
+    A Type B sequence has an odd crossing sum, and a palindrome has a
+    symmetric continuant matrix, so its value num/den has den^2 = +-1 (mod
+    num): Type B needs an odd t and a knot with q^2 = +-1 (mod p).  Otherwise
+    the walk asks :func:`_preimages` for the Type A ones only.
+    """
+    if t < c:
+        return None
+    a_only = t % 2 == 0 or k.q * k.q % k.p not in (1, k.p - 1)
+    residues = _slope_residues(k.p, k.q)
+    todo = list({tuple(e) for e in _candidates(family)})
+    best = None
+    while todo:
+        work[0] -= 1
+        if work[0] < 0:
+            raise SearchBudgetExceeded(k, c, m)
+        y = todo.pop()
+        room = t - sum(map(abs, y))
+        if room:
+            todo.extend(_preimages(y, room, a_only))
+            continue
+        cls = _shape(y)
+        if cls is ExpansionClass.NEITHER:
+            continue
+        num, den = _eval_entries(y)
+        if abs(num) == k.p and den % k.p in residues:
+            key = _order_key(y, cls)
+            if best is None or key < best[0]:
+                best = key, y, cls
+    return best and best[1:]
+
+
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
-    into k's slope class, or None."""
-    # No sequence with more than t - c(k) sign changes evaluates to k.
-    hits = _sweep(t, _residue_lookup([(k.p, k.q)]), t - crossing_number(k))
-    return next((cf for _, cf, _ in hits), None)
+    into k's slope class, or None.  Raises SearchBudgetExceeded past the
+    search's work ceiling."""
+    c, slopes, family = _positive_family(k)
+    m = _semi_even_pick(k, slopes)[0]
+    hit = _least_hit(k, c, family, t, m, [_SEARCH_LIMIT])
+    return hit and ContinuedFraction._trusted(hit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +553,33 @@ def _solve_stream(
 
 
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
-    """Solve a batch of knots, sharing each enumeration sweep across them.
+    """Solve a batch of knots with one shared sweep per crossing total.
 
-    Identical to running the per-knot pipeline: at each crossing total the
-    shared stream is scanned once and every still-pending knot keeps the first
-    sequence that hits it, which is the same sequence the per-knot search
-    would find.
+    Each knot gets what :func:`c2` returns for it, witness included: at each
+    total every knot still pending keeps the first sequence in enumeration
+    order that hits it, the least hit that the per-knot search picks.  The
+    sweep has no work ceiling; for one knot, or knots of large p, use c2.
     """
     return dict(_solve_stream(sorted(set(knots))))
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
-    """Least crossing sum over Type A / Type B sequences representing k."""
-    return solve_many([k])[k]
+    """Least crossing sum over Type A / Type B sequences representing k.
+
+    The rungs of ``_rungs``, then the per-knot search at t = c + 1 .. m - 1;
+    no sweep.  Raises SearchBudgetExceeded, carrying c and m, when the search
+    passes its work ceiling."""
+    c, _, family = pf = _positive_family(k)
+    res = _rungs_of(k, *pf)
+    if res.method != METHOD_EXHAUSTED:
+        return res
+    work = [_SEARCH_LIMIT]
+    for t in range(c + 1, res.value):
+        hit = _least_hit(k, c, family, t, res.value, work)
+        if hit:
+            cf = ContinuedFraction._trusted(hit[0])
+            return C2Result(t, cf, hit[1], METHOD_SEARCH, res.semi_even_bound, c)
+    return res
 
 
 def global_c2_map(

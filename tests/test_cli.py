@@ -130,6 +130,42 @@ class TestC2:
         code, _, err = run(capsys, "c2", "--name", "3_1")
         assert code == 2
 
+    def test_large_p_decides(self, capsys):
+        # c = 3342, and the per-knot search builds 24 sequences to decide it.
+        code, out, _ = run(capsys, "c2", "--p", "100003", "--q", "40000")
+        assert code == 0
+        assert out.strip() == (
+            "K(100003,16668): c2=3344 c=3342 m=3344 method=ExhaustedToBound"
+            " witness=[5,2,-1,-3332,2,2] class=TypeA"
+        )
+
+
+UNDECIDED = "error: c2 of K(65,18) undecided within the search limit: 10 <= c2 <= 12\n"
+
+
+class TestSearchLimit:
+    # K(65,18) needs the search at t = 11; 5 sequences are too few for it.
+    @pytest.fixture(autouse=True)
+    def low_limit(self, monkeypatch):
+        import twobridge.solver as solver
+
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+
+    def test_c2_is_exit_5_with_the_bracket(self, capsys):
+        code, out, err = run(capsys, "c2", "--p", "65", "--q", "18")
+        assert (code, out, err) == (5, "", UNDECIDED)
+
+    def test_render_pq_is_exit_5(self, capsys, tmp_path):
+        out_path = tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", "--p", "65", "--q", "18", "--out", str(out_path))
+        assert (code, out, err) == (5, "", UNDECIDED)
+        assert not out_path.exists()
+
+    def test_rungs_need_no_search(self, capsys):
+        code, out, _ = run(capsys, "c2", "--p", "13", "--q", "5")
+        assert code == 0
+        assert out.startswith("K(13,8): c2=7")
+
 
 class TestTable:
     def test_pinned_row_10(self, capsys):

@@ -3,7 +3,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from test_knot import knots
 from twobridge.contfrac import (
@@ -17,6 +17,7 @@ from twobridge.contfrac import (
 from twobridge.knot import (
     TwoBridgeKnot,
     _knot_key,
+    _positive_family,
     _residue_lookup,
     _slopes,
     canonicalize,
@@ -24,6 +25,9 @@ from twobridge.knot import (
     fraction_to_knot,
 )
 from twobridge.solver import (
+    _candidates,
+    _order_key,
+    _preimages,
     _rungs,
     _semi_even_pick,
     _sign_steps,
@@ -35,6 +39,7 @@ from twobridge.solver import (
     METHOD_STEP1,
     METHOD_STEP2,
     C2Result,
+    SearchBudgetExceeded,
     c2,
     enumerate_type_ab,
     global_c2_map,
@@ -267,7 +272,8 @@ class TestSignBudget:
         assert hits > 0
 
     def test_search_at_below_and_above_c(self):
-        for c in range(3, 10):
+        # The per-knot search against the unbudgeted sweep's first hit.
+        for c in range(3, 12):
             for k in enumerate_knots(c):
                 for t in range(c - 1, c + 5):
                     full = _sweep(t, _residue_lookup([(k.p, k.q)]), t)
@@ -276,9 +282,21 @@ class TestSignBudget:
                     if t < c:
                         assert want is None
 
+    def test_search_at_one_and_two_above_c_to_13(self):
+        hits = 0
+        for c in range(12, 14):
+            for k in enumerate_knots(c):
+                for t in (c + 1, c + 2):
+                    full = _sweep(t, _residue_lookup([(k.p, k.q)]), t)
+                    want = next((cf for _, cf, _ in full), None)
+                    assert search_at(k, t) == want
+                    hits += want is not None
+        assert hits > 0
+
     def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
         # Raising every semi-even bound by 3 makes the Search rung decide
-        # most knots; the budgeted solve must match the unbudgeted one.
+        # most knots; the budgeted solve must match the unbudgeted one, and
+        # the per-knot search in c2 must match both.
         import twobridge.solver as solver
 
         real_pick, real_sweep = solver._semi_even_pick, solver._sweep
@@ -290,9 +308,92 @@ class TestSignBudget:
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
         budgeted = solve_many(knots)
+        assert {k: c2(k) for k in knots} == budgeted
         monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: real_sweep(t, lookup, t))
         assert solve_many(knots) == budgeted
         assert sum(r.method == METHOD_SEARCH for r in budgeted.values()) > 400
+
+
+def _move(x):
+    """(y, cost): the move [.., a, -b, R] -> [.., a - 1, 1, b - 1, -R] at the
+    first sign change of x (x[0] > 0), with its zero merges, and the first
+    entry of y made positive; None where the merges leave no value.  Written
+    forward, independently of the solver's inverse."""
+    j = next(i for i, a in enumerate(x) if a < 0)
+    left, a, b, right = list(x[: j - 1]), x[j - 1], -x[j], [-r for r in x[j + 1:]]
+    cost = 1
+    if a == 1 and not left:  # [0, 1, b - 1, ..]: the leading rule drops the 1
+        if b > 1:
+            y, cost = [b - 1] + right, 2
+        elif not right:
+            return None
+        else:  # [0, 1, 0, r, ..] = [0, 1 + r, ..]: the leading rule drops 1 + r
+            y, cost = right[1:], 2 + abs(right[0])
+    else:
+        stack = left + [a - 1, 1] if a > 1 else left[:-1] + [left[-1] + 1]
+        if b > 1:
+            y = stack + [b - 1] + right
+        else:
+            while True:  # a zero sits between stack and right
+                if not right:  # trailing rule: [.., y, s, 0] = [.., y]
+                    if len(stack) < 2:
+                        return None
+                    cost += stack.pop()
+                    y = stack
+                    break
+                if not stack:  # leading rule: [0, r, rest] names [rest]
+                    cost += abs(right[0])
+                    y = right[1:]
+                    break
+                s, r = stack.pop(), right.pop(0)
+                cost += s + abs(r) - abs(s + r)
+                if s + r:
+                    y = stack + [s + r] + right
+                    break
+    if not y:
+        return None
+    return tuple(a if y[0] > 0 else -a for a in y), cost
+
+
+def signed_sequences(t):
+    """Every sequence with crossing sum t and a positive first entry."""
+    for mags in compositions(t):
+        for signs in product((1, -1), repeat=len(mags) - 1):
+            yield (mags[0], *(s * m for s, m in zip(signs, mags[1:])))
+
+
+class TestPreimages:
+    def test_every_knot_sequence_up_to_sum_10_is_found(self):
+        # The search is complete if undoing one move finds every x again.
+        found = 0
+        for t in range(1, 11):
+            for x in signed_sequences(t):
+                key = _knot_key(*_eval_entries(x))
+                if key is None or min(x) > 0:
+                    continue
+                y, cost = _move(x)
+                assert _knot_key(*_eval_entries(y)) == key
+                assert x in set(_preimages(y, cost, False))
+                found += 1
+        assert found == 14_736
+
+    @pytest.mark.parametrize("room", [1, 2, 3, 4])
+    def test_each_preimage_maps_back_once(self, room):
+        for t in range(1, 8):
+            for y in signed_sequences(t):
+                if _knot_key(*_eval_entries(y)) is None:
+                    continue
+                got = list(_preimages(y, room, False))
+                assert len(got) == len(set(got))
+                for x in got:
+                    cost = crossing_sum(ContinuedFraction(x)) - t
+                    assert 1 <= cost <= room and x[0] > 0
+                    assert _move(x) == (y, cost)
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_order_key_is_the_enumeration_order(self, t):
+        got = [cf.entries for cf in enumerate_type_ab(t)]
+        assert sorted(got, key=lambda e: _order_key(e, classify_type(ContinuedFraction(e)))) == got
 
 
 class TestSteps:
@@ -380,10 +481,34 @@ class TestC2:
             assert c2(k).value == t, f"{k}: solver disagrees with brute force"
 
     def test_batched_equals_individual(self):
-        knots = [k for c in range(3, 9) for k in enumerate_knots(c)]
+        # The batch sweep and the per-knot search, witnesses included.
+        knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
         batched = solve_many(knots)
         for k in knots:
             assert batched[k] == c2(k)
+
+    def test_c2_and_search_at_never_sweep(self, monkeypatch):
+        import twobridge.solver as solver
+
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        assert c2(canonicalize(65, 18)).method == METHOD_EXHAUSTED
+        assert search_at(canonicalize(13, 5), 7).entries == (1, 2, -2, -2)
+
+    def test_search_limit(self, monkeypatch):
+        import twobridge.solver as solver
+
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+        k = canonicalize(65, 18)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            c2(k)
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 10, 12)
+        assert str(info.value) == "c2 of K(65,18) undecided within the search limit: 10 <= c2 <= 12"
+        with pytest.raises(SearchBudgetExceeded):
+            search_at(k, 11)
+        assert c2(canonicalize(13, 5)).method == METHOD_STEP2
 
     def test_witnesses_check_out(self, solved_le_10):
         for k, res in solved_le_10.items():
@@ -477,7 +602,7 @@ class TestC2:
 class TestRungsLargeP:
     @given(knots(max_p=10**6))
     def test_rung_witnesses_check_out(self, k):
-        # Steps 1 and 2 only: most knots this large need the sweep, and
+        # Steps 1 and 2 only: most knots this large need the search, and
         # their record is the ExhaustedToBound one at m that a hit may replace.
         res = _rungs(k)
         m, wit = _semi_even_pick(k, _slopes(k.p, k.q))
@@ -493,6 +618,42 @@ class TestRungsLargeP:
         assert classify_type(res.witness) is res.witness_class
         assert crossing_sum(res.witness) == res.value
         assert c <= res.value <= m
+
+
+    @settings(deadline=None)
+    @given(knots(max_p=10**6))
+    def test_c2_checks_out(self, k):
+        rec = _rungs(k)
+        c, m = rec.base_crossing, rec.semi_even_bound
+        try:
+            res = c2(k)
+        except SearchBudgetExceeded as exc:
+            assert (exc.knot, exc.c, exc.m) == (k, c, m)
+            return
+        assert fraction_to_knot(eval_cf(res.witness)) == k
+        assert classify_type(res.witness) is res.witness_class
+        assert crossing_sum(res.witness) == res.value
+        assert (res.base_crossing, res.semi_even_bound) == (c, m)
+        assert c <= res.value <= m
+
+    @pytest.mark.parametrize(
+        "p,q", [(100003, 40000), (912309, 231710), (594199, 41628), (534047, 62852)]
+    )
+    def test_reference_knots_have_no_hit_below_m(self, p, q):
+        # m = c + 2 for each, so only t = c + 1 is searched.  Check every
+        # preimage one crossing up, without the search's Type A pruning.
+        k = canonicalize(p, q)
+        res = c2(k)
+        c = res.base_crossing
+        assert (res.method, res.value, res.semi_even_bound) == (METHOD_EXHAUSTED, c + 2, c + 2)
+        assert search_at(k, c + 1) is None
+        roots = {tuple(e) for e in _candidates(_positive_family(k)[2])}
+        ups = {x for y in roots for x in _preimages(y, 1, False)}
+        assert len(ups) > 30
+        for x in map(ContinuedFraction, ups):
+            assert crossing_sum(x) == c + 1
+            assert _knot_key(*_eval_entries(x.entries)) == (k.p, k.q)
+            assert classify_type(x) is ExpansionClass.NEITHER
 
 
 class TestGlobalMap:
