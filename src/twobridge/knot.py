@@ -5,15 +5,36 @@ p = p' and q' is congruent to q or to the inverse of q mod p; mirrors are
 identified, which folds q and p - q together.  Every class therefore contains
 exactly two even denominators in (0, p), and the smaller one is the canonical
 representative used everywhere in this package.
+
+Each slope p/r, 0 < r < p, has one positive expansion with last entry >= 2
+(Euclid's), and its entry sum is the crossing number c.  The four slopes of
+a knot pair up in two ways, and the census enumerates one expansion per knot
+from them:
+
+- Mirror: if p/q = [a1, .., an] with a1 >= 2, then p/(p - q) = [1, a1 - 1,
+  a2, .., an].  So of the slopes q and p - q exactly one has an expansion
+  that starts with an entry >= 2, and it gives the other's.
+- Reversal: the continuant matrix of [a1, .., an] is [[p, r], [q, s]], with
+  p = K(a1..an), q = K(a2..an), r = K(a1..a(n-1)) and s = K(a2..a(n-1)).
+  The reversed sequence has the transposed matrix, so [an, .., a1] = p/r,
+  and the determinant p s - q r = (-1)^n gives q r = (-1)^(n+1) (mod p):
+  r is q^-1 or p - q^-1, a slope of the same knot.
+
+So the compositions b of c whose first and last entries are >= 2 name each
+knot of crossing number c exactly twice, as b and reversed(b), or once when
+b is a palindrome; the other two expansions are the [1, a - 1, ..] partners
+of these.  :func:`_families` takes the b with b <= reversed(b), drops those
+with p even (two-bridge links), and reads all four slopes and expansions off
+b without a Euclid run or a modular inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .contfrac import Rational, _eval_entries, _positive_entries
+from .contfrac import Rational, _positive_entries
 
 __all__ = [
     "TwoBridgeKnot",
@@ -68,6 +89,14 @@ class TwoBridgeKnot:
             raise ValueError(
                 f"({p}, {q}) is not the canonical representative; use canonicalize()"
             )
+
+    @classmethod
+    def _trusted(cls, p: int, q: int) -> "TwoBridgeKnot":
+        # Fast path for a (p, q) already known to be canonical, skips validation.
+        k = object.__new__(cls)
+        object.__setattr__(k, "p", p)
+        object.__setattr__(k, "q", q)
+        return k
 
     def __str__(self) -> str:
         return f"K({self.p},{self.q})"
@@ -172,12 +201,55 @@ def _fills(total: int, units: list[int], weight: int, least: int):
         rest -= weight * units[j]
 
 
+def _families(
+    c: int,
+) -> Iterator[tuple[TwoBridgeKnot, int, tuple[int, int, int, int], list[list[int]]]]:
+    """(k, c, slopes, family) for each two-bridge knot k with crossing number
+    c, once each: (c, slopes, family) is what :func:`_positive_family` gives
+    for k, read off one composition b of c (see the module docstring).
+
+    With the continuants p = K(a1..an), q = K(a2..an) and r = K(a1..a(n-1))
+    of b, q^-1 is r when n is odd and p - r when n is even.  The slopes q,
+    p - q, q^-1, p - q^-1 of :func:`_slopes` have the expansions b, [1, a1 -
+    1, a2, .., an], and reversed(b) at r with its partner [1, an - 1, ..,
+    a1] at p - r.  Started from the slope at index i of that list instead
+    of q, :func:`_slopes` lists the slope at index j ^ i in place j, so the
+    index of the canonical slope, the smaller of the two even ones, orders
+    all four.
+    """
+    for n in range(1, c - 1):  # a1, an >= 2 and the rest >= 1: n <= c - 2
+        for m, rest in _fills(c - 1, [1] * (n - 1), 1, 2):
+            b = [*m, rest]
+            b[0] += 1  # a1 >= 2; for n = 1, b = [c]
+            rev = b[::-1]
+            if b > rev:
+                continue
+            pm, p, qm, q = 1, b[0], 0, 1
+            for a in b[1:]:
+                pm, p = p, a * p + pm
+                qm, q = q, a * q + qm
+            if p % 2 == 0:
+                continue
+            b1, rev1 = [1, b[0] - 1, *b[1:]], [1, rev[0] - 1, *rev[1:]]
+            if n % 2:  # q^-1 = r = pm, whose expansion is reversed(b)
+                qi, family = pm, (b, b1, rev, rev1)
+            else:  # q^-1 = p - r
+                qi, family = p - pm, (b, b1, rev1, rev)
+            slopes = (q, p - q, qi, p - qi)
+            i, j = q % 2, 2 + qi % 2  # the even slope of each pair
+            if slopes[j] < slopes[i]:
+                i = j
+            yield (
+                TwoBridgeKnot._trusted(p, slopes[i]),
+                c,
+                (slopes[i], slopes[i ^ 1], slopes[i ^ 2], slopes[i ^ 3]),
+                [family[i], family[i ^ 1], family[i ^ 2], family[i ^ 3]],
+            )
+
+
 def enumerate_knots(c: int) -> set[TwoBridgeKnot]:
-    """All two-bridge knots with crossing number c, canonical and deduplicated:
-    each composition of c with last part >= 2 is the positive expansion of a slope."""
+    """All two-bridge knots with crossing number c: the knots of
+    :func:`_families`, which takes one composition of c per knot."""
     if c < 3:
         raise ValueError(f"two-bridge knots need c >= 3, got {c}")
-    comps = ((*m, rest) for n in range(1, c) for m, rest in _fills(c, [1] * (n - 1), 1, 2))
-    keys = {_knot_key(*_eval_entries(comp)) for comp in comps}
-    keys.discard(None)
-    return {TwoBridgeKnot(p, q) for p, q in keys}
+    return {k for k, *_ in _families(c)}

@@ -82,13 +82,11 @@ from .contfrac import (
 )
 from .knot import (
     TwoBridgeKnot,
+    _families,
     _fills,
     _positive_family,
     _residue_lookup,
     _slope_residues,
-    _slopes,
-    crossing_number,
-    enumerate_knots,
 )
 
 __all__ = [
@@ -519,20 +517,21 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 
 
 def _solve_stream(
-    knots: Iterable[TwoBridgeKnot],
+    records: Iterable[tuple[TwoBridgeKnot, C2Result]],
 ) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
-    """(knot, result) for each of the distinct knots, as soon as it is known.
+    """(knot, result) for each of the distinct knots, as soon as it is known,
+    from (knot, its record from ``_rungs``) pairs, which are read lazily.
 
-    Step1 and Step2 results come first, in input order.  Every other knot
-    stays pending with its record from ``_rungs``, ExhaustedToBound at m.
+    Step1 and Step2 results come first, in input order, each as soon as its
+    pair is read.  Every other knot stays pending with its record,
+    ExhaustedToBound at m.
     Then each crossing total t in some pending knot's span c < t < m is swept
     once, over every knot pending at t: a Search hit is yielded when the sweep
     finds it, and a knot still pending at t = m is yielded with its record
     before that total is swept.
     """
     pending: dict[tuple[int, int], tuple[TwoBridgeKnot, C2Result]] = {}
-    for k in knots:
-        res = _rungs(k)
+    for k, res in records:
         if res.method == METHOD_EXHAUSTED:
             pending[(k.p, k.q)] = (k, res)
         else:
@@ -560,7 +559,7 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     order that hits it, the least hit that the per-knot search picks.  The
     sweep has no work ceiling; for one knot, or knots of large p, use c2.
     """
-    return dict(_solve_stream(sorted(set(knots))))
+    return dict(_solve_stream((k, _rungs(k)) for k in sorted(set(knots))))
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
@@ -599,8 +598,8 @@ def global_c2_map(
         raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
     targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int]] = {}
     for c in range(3, max_crossing + 1):
-        for k in enumerate_knots(c):
-            targets[(k.p, k.q)] = (k, _semi_even_pick(k, _slopes(k.p, k.q))[0])
+        for k, _, slopes, _ in _families(c):
+            targets[(k.p, k.q)] = (k, _semi_even_pick(k, slopes)[0])
 
     lookup = _residue_lookup(targets)
     found: dict[tuple[int, int], tuple[int, ContinuedFraction]] = {}

@@ -1,9 +1,12 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
 crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
-:func:`build_table` feeds the knots of every row it has to compute through one
-``solver._solve_stream``, so the rows share one sweep per crossing total, and
-writes each row as soon as its last knot is in.
+:func:`build_table` streams the knots of every row it has to compute, with
+the four expansions that ``knot._families`` reads off one composition per
+knot, through ``solver._rungs_of`` into one ``solver._solve_stream``.  So no
+knot is canonicalized, expanded by Euclid or sorted, the rows share one
+sweep per crossing total, and each row is written as soon as its last knot
+is in.
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -20,8 +23,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .knot import TwoBridgeKnot, enumerate_knots
-from .solver import _solve_stream, global_c2_map
+from .knot import TwoBridgeKnot, _families, enumerate_knots
+from .solver import _rungs_of, _solve_stream, global_c2_map
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -58,6 +61,10 @@ class TableRow:
     def __post_init__(self) -> None:
         if 0 not in self.offsets or any(j < 0 for j in self.offsets):
             raise ValueError(f"offsets must be >= 0 and include 0: {self.offsets}")
+        # A row lists offset 0 always and any other offset only if a knot has
+        # it: a count of 0 at j > 0 would add empty columns to the CSV.
+        if any(n < 0 or (n == 0 and j > 0) for j, n in self.offsets.items()):
+            raise ValueError(f"counts must be >= 0, and > 0 past offset 0: {self.offsets}")
         if sum(self.offsets.values()) != self.two_bridge_count:
             raise ValueError(
                 f"offsets {self.offsets} do not sum to count {self.two_bridge_count}"
@@ -147,21 +154,38 @@ def build_table(
     rows: dict[int, TableRow | None] = {
         c: _read_cached_row(cache_dir, c) if read else None for c in range(c_min, c_max + 1)
     }
-    todo = {c: sorted(enumerate_knots(c)) for c, row in rows.items() if row is None}
-    left = {c: len(knots) for c, knots in todo.items()}
+    todo = [c for c, row in rows.items() if row is None]
+    counts: dict[int, int] = {}  # a row's knot count, once it is enumerated
+    solved = dict.fromkeys(todo, 0)
     offsets: dict[int, dict[int, int]] = {c: {0: 0} for c in todo}
     bad: dict[int, tuple[TwoBridgeKnot, int, int]] = {}
-    for k, res in _solve_stream(k for knots in todo.values() for k in knots):
+
+    def settle(c: int) -> None:
+        # Write row c if it is complete; raise once every row up to the least
+        # disagreeing one is.
+        if counts.get(c) == solved[c] and c not in bad:
+            rows[c] = TableRow(c, counts[c], offsets[c])
+            if cache_dir is not None:
+                _write_cached_row(cache_dir, rows[c])
+        if bad and all(counts.get(d) == solved[d] for d in todo if d <= min(bad)):
+            raise CrossCheckError(*bad[min(bad)])
+
+    def records():
+        # A Step1 or Step2 result comes out as soon as its knot goes in, so
+        # a row's last result may come before its count is known.
+        for c in todo:
+            n = 0
+            for n, (k, *family) in enumerate(_families(c), 1):
+                yield k, _rungs_of(k, *family)
+            counts[c] = n
+            settle(c)
+
+    for k, res in _solve_stream(records()):
         c, j = res.base_crossing, res.value - res.base_crossing
         offsets[c][j] = offsets[c].get(j, 0) + 1
         if oracle is not None and oracle[k][0] != res.value:
             miss = (k, res.value, oracle[k][0])
             bad[c] = min(bad.get(c, miss), miss)
-        left[c] -= 1
-        if not left[c] and c not in bad:
-            rows[c] = TableRow(c, len(todo[c]), offsets[c])
-            if cache_dir is not None:
-                _write_cached_row(cache_dir, rows[c])
-        if bad and not any(left[d] for d in todo if d <= min(bad)):
-            raise CrossCheckError(*bad[min(bad)])
+        solved[c] += 1
+        settle(c)
     return list(rows.values())

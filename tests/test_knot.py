@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twobridge.contfrac import Rational, crossing_sum, eval_cf, positive_expansion
+from twobridge.contfrac import Rational, _eval_entries, crossing_sum, eval_cf, positive_expansion
 from twobridge.knot import (
     TwoBridgeKnot,
+    _families,
+    _fills,
+    _knot_key,
     _positive_family,
     canonicalize,
     crossing_number,
@@ -170,3 +173,22 @@ class TestEnumerateKnots:
     @pytest.mark.parametrize("c", range(3, 19))
     def test_count_matches_closed_form(self, c):
         assert len(enumerate_knots(c)) == self.ernst_sumners(c)
+
+    @staticmethod
+    def every_composition(c):
+        # The reference: the knot of every composition of c with last part
+        # >= 2, each the positive expansion of a slope, deduplicated.
+        comps = ((*m, rest) for n in range(1, c) for m, rest in _fills(c, [1] * (n - 1), 1, 2))
+        keys = {_knot_key(*_eval_entries(comp)) for comp in comps}
+        keys.discard(None)
+        return {TwoBridgeKnot(p, q) for p, q in keys}
+
+    @pytest.mark.parametrize("c", range(3, 19))
+    def test_one_composition_per_knot(self, c):
+        families = list(_families(c))
+        knots = [k for k, *_ in families]
+        assert len(set(knots)) == len(knots)
+        assert set(knots) == self.every_composition(c) == enumerate_knots(c)
+        for k, *family in families:
+            assert TwoBridgeKnot(k.p, k.q) == k  # canonical
+            assert tuple(family) == _positive_family(k)

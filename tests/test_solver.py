@@ -563,7 +563,7 @@ class TestC2:
                 inside.pop()
 
         monkeypatch.setattr(knot, "_slopes", counted_slopes)
-        monkeypatch.setattr(solver, "_slopes", counted_slopes)
+        assert not hasattr(solver, "_slopes")  # every call goes through knot
         monkeypatch.setattr(solver, "_rungs", counted_rungs)
         results = solve_many(knots)
         assert sorted(rung_calls) == sorted((k.p, k.q) for k in knots)

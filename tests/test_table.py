@@ -6,7 +6,7 @@ import pytest
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
 from twobridge.knot import canonicalize, crossing_number
-from twobridge.solver import METHOD_EXHAUSTED, _rungs
+from twobridge.solver import METHOD_EXHAUSTED, _rungs, solve_many
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -54,6 +54,11 @@ class TestTableRow:
             TableRow(5, 2, {0: 1})  # counts do not sum
         with pytest.raises(ValueError):
             TableRow(5, 2, {0: 2, -1: 0})  # negative offset
+        with pytest.raises(ValueError):
+            TableRow(5, 2, {0: 3, 1: -1})  # negative count
+        with pytest.raises(ValueError):
+            TableRow(5, 2, {0: 2, 7: 0})  # zero count past offset 0
+        assert TableRow(5, 0, {0: 0}).offsets == {0: 0}
 
     def test_json_round_trip(self):
         row = table_row(8)
@@ -178,10 +183,12 @@ class TestCache:
             '{"c": 5, "count": true, "offsets": {"0": true}}',
             '{"c": 5.9, "count": 2.5, "offsets": {"0": 2.7}}',
             '{"c": "5", "count": "2", "offsets": {"0": "2"}}',
+            '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 3,\n    "1": -1\n  }\n}\n',
+            '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 2,\n    "7": 0\n  }\n}\n',
         ],
         ids=[
             "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep",
-            "booleans", "floats", "strings",
+            "booleans", "floats", "strings", "negative-count", "zero-count",
         ],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, text):
@@ -248,21 +255,38 @@ class TestSharedSweep:
         assert totals == sorted(spans)
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
-        import twobridge.solver as solver
+        import twobridge.table as table
 
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real, solved = solver._rungs, []
+        real, solved = table._rungs_of, []
 
-        def recorded(k):
+        def recorded(k, *family):
             solved.append(k)
-            return real(k)
+            return real(k, *family)
 
-        monkeypatch.setattr(solver, "_rungs", recorded)
+        monkeypatch.setattr(table, "_rungs_of", recorded)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
+
+    def test_stream_matches_solve_many(self, monkeypatch):
+        # The census hands each knot's four expansions straight to the rungs;
+        # its results, witnesses included, are those of solve_many.
+        import twobridge.table as table
+
+        real, got = table._solve_stream, []
+
+        def recorded(records):
+            for k, res in real(records):
+                got.append((k, res))
+                yield k, res
+
+        monkeypatch.setattr(table, "_solve_stream", recorded)
+        build_table(3, 13)
+        assert len({k for k, _ in got}) == len(got)
+        assert dict(got) == solve_many(k for c in range(3, 14) for k in enumerate_knots(c))
 
     def test_interrupted_build_keeps_completed_rows(self, monkeypatch, tmp_path):
         import twobridge.table as table
