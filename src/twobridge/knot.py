@@ -8,8 +8,7 @@ representative used everywhere in this package.
 
 Each slope p/r, 0 < r < p, has one positive expansion with last entry >= 2
 (Euclid's), and its entry sum is the crossing number c.  The four slopes of
-a knot pair up in two ways, and the census enumerates one expansion per knot
-from them:
+a knot pair up in two ways, so one expansion gives all four:
 
 - Mirror: if p/q = [a1, .., an] with a1 >= 2, then p/(p - q) = [1, a1 - 1,
   a2, .., an].  So of the slopes q and p - q exactly one has an expansion
@@ -20,12 +19,12 @@ from them:
   and the determinant p s - q r = (-1)^n gives q r = (-1)^(n+1) (mod p):
   r is q^-1 or p - q^-1, a slope of the same knot.
 
-So the compositions b of c whose first and last entries are >= 2 name each
-knot of crossing number c exactly twice, as b and reversed(b), or once when
-b is a palindrome; the other two expansions are the [1, a - 1, ..] partners
-of these.  :func:`_families` takes the b with b <= reversed(b), drops those
-with p even (two-bridge links), and reads all four slopes and expansions off
-b without a Euclid run or a modular inverse.
+So a knot's slope expansions with first and last entry >= 2 are some b and
+reversed(b), one sequence when b is a palindrome, and the other two are their
+[1, a - 1, ..] partners.  :func:`_family_of` reads all four slopes and
+expansions off b with no Euclid run and no modular inverse, and every path
+goes through it: :func:`_positive_family` hands it one Euclid run, and
+:func:`_families` each composition b of c with b <= reversed(b).
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ def canonicalize(p: int, q: int) -> TwoBridgeKnot:
         q += p
     if gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime, got p={p}, q={q}")
-    return TwoBridgeKnot(p, _canonical_q(p, q))
+    return TwoBridgeKnot._trusted(p, _canonical_q(p, q))
 
 
 def slope_family(k: TwoBridgeKnot) -> tuple[Rational, Rational, Rational, Rational]:
@@ -156,29 +155,18 @@ def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], tu
 
 def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:
     key = _knot_key(r.num, r.den)
-    return None if key is None else TwoBridgeKnot(*key)
+    return None if key is None else TwoBridgeKnot._trusted(*key)
 
 
-def _positive_family(
-    k: TwoBridgeKnot,
-) -> tuple[int, tuple[int, int, int, int], list[list[int]]]:
-    """(c, the four slope denominators from :func:`_slopes`, the positive
-    expansion entries of those slopes in the same order): c is their common
-    entry sum.  Disagreement would invalidate the whole pipeline and is raised
-    as a hard error."""
-    slopes = _slopes(k.p, k.q)
-    family = [_positive_entries(k.p, r) for r in slopes]
-    sums = {sum(e) for e in family}
-    if len(sums) != 1:
-        raise RuntimeError(
-            f"positive expansions of the four slopes of {k} disagree: {sorted(sums)}"
-        )
-    return sums.pop(), slopes, family
+def _positive_family(k: TwoBridgeKnot) -> tuple[int, tuple[int, int, int, int], list[list[int]]]:
+    """(c, slopes, family) of :func:`_family_of` for k, read off the Euclid
+    expansion of p/q or p/(p - q), whichever denominator is below p/2 and so
+    starts with an entry >= 2."""
+    return _family_of(_positive_entries(k.p, min(k.q, k.p - k.q)))[1:]
 
 
 def crossing_number(k: TwoBridgeKnot) -> int:
-    """Crossing number, read off as the entry sum of any slope's positive
-    expansion; all four slopes must agree."""
+    """Crossing number: the entry sum of any slope's positive expansion."""
     return _positive_family(k)[0]
 
 
@@ -201,50 +189,57 @@ def _fills(total: int, units: list[int], weight: int, least: int):
         rest -= weight * units[j]
 
 
-def _families(
-    c: int,
-) -> Iterator[tuple[TwoBridgeKnot, int, tuple[int, int, int, int], list[list[int]]]]:
-    """(k, c, slopes, family) for each two-bridge knot k with crossing number
-    c, once each: (c, slopes, family) is what :func:`_positive_family` gives
-    for k, read off one composition b of c (see the module docstring).
+_Family = tuple[TwoBridgeKnot, int, tuple[int, int, int, int], list[list[int]]]
+
+
+def _family_of(b: list[int]) -> _Family | None:
+    """(k, c, slopes, family) from a positive expansion b of a slope of k with
+    first and last entry >= 2, or None when b names a link: c is the entry
+    sum, slopes the denominators of :func:`_slopes` from k's canonical q, and
+    family their positive expansions in the same order.
 
     With the continuants p = K(a1..an), q = K(a2..an) and r = K(a1..a(n-1))
     of b, q^-1 is r when n is odd and p - r when n is even.  The slopes q,
-    p - q, q^-1, p - q^-1 of :func:`_slopes` have the expansions b, [1, a1 -
-    1, a2, .., an], and reversed(b) at r with its partner [1, an - 1, ..,
-    a1] at p - r.  Started from the slope at index i of that list instead
-    of q, :func:`_slopes` lists the slope at index j ^ i in place j, so the
-    index of the canonical slope, the smaller of the two even ones, orders
-    all four.
+    p - q, q^-1, p - q^-1 have the expansions b, [1, a1 - 1, a2, .., an],
+    and reversed(b) at r with its partner [1, an - 1, .., a1] at p - r, so
+    their entry sums agree.  Started from the slope at index i of that list
+    instead of q, :func:`_slopes` lists the slope at index j ^ i in place j,
+    so the index of the canonical slope, the smaller of the two even ones,
+    orders all four.
     """
+    pm, p, qm, q = 1, b[0], 0, 1
+    for a in b[1:]:
+        pm, p = p, a * p + pm
+        qm, q = q, a * q + qm
+    if p % 2 == 0:
+        return None
+    rev = b[::-1]
+    b1, rev1 = [1, b[0] - 1, *b[1:]], [1, rev[0] - 1, *rev[1:]]
+    if len(b) % 2:  # q^-1 = r = pm, whose expansion is reversed(b)
+        qi, family = pm, (b, b1, rev, rev1)
+    else:  # q^-1 = p - r
+        qi, family = p - pm, (b, b1, rev1, rev)
+    slopes = (q, p - q, qi, p - qi)
+    i, j = q % 2, 2 + qi % 2  # the even slope of each pair
+    if slopes[j] < slopes[i]:
+        i = j
+    return (
+        TwoBridgeKnot._trusted(p, slopes[i]),
+        sum(b),
+        (slopes[i], slopes[i ^ 1], slopes[i ^ 2], slopes[i ^ 3]),
+        [family[i], family[i ^ 1], family[i ^ 2], family[i ^ 3]],
+    )
+
+
+def _families(c: int) -> Iterator[_Family]:
+    """:func:`_family_of` of one composition b of c per knot with crossing
+    number c: the b with first and last entry >= 2 and b <= reversed(b)."""
     for n in range(1, c - 1):  # a1, an >= 2 and the rest >= 1: n <= c - 2
         for m, rest in _fills(c - 1, [1] * (n - 1), 1, 2):
             b = [*m, rest]
             b[0] += 1  # a1 >= 2; for n = 1, b = [c]
-            rev = b[::-1]
-            if b > rev:
-                continue
-            pm, p, qm, q = 1, b[0], 0, 1
-            for a in b[1:]:
-                pm, p = p, a * p + pm
-                qm, q = q, a * q + qm
-            if p % 2 == 0:
-                continue
-            b1, rev1 = [1, b[0] - 1, *b[1:]], [1, rev[0] - 1, *rev[1:]]
-            if n % 2:  # q^-1 = r = pm, whose expansion is reversed(b)
-                qi, family = pm, (b, b1, rev, rev1)
-            else:  # q^-1 = p - r
-                qi, family = p - pm, (b, b1, rev1, rev)
-            slopes = (q, p - q, qi, p - qi)
-            i, j = q % 2, 2 + qi % 2  # the even slope of each pair
-            if slopes[j] < slopes[i]:
-                i = j
-            yield (
-                TwoBridgeKnot._trusted(p, slopes[i]),
-                c,
-                (slopes[i], slopes[i ^ 1], slopes[i ^ 2], slopes[i ^ 3]),
-                [family[i], family[i ^ 1], family[i ^ 2], family[i ^ 3]],
-            )
+            if b <= b[::-1] and (fam := _family_of(b)):
+                yield fam
 
 
 def enumerate_knots(c: int) -> set[TwoBridgeKnot]:

@@ -34,9 +34,10 @@ under ``_order_key``, which reproduces :func:`enumerate_type_ab` order, is
 the answer.  The walk prunes what cannot be Type A: a later step keeps the
 entries after the first sign change in place counted from the right, and
 Type A fixes the parity of every other one of them; Type B needs an odd t
-and a knot with q^2 = +-1 (mod p).  One call builds at most
-``_SEARCH_LIMIT`` sequences and otherwise raises SearchBudgetExceeded with
-the proven bracket c <= c2 <= m.  A c2 or search_at call never sweeps.
+and a knot with q^2 = +-1 (mod p).  One call walks at most
+``_SEARCH_LIMIT`` sequences: once it holds more than it may still walk, it
+raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2 or
+search_at call never sweeps.
 
 Batches keep the shared sweep.  ``_solve_stream`` yields each knot's result
 as soon as it is known and sweeps each crossing total t once for every knot
@@ -60,17 +61,16 @@ Steps 1 and 2 run once per knot, in ``_rungs``, which returns the knot's
 C2Result: the Step1 or Step2 result, or else ExhaustedToBound at m with the
 semi-even witness, which only a Search hit below m can replace.
 :func:`step1_check`, :func:`step2_bound`, :func:`c2` and :func:`solve_many`
-read that record.  One ``knot._positive_family`` pass computes the slope
-residues and expands the four slopes once; it gives c, the Step1 candidates,
-the roots of the per-knot search and the even denominators of the semi-even
-pick.
+read that record.  ``knot._family_of`` reads c, the slope residues and the
+positive expansions (the Step1 candidates and search roots) off one Euclid
+run per knot, or in the census off one composition per knot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator
 
 from .contfrac import (
@@ -461,7 +461,8 @@ def _order_key(entries: tuple[int, ...], cls: ExpansionClass) -> tuple:
 
 
 def _least_hit(
-    k: TwoBridgeKnot, c: int, family: list[list[int]], t: int, m: int, work: list[int]
+    k: TwoBridgeKnot, c: int, slopes: tuple[int, int, int, int], family: list[list[int]],
+    t: int, m: int, work: list[int],
 ) -> tuple[tuple[int, ...], ExpansionClass] | None:
     """(entries, class) of the first sequence in :func:`enumerate_type_ab`
     order at crossing sum t that evaluates into k's slope class, or None.
@@ -469,8 +470,8 @@ def _least_hit(
     The hits are the preimages, t - c crossings up, of the eight positive
     Step1 candidates under :func:`_preimages` (see the module docstring).
     The tree is walked depth first; each sequence taken from it costs one
-    unit of work[0], and running out raises SearchBudgetExceeded with c <=
-    c2 <= m.
+    unit of work[0].  A stack longer than the work left raises
+    SearchBudgetExceeded with c <= c2 <= m, so none is built longer.
     A Type B sequence has an odd crossing sum, and a palindrome has a
     symmetric continuant matrix, so its value num/den has den^2 = +-1 (mod
     num): Type B needs an odd t and a knot with q^2 = +-1 (mod p).  Otherwise
@@ -479,17 +480,17 @@ def _least_hit(
     if t < c:
         return None
     a_only = t % 2 == 0 or k.q * k.q % k.p not in (1, k.p - 1)
-    residues = _slope_residues(k.p, k.q)
+    residues = set(slopes)
     todo = list({tuple(e) for e in _candidates(family)})
     best = None
     while todo:
-        work[0] -= 1
-        if work[0] < 0:
+        if len(todo) > work[0]:
             raise SearchBudgetExceeded(k, c, m)
+        work[0] -= 1
         y = todo.pop()
         room = t - sum(map(abs, y))
         if room:
-            todo.extend(_preimages(y, room, a_only))
+            todo.extend(islice(_preimages(y, room, a_only), work[0] - len(todo) + 1))
             continue
         cls = _shape(y)
         if cls is ExpansionClass.NEITHER:
@@ -508,7 +509,7 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     search's work ceiling."""
     c, slopes, family = _positive_family(k)
     m = _semi_even_pick(k, slopes)[0]
-    hit = _least_hit(k, c, family, t, m, [_SEARCH_LIMIT])
+    hit = _least_hit(k, c, slopes, family, t, m, [_SEARCH_LIMIT])
     return hit and ContinuedFraction._trusted(hit[0])
 
 
@@ -568,13 +569,13 @@ def c2(k: TwoBridgeKnot) -> C2Result:
     The rungs of ``_rungs``, then the per-knot search at t = c + 1 .. m - 1;
     no sweep.  Raises SearchBudgetExceeded, carrying c and m, when the search
     passes its work ceiling."""
-    c, _, family = pf = _positive_family(k)
+    c, slopes, family = pf = _positive_family(k)
     res = _rungs_of(k, *pf)
     if res.method != METHOD_EXHAUSTED:
         return res
     work = [_SEARCH_LIMIT]
     for t in range(c + 1, res.value):
-        hit = _least_hit(k, c, family, t, res.value, work)
+        hit = _least_hit(k, c, slopes, family, t, res.value, work)
         if hit:
             cf = ContinuedFraction._trusted(hit[0])
             return C2Result(t, cf, hit[1], METHOD_SEARCH, res.semi_even_bound, c)

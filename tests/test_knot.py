@@ -58,6 +58,23 @@ class TestModInverse:
 
 
 class TestCanonicalize:
+    def test_canonical_q_computed_once(self, monkeypatch):
+        import twobridge.knot as knot
+
+        calls, real = [], knot._slopes
+
+        def counted(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(knot, "_slopes", counted)
+        k = canonicalize(100003, 40000)
+        assert len(calls) == 1
+        calls.clear()
+        assert fraction_to_knot(Rational(100003, 40000)) == k
+        assert len(calls) == 1
+        assert k == TwoBridgeKnot(100003, 16668)
+
     def test_pinned(self):
         assert canonicalize(13, 5) == TwoBridgeKnot(13, 8)
         assert canonicalize(13, 8) == TwoBridgeKnot(13, 8)
@@ -138,8 +155,8 @@ class TestCrossingNumber:
         assert crossing_number(canonicalize(15, 4)) == 7
 
     def test_exhaustive_four_slope_agreement(self):
-        # The positive-expansion crossing sums of all four slopes agree;
-        # crossing_number would raise if they ever disagreed.
+        # The positive-expansion crossing sums of all four slopes agree, and
+        # crossing_number, read off one of them, is that sum.
         for p, q in all_knot_pairs(400):
             k = canonicalize(p, q)
             sums = {
@@ -148,7 +165,7 @@ class TestCrossingNumber:
             assert len(sums) == 1
             assert crossing_number(k) == sums.pop()
 
-    @given(knots())
+    @given(st.one_of(knots(), knots(max_p=10**15)))
     def test_matches_own_slope_expansion(self, k):
         r = Rational(k.p, k.q)
         cf = positive_expansion(r)
@@ -192,3 +209,9 @@ class TestEnumerateKnots:
         for k, *family in families:
             assert TwoBridgeKnot(k.p, k.q) == k  # canonical
             assert tuple(family) == _positive_family(k)
+            slopes = slope_family(k)  # from a modular inverse and Euclid runs
+            assert tuple(family) == (
+                c,
+                tuple(s.den for s in slopes),
+                [list(positive_expansion(s).entries) for s in slopes],
+            )

@@ -510,6 +510,54 @@ class TestC2:
             search_at(k, 11)
         assert c2(canonicalize(13, 5)).method == METHOD_STEP2
 
+    def test_search_limit_bounds_the_preimages(self, monkeypatch):
+        # The stack never grows past the work left: one node's preimages
+        # are not all built before the limit is checked.
+        import twobridge.solver as solver
+
+        real, built = solver._preimages, [0]
+
+        def counted(*args):
+            for x in real(*args):
+                built[0] += 1
+                assert built[0] <= 10_000, "preimages built past the limit"
+                yield x
+
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 1_000)
+        monkeypatch.setattr(solver, "_preimages", counted)
+        with pytest.raises(SearchBudgetExceeded):
+            search_at(canonicalize(13, 5), 80)
+
+    @pytest.mark.parametrize("t", [80, 10**6])
+    def test_search_limit_refuses_large_totals(self, t):
+        k = canonicalize(13, 5)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            search_at(k, t)
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 6, 7)
+
+    def test_c2_reads_no_slopes(self, monkeypatch):
+        # A canonical knot's c2, search included, reads its slopes off one
+        # Euclid run.
+        import twobridge.knot as knot
+
+        slopes, expansions = [], []
+        real_slopes, real_entries = knot._slopes, knot._positive_entries
+
+        def counted_slopes(p, q):
+            slopes.append((p, q))
+            return real_slopes(p, q)
+
+        def counted_entries(p, q):
+            expansions.append((p, q))
+            return real_entries(p, q)
+
+        k = canonicalize(187, 108)
+        monkeypatch.setattr(knot, "_slopes", counted_slopes)
+        monkeypatch.setattr(knot, "_positive_entries", counted_entries)
+        res = c2(k)
+        assert (res.base_crossing, res.value, res.method) == (12, 15, METHOD_EXHAUSTED)
+        assert (slopes, len(expansions)) == ([], 1)
+
     def test_witnesses_check_out(self, solved_le_10):
         for k, res in solved_le_10.items():
             assert fraction_to_knot(eval_cf(res.witness)) == k
@@ -519,7 +567,7 @@ class TestC2:
             assert res.base_crossing <= res.value <= res.semi_even_bound
 
     def test_crossing_number_once_per_knot(self, monkeypatch):
-        # One pass over the four slopes gives c and the Step1 candidates.
+        # One Euclid run gives c, the four slopes and the Step1 candidates.
         import twobridge.knot as knot
         import twobridge.solver as solver
 
@@ -539,11 +587,11 @@ class TestC2:
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
         solve_many(knots)
         assert sorted(calls) == sorted(knots)
-        assert len(expansions) == 4 * len(knots)
+        assert len(expansions) == len(knots)
 
     def test_slopes_once_per_knot_on_the_rung_path(self, monkeypatch):
-        # _rungs lists a knot's slope residues once, for c, Step1 and the
-        # semi-even pick alike; the sweep's residue lookups are counted apart.
+        # _rungs reads a knot's slope residues off its expansion, with no
+        # _slopes call; the sweep's residue lookups are counted apart.
         import twobridge.knot as knot
         import twobridge.solver as solver
 
@@ -566,7 +614,7 @@ class TestC2:
         assert not hasattr(solver, "_slopes")  # every call goes through knot
         monkeypatch.setattr(solver, "_rungs", counted_rungs)
         results = solve_many(knots)
-        assert sorted(rung_calls) == sorted((k.p, k.q) for k in knots)
+        assert rung_calls == []
         # A swept knot's residues are listed once per total it is pending at,
         # and once more when a Search hit takes them out of the lookup.
         lookups = sum(
