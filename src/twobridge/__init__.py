@@ -4,8 +4,8 @@ The package computes, for a two-bridge knot K(p,q), the minimal crossing
 count achievable by a half-turn symmetric (Type A or Type B) continued
 fraction of one of its slopes, along with the classical crossing number,
 census tables over crossing ranges, and SVG drawings of the symmetric
-diagrams.  All arithmetic is exact integer work; the only floats are the
-two SVG line widths of ``SvgStyle``.
+diagrams.  All arithmetic is exact integer work; the library has no
+floats.
 """
 
 from .contfrac import (
@@ -29,7 +29,7 @@ from .knot import (
     mod_inverse,
     slope_family,
 )
-from .render import DiagramLayout, SvgStyle, TwistBox, layout, to_svg
+from .render import DiagramLayout, TwistBox, layout, to_svg
 from .solver import (
     METHOD_EXHAUSTED,
     METHOD_SEARCH,
@@ -68,7 +68,6 @@ __all__ = [
     "METHOD_STEP2",
     "Rational",
     "SearchBudgetExceeded",
-    "SvgStyle",
     "TableRow",
     "TwistBox",
     "TwoBridgeKnot",

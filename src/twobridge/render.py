@@ -8,7 +8,7 @@ woven between the forward strands and an outer return rail.  A Type B
 sequence places its palindrome pairs as mirrored arm boxes and the central
 entry as an on-axis clasp.
 
-Conventions (the style sheet):
+Conventions (fixed: there are no style options):
 
 * one dashed axis line, class "axis";
 * every crossing is one <g class="crossing"> holding an under diagonal, a
@@ -21,7 +21,7 @@ Conventions (the style sheet):
   canonical point order, so reflecting the coordinates across the axis
   reproduces the primitive set exactly.
 
-Output is deterministic: equal input and style give byte-identical SVG.
+Output is deterministic: equal input gives byte-identical SVG.
 """
 
 from __future__ import annotations
@@ -37,31 +37,29 @@ from .contfrac import (
     classify_type,
 )
 
-__all__ = ["TwistBox", "DiagramLayout", "SvgStyle", "layout", "to_svg"]
+__all__ = ["TwistBox", "DiagramLayout", "layout", "to_svg"]
 
 
 @dataclass(frozen=True)
 class TwistBox:
     """One twist region: count crossings of one handedness.
 
-    side is +1 above the axis, -1 below, 0 on it; on-axis boxes always have
-    side 0.  Split halves and palindrome partners appear as separate boxes.
+    side is +1 above the axis, -1 below, 0 on it.  Split halves and
+    palindrome partners appear as separate boxes.
     """
 
     position: int
     count: int
     handedness: int
-    on_axis: bool
     side: int
 
 
 @dataclass(frozen=True)
 class DiagramLayout:
-    """Abstract symmetric layout; the axis is the line y = axis_y."""
+    """Abstract symmetric layout: twist boxes placed about the axis."""
 
     cf: ContinuedFraction
     expansion_class: ExpansionClass
-    axis_y: int
     twist_boxes: tuple[TwistBox, ...]
 
 
@@ -92,48 +90,38 @@ def layout(cf: ContinuedFraction) -> DiagramLayout:
         for i, a in enumerate(e, start=1):
             k, s = abs(a), (1 if a > 0 else -1)
             if i % 2:
-                boxes.append(TwistBox(i, k, s, True, 0))
+                boxes.append(TwistBox(i, k, s, 0))
             else:
-                boxes.append(TwistBox(i, k // 2, s, False, +1))
-                boxes.append(TwistBox(i, k // 2, s, False, -1))
+                boxes.append(TwistBox(i, k // 2, s, +1))
+                boxes.append(TwistBox(i, k // 2, s, -1))
     else:
         n = len(e)
         h = (n + 1) // 2
         for i in range(1, h):
             a = e[i - 1]
             k, s = abs(a), (1 if a > 0 else -1)
-            boxes.append(TwistBox(i, k, s, False, +1))
-            boxes.append(TwistBox(n + 1 - i, k, s, False, -1))
+            boxes.append(TwistBox(i, k, s, +1))
+            boxes.append(TwistBox(n + 1 - i, k, s, -1))
         a = e[h - 1]
-        boxes.append(TwistBox(h, abs(a), (1 if a > 0 else -1), True, 0))
-    return DiagramLayout(cf, cls, 0, tuple(boxes))
+        boxes.append(TwistBox(h, abs(a), (1 if a > 0 else -1), 0))
+    return DiagramLayout(cf, cls, tuple(boxes))
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    """Geometry and paint constants.  unit must be even; all derived
-    coordinates stay integral so mirror symmetry is exact."""
+# ---------------------------------------------------------------------------
+# The fixed geometry and paint.  Every length is an integer, so each
+# coordinate is integral and reflection across the axis is exact.
 
-    unit: int = 24
-    band_offset: int = 72
-    column_gap: int = 24
-    margin: int = 84
-    halo_radius: int = 7
-    stroke_width: float = 3.0
-    axis_width: float = 1.5
-    strand_color: str = "#1f2430"
-    axis_color: str = "#8a93a6"
-    background: str = "#ffffff"
-
-    def __post_init__(self) -> None:
-        if self.unit < 4 or self.unit % 2:
-            raise ValueError("unit must be even and >= 4")
-        if self.band_offset < 2 * self.unit or self.band_offset % 2:
-            raise ValueError("band_offset must be even and >= 2 * unit")
-        if self.column_gap % 2 or self.margin < 3 * self.unit:
-            raise ValueError("column_gap must be even, margin >= 3 * unit")
-        if not 0 < self.halo_radius < self.unit // 2:
-            raise ValueError("halo_radius must fit inside a crossing")
+_D = 12  # half a crossing: a crossing spans 2 * _D
+_BAND = 72  # from the axis to the centerline of an off-axis box
+_GAP = 24  # between columns
+_MARGIN = 84
+_HALO = 7
+_STRAND = 'fill="none" stroke="#1f2430" stroke-width="3" stroke-linecap="round"'
+_AXIS = (
+    'fill="none" stroke="#8a93a6" stroke-width="1.5" stroke-linecap="round"'
+    ' stroke-dasharray="7 5"'
+)
+_BACKGROUND = "#ffffff"
 
 
 # ---------------------------------------------------------------------------
@@ -142,52 +130,31 @@ class SvgStyle:
 # the emitted set onto itself without direction bookkeeping.
 
 
-def _i(v: int | float) -> str:
-    iv = int(v)
-    assert iv == v, f"non-integral coordinate {v}"
-    return str(iv)
+def _line(p1, p2, cls: str) -> str:
+    (x1, y1), (x2, y2) = sorted((p1, p2))
+    return f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {_STRAND}/>'
 
 
-def _line(p1, p2, cls: str, color: str, width: float, dashed: bool = False) -> str:
-    (x1, y1), (x2, y2) = sorted((tuple(p1), tuple(p2)))
-    dash = ' stroke-dasharray="7 5"' if dashed else ""
-    return (
-        f'<line class="{cls}" x1="{_i(x1)}" y1="{_i(y1)}" x2="{_i(x2)}" y2="{_i(y2)}"'
-        f' fill="none" stroke="{color}" stroke-width="{width:g}"'
-        f' stroke-linecap="round"{dash}/>'
-    )
-
-
-def _path(points, cls: str, color: str, width: float) -> str:
+def _path(points) -> str:
     # points: (P, C1, C2, Q) cubic or (P, C, Q) quadratic, one segment each.
-    pts = [tuple(p) for p in points]
-    if pts[-1] < pts[0]:
-        pts = pts[::-1]
-    cmd = "C" if len(pts) == 4 else "Q"
-    head = f"M {_i(pts[0][0])} {_i(pts[0][1])} {cmd}"
-    tail = " ".join(f"{_i(x)} {_i(y)}" for x, y in pts[1:])
-    return (
-        f'<path class="{cls}" d="{head} {tail}" fill="none" stroke="{color}"'
-        f' stroke-width="{width:g}" stroke-linecap="round"/>'
-    )
+    if points[-1] < points[0]:
+        points = points[::-1]
+    (x0, y0), *rest = points
+    cmd = "C" if len(points) == 4 else "Q"
+    tail = " ".join(f"{x} {y}" for x, y in rest)
+    return f'<path class="strand" d="M {x0} {y0} {cmd} {tail}" {_STRAND}/>'
 
 
-def _circle(cx, cy, r, cls: str, fill: str) -> str:
-    return (
-        f'<circle class="{cls}" cx="{_i(cx)}" cy="{_i(cy)}" r="{_i(r)}"'
-        f' fill="{fill}" stroke="none"/>'
-    )
-
-
-def _glyph(cx: int, cy: int, d: int, over_rising: bool, pos: int, side: int, st: SvgStyle) -> str:
-    rising = ((cx - d, cy + d), (cx + d, cy - d))
-    falling = ((cx - d, cy - d), (cx + d, cy + d))
+def _glyph(cx: int, cy: int, over_rising: bool, pos: int, side: int) -> str:
+    rising = ((cx - _D, cy + _D), (cx + _D, cy - _D))
+    falling = ((cx - _D, cy - _D), (cx + _D, cy + _D))
     over, under = (rising, falling) if over_rising else (falling, rising)
     return (
         f'<g class="crossing" data-position="{pos}" data-side="{side}">'
-        + _line(*under, "strand under", st.strand_color, st.stroke_width)
-        + _circle(cx, cy, st.halo_radius, "halo", st.background)
-        + _line(*over, "strand over", st.strand_color, st.stroke_width)
+        + _line(*under, "strand under")
+        + f'<circle class="halo" cx="{cx}" cy="{cy}" r="{_HALO}"'
+        f' fill="{_BACKGROUND}" stroke="none"/>'
+        + _line(*over, "strand over")
         + "</g>"
     )
 
@@ -195,9 +162,8 @@ def _glyph(cx: int, cy: int, d: int, over_rising: bool, pos: int, side: int, st:
 class _Connectors:
     """Collects strand connectors, mirroring every piece across the axis."""
 
-    def __init__(self, axis_y: int, st: SvgStyle):
+    def __init__(self, axis_y: int):
         self.ay = axis_y
-        self.st = st
         self.parts: list[str] = []
 
     def _flip(self, pt):
@@ -205,21 +171,20 @@ class _Connectors:
 
     def line(self, p1, p2) -> None:
         for a, b in ((p1, p2), (self._flip(p1), self._flip(p2))):
-            self.parts.append(_line(a, b, "strand", self.st.strand_color, self.st.stroke_width))
+            self.parts.append(_line(a, b, "strand"))
 
     def path(self, points) -> None:
         for pts in (points, [self._flip(p) for p in points]):
-            self.parts.append(_path(pts, "strand", self.st.strand_color, self.st.stroke_width))
+            self.parts.append(_path(pts))
 
     def s_curve(self, p, q) -> None:
         mx = (p[0] + q[0]) // 2
         self.path([p, (mx, p[1]), (mx, q[1]), q])
 
 
-def _columns(lay: DiagramLayout, st: SvgStyle):
+def _columns(lay: DiagramLayout):
     """Group boxes into left-to-right columns, each in layout order (Type B
     folds position n + 1 - i onto i), and assign x extents."""
-    d = st.unit // 2
     n = len(lay.cf.entries)
     fold = lay.expansion_class is not ExpansionClass.TYPE_A
 
@@ -227,27 +192,24 @@ def _columns(lay: DiagramLayout, st: SvgStyle):
         return min(b.position, n + 1 - b.position) if fold else b.position
 
     cols = [list(g) for _, g in groupby(sorted(lay.twist_boxes, key=column), key=column)]
-    x = st.margin
+    x = _MARGIN
     placed = []
     for col in cols:
-        w = 2 * d * col[0].count
+        w = 2 * _D * col[0].count
         placed.append((x, x + w, col))
-        x = x + w + st.column_gap
-    return placed, x - st.column_gap
+        x = x + w + _GAP
+    return placed, x - _GAP
 
 
-def to_svg(lay: DiagramLayout, style: SvgStyle | None = None) -> str:
+def to_svg(lay: DiagramLayout) -> str:
     """Render a layout to a standalone SVG document string."""
-    st = style or SvgStyle()
-    d = st.unit // 2
-    H = st.band_offset
-    u = st.unit
-    placed, content_right = _columns(lay, st)
-    ay = H + d + st.margin
-    width = content_right + st.margin
+    d, H, u = _D, _BAND, 2 * _D
+    placed, content_right = _columns(lay)
+    ay = H + d + _MARGIN
+    width = content_right + _MARGIN
     height = 2 * ay
 
-    con = _Connectors(ay, st)
+    con = _Connectors(ay)
     ncols = len(placed)
     if lay.expansion_class is ExpansionClass.TYPE_A:
         for i in range(ncols - 1):
@@ -316,15 +278,14 @@ def to_svg(lay: DiagramLayout, style: SvgStyle | None = None) -> str:
             over_rising = (box.handedness > 0) != (box.side < 0)
             for j in range(box.count):
                 cx = xl + d + 2 * d * j
-                glyphs.append(_glyph(cx, cy, d, over_rising, box.position, box.side, st))
+                glyphs.append(_glyph(cx, cy, over_rising, box.position, box.side))
 
-    axis = _line((6, ay), (width - 6, ay), "axis", st.axis_color, st.axis_width, dashed=True)
+    axis = f'<line class="axis" x1="6" y1="{ay}" x2="{width - 6}" y2="{ay}" {_AXIS}/>'
     entries = ",".join(str(a) for a in lay.cf.entries)
-    body = "\n".join([axis, *con.parts, *glyphs])
-    return (
+    head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}">\n'
         f"<title>twist diagram [{entries}]</title>\n"
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="{st.background}"/>\n'
-        f"{body}\n</svg>\n"
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="{_BACKGROUND}"/>'
     )
+    return "\n".join([head, axis, *con.parts, *glyphs, "</svg>\n"])

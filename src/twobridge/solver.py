@@ -360,11 +360,22 @@ def _unstack(stack: tuple[int, ...]) -> tuple[int, ...] | None:
 
 def _pairs(room: int) -> Iterator[tuple[int, ...]]:
     """Every (s_1, .., s_k), k >= 0, of positive entries with 2 * sum <= room:
-    the entries that cancel in pairs when a merge leaves another zero."""
+    the entries that cancel in pairs when a merge leaves another zero.
+
+    Lexicographic order, a prefix first: the walk appends a 1 while room is
+    left, else drops the last entry and raises the one before it."""
+    tops, free = [], room
     yield ()
-    for s in range(1, room // 2 + 1):
-        for rest in _pairs(room - 2 * s):
-            yield (s, *rest)
+    while True:
+        if free >= 2:
+            tops.append(1)
+        elif len(tops) < 2:
+            return
+        else:
+            free += 2 * tops.pop()
+            tops[-1] += 1
+        free -= 2
+        yield tuple(tops)
 
 
 def _preimages(

@@ -1,10 +1,11 @@
+import hashlib
 import re
 
 import pytest
 
 from svgcheck import axis_y, crossing_groups, parse_primitives, symmetry_defect
 from twobridge.contfrac import ContinuedFraction, ExpansionClass, crossing_sum
-from twobridge.render import SvgStyle, layout, to_svg
+from twobridge.render import layout, to_svg
 
 
 def cf(*entries):
@@ -15,8 +16,8 @@ class TestLayout:
     def test_type_a_worked_example(self):
         lay = layout(cf(1, 2, -2, -2))
         assert lay.expansion_class is ExpansionClass.TYPE_A
-        on_axis = {(b.position, b.count) for b in lay.twist_boxes if b.on_axis}
-        split = [(b.position, b.count, b.side) for b in lay.twist_boxes if not b.on_axis]
+        on_axis = {(b.position, b.count) for b in lay.twist_boxes if b.side == 0}
+        split = [(b.position, b.count, b.side) for b in lay.twist_boxes if b.side != 0]
         assert on_axis == {(1, 1), (3, 2)}
         assert sorted(split) == [(2, 1, -1), (2, 1, 1), (4, 1, -1), (4, 1, 1)]
         assert sum(b.count for b in lay.twist_boxes) == crossing_sum(lay.cf)
@@ -24,8 +25,8 @@ class TestLayout:
     def test_type_b_palindrome(self):
         lay = layout(cf(3, 1, 3))
         assert lay.expansion_class is ExpansionClass.TYPE_B
-        center = [b for b in lay.twist_boxes if b.on_axis]
-        arms = [b for b in lay.twist_boxes if not b.on_axis]
+        center = [b for b in lay.twist_boxes if b.side == 0]
+        arms = [b for b in lay.twist_boxes if b.side != 0]
         assert len(center) == 1 and center[0].count == 1 and center[0].position == 2
         assert sorted((b.position, b.count, b.side) for b in arms) == [
             (1, 3, 1),
@@ -34,7 +35,7 @@ class TestLayout:
 
     def test_handedness_recorded(self):
         lay = layout(cf(1, -4))
-        box = [b for b in lay.twist_boxes if not b.on_axis and b.side == 1][0]
+        box = [b for b in lay.twist_boxes if b.side == 1][0]
         assert box.handedness == -1
         assert box.count == 2
 
@@ -81,28 +82,6 @@ class TestLayout:
         for entries in [(1, 2), (5,), (3, 1, 3), (2, 6, 1, 4), (1, 2, 1, 2, 1)]:
             lay = layout(cf(*entries))
             assert sum(b.count for b in lay.twist_boxes) == crossing_sum(lay.cf)
-
-
-class TestStyle:
-    def test_defaults_valid(self):
-        SvgStyle()
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"unit": 15},
-            {"unit": 2},
-            {"band_offset": 30},
-            {"band_offset": 71},
-            {"column_gap": 9},
-            {"margin": 10},
-            {"halo_radius": 0},
-            {"halo_radius": 12},
-        ],
-    )
-    def test_rejects_bad_geometry(self, kw):
-        with pytest.raises(ValueError):
-            SvgStyle(**kw)
 
 
 SYMMETRY_CASES = [
@@ -173,10 +152,27 @@ class TestSvg:
         halos = [p for p in prims if p[0] == "circle" and p[1] == "halo"]
         assert len(halos) == crossing_sum(c)
 
-    def test_custom_style_keeps_symmetry(self):
-        style = SvgStyle(unit=16, band_offset=64, column_gap=16, margin=60, halo_radius=5)
-        svg = to_svg(layout(cf(1, 2, -2, -2)), style)
-        assert symmetry_defect(svg) == []
+    @pytest.mark.parametrize(
+        "entries,digest",
+        [
+            ((1, 2, -2, -2), "9568d74c61f2964da3b1bfb5b3ad7876acdeee9b8a75efb4ebd2d82df6dccda5"),
+            ((3, 1, 3), "59697088b90218f55a894216a9db1efe206efefceacaea3f7c6e04d65ba57a6f"),
+            ((5,), "9ecb0c2490848156d34de8f3af49e3d7edb814570e9e6c5e77f2956d2af346e5"),
+            ((-3,), "7eac8d9823367fdbcdba811d520e7e53ddf83512e66e87e8beada3f3824bdf95"),
+            ((2, 6, 1, 4), "6a7c07c812658533ef522689f22d3c76994688cd7bdca6212c5d7d955a011e5b"),
+            ((1, 2, 3, 2, 1), "e7b7ab7763caa1e0e6b72368c3c52ca79a8baff0e53a454636c0d1af6e190825"),
+            ((3, -1, 3), "5859054fdefd289640c5ed18451bbf38988bf0dcee465e62ded5646e012421c2"),
+            # the c2 witness of K(100003,16668)
+            (
+                (5, 2, -1, -3332, 2, 2),
+                "57ae34b60766d5856e70c98377abbf77216c61cd0c25fe92dbdda1412e010bd7",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_pinned_bytes(self, entries, digest):
+        svg = to_svg(layout(cf(*entries)))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
     def test_all_coordinates_integral(self):
         # parse_primitives raises on any non-integral coordinate

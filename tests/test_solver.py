@@ -27,6 +27,7 @@ from twobridge.knot import (
 from twobridge.solver import (
     _candidates,
     _order_key,
+    _pairs,
     _preimages,
     _rungs,
     _semi_even_pick,
@@ -362,7 +363,18 @@ def signed_sequences(t):
             yield (mags[0], *(s * m for s, m in zip(signs, mags[1:])))
 
 
+def _pairs_reference(room):
+    yield ()
+    for s in range(1, room // 2 + 1):
+        for rest in _pairs_reference(room - 2 * s):
+            yield (s, *rest)
+
+
 class TestPreimages:
+    @pytest.mark.parametrize("room", range(17))
+    def test_pairs_matches_the_recursive_walk(self, room):
+        assert list(_pairs(room)) == list(_pairs_reference(room))
+
     def test_every_knot_sequence_up_to_sum_10_is_found(self):
         # The search is complete if undoing one move finds every x again.
         found = 0
