@@ -143,14 +143,27 @@ def _knot_key(num: int, den: int) -> tuple[int, int] | None:
     return p, _canonical_q(p, den % p)
 
 
-def _slope_residues(p: int, q: int) -> set[int]:
-    """Every r in (0, p) with _knot_key(p, r) == (p, q), for a canonical (p, q)."""
-    return set(_slopes(p, q))
+def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[int, dict[int, tuple]]:
+    """{p: {r: (p, q)}}: for each knot key (p, q), its slope residues r, every
+    r in (0, p) with _knot_key(p, r) == (p, q), in a row at p.  They are
+    closed under negation and inversion, so -den, den^-1 and -den^-1 (mod p)
+    name the same key as den: a sweep may probe with any of them."""
+    lookup: dict[int, dict[int, tuple]] = {}
+    for p, q in keys:
+        lookup.setdefault(p, {}).update(dict.fromkeys(_slopes(p, q), (p, q)))
+    return lookup
 
 
-def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], tuple]:
-    """(p, r) -> (p, q) for every slope residue r of each knot key (p, q)."""
-    return {(p, r): (p, q) for p, q in keys for r in _slope_residues(p, q)}
+def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int]:
+    """The key at lookup[p][r], once its residues, and its row if that runs
+    empty, have left lookup."""
+    row = lookup[p]
+    key = row[r]
+    for s in _slopes(*key):
+        row.pop(s, None)
+    if not row:
+        del lookup[p]
+    return key
 
 
 def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:
@@ -240,6 +253,12 @@ def _families(c: int) -> Iterator[_Family]:
             b[0] += 1  # a1 >= 2; for n = 1, b = [c]
             if b <= b[::-1] and (fam := _family_of(b)):
                 yield fam
+
+
+def _knot_count(c: int) -> int:
+    """How many knots :func:`enumerate_knots` gives at c >= 3, with no
+    enumeration: the closed form of Ernst and Sumners (1987)."""
+    return (2 ** (c - 3) + 2 ** ((c - 3) // 2) + (0, 0, -1, 1)[c % 4]) // 3
 
 
 def enumerate_knots(c: int) -> set[TwoBridgeKnot]:

@@ -54,8 +54,12 @@ binds: the oracle walks every sign vector, and the census cross-check keeps
 testing the lemma.  The sweep skips sequences with a negative first entry:
 its negation has the same magnitudes, comes earlier (+ sorts before -) and
 evaluates to the mirror.  A value num/den is in the class of K(p, q) exactly
-when |num| = p and den mod p is a slope residue q, p - q, q^-1 or p - q^-1:
-one set lookup, no canonicalization.
+when |num| = p and den mod p is a slope residue q, p - q, q^-1 or p - q^-1.
+These are closed under negation and inversion, and the determinant of a
+Type A sequence's continuant matrix makes the numerator of its head a[:-1]
++-den^-1 (mod num): the Type A path probes with it and computes no den.
+Each value costs one int lookup in a row per pending p, a residue is taken
+only at a pending p, and nothing is canonicalized.
 
 Steps 1 and 2 run once per knot, in ``_rungs``, which returns the knot's
 C2Result: the Step1 or Step2 result, or else ExhaustedToBound at m with the
@@ -86,7 +90,7 @@ from .knot import (
     _fills,
     _positive_family,
     _residue_lookup,
-    _slope_residues,
+    _take,
 )
 
 __all__ = [
@@ -292,14 +296,21 @@ def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int
 def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
     """(key, sequence, class) at each key's first hit: among the sequences
     with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
-    order, the first whose value num/den has lookup[|num|, den mod |num|] ==
-    key.  The key's residues then leave lookup; the sweep ends when it is empty.
+    order, the first whose value num/den probes key = lookup[|num|][r].  The
+    key's residues then leave lookup, and its row once empty; the sweep ends
+    when lookup is empty.
+
+    r is taken only when lookup has a row at |num|.  A Type A sequence
+    P_n/Q_n probes r = P_(n-1) mod |num|, the numerator of its head a[:-1]:
+    P_n Q_(n-1) - P_(n-1) Q_n = +-1 makes it +-den^-1, which names the same
+    knot as den, so the Type A path keeps no denominators.  A Type B
+    palindrome, evaluated from its half h as M(h) M(h[:-1])^T, has a
+    symmetric matrix and probes r = den mod |num|.
 
     The signs of each pattern come from :func:`_sign_steps`.  The prefix
     continuants of the head a[:-1] are kept, so a step from slot i recomputes
     only the prefixes from i on, and each sign of the last entry is read off
-    the head's continuants.  A Type B palindrome is evaluated from its half h:
-    its continuant matrix is M(h) M(h[:-1])^T.
+    the head's continuants.
 
     Only sequences with at most budget sign changes between adjacent entries
     are evaluated (budget // 2 on a Type B half, whose palindrome doubles its
@@ -311,33 +322,39 @@ def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
     if budget < 0:
         return
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
-    for cls, patterns in ((A, _type_a_magnitudes(t)), (B, _type_b_halves(t))):
-        for mag in patterns:
-            a, n, last = list(mag), len(mag), mag[-1]
-            cap = min(n - 1, budget if cls is A else budget // 2)
-            # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
-            P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-            for i, signs, lasts in _sign_steps(n, cap):
-                for j, s in enumerate(signs, i):
-                    a[j] = x = s * mag[j]
-                    P[j + 2] = x * P[j + 1] + P[j]
-                    Q[j + 2] = x * Q[j + 1] + Q[j]
-                p1, p0, q1, q0 = P[n], P[n - 1], Q[n], Q[n - 1]
-                for s in lasts:
-                    x = s * last
-                    num, den = x * p1 + p0, x * q1 + q0
-                    if cls is B:
-                        num, den = p1 * (num + p0), den * p1 + q1 * p0
-                    num = abs(num)  # the residues of a class are closed under negation
-                    if num > 1 and (num, den % num) in lookup:
-                        key = lookup[num, den % num]
-                        for r in _slope_residues(*key):
-                            del lookup[key[0], r]
-                        a[-1] = x
-                        entries = tuple(a + a[-2::-1]) if cls is B else tuple(a)
-                        yield key, ContinuedFraction._trusted(entries), cls
-                        if not lookup:
-                            return
+    for mag in _type_a_magnitudes(t):
+        a, n, last = list(mag), len(mag), mag[-1]
+        P = [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
+        for i, signs, lasts in _sign_steps(n, min(n - 1, budget)):
+            for j, s in enumerate(signs, i):
+                a[j] = x = s * mag[j]
+                P[j + 2] = x * P[j + 1] + P[j]
+            p1, p0 = P[n], P[n - 1]
+            for s in lasts:
+                num = abs(s * last * p1 + p0)
+                if num in lookup and (r := p1 % num) in lookup[num]:
+                    a[-1] = s * last
+                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
+                    if not lookup:
+                        return
+    for mag in _type_b_halves(t):
+        a, n, last = list(mag), len(mag), mag[-1]
+        # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
+        P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
+        for i, signs, lasts in _sign_steps(n, min(n - 1, budget // 2)):
+            for j, s in enumerate(signs, i):
+                a[j] = x = s * mag[j]
+                P[j + 2] = x * P[j + 1] + P[j]
+                Q[j + 2] = x * Q[j + 1] + Q[j]
+            p1, p0, q1, q0 = P[n], P[n - 1], Q[n], Q[n - 1]
+            for s in lasts:
+                x = s * last
+                num = abs(p1 * (x * p1 + 2 * p0))
+                if num in lookup and (r := ((x * q1 + q0) * p1 + q1 * p0) % num) in lookup[num]:
+                    a[-1] = x
+                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a + a[-2::-1])), B
+                    if not lookup:
+                        return
 
 
 # ---------------------------------------------------------------------------

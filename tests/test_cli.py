@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,6 +182,17 @@ class TestTable:
     def test_rejects_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--min", "5", "--max", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("row,count", [(22, "174,933"), (40, "45,813,071,872")])
+    def test_refuses_rows_above_the_limit_at_once(self, capsys, row, count):
+        # Row 40 alone has 2^37 compositions to walk: without the limit the
+        # command runs silently for hours.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", "--min", str(row), "--max", str(row))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert f"row {row} has {count} knots" in err
 
     def test_csv_and_json_files(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"

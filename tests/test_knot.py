@@ -9,6 +9,7 @@ from twobridge.knot import (
     TwoBridgeKnot,
     _families,
     _fills,
+    _knot_count,
     _knot_key,
     _positive_family,
     canonicalize,
@@ -190,6 +191,11 @@ class TestEnumerateKnots:
     @pytest.mark.parametrize("c", range(3, 19))
     def test_count_matches_closed_form(self, c):
         assert len(enumerate_knots(c)) == self.ernst_sumners(c)
+
+    def test_library_count_matches_closed_form(self):
+        assert [_knot_count(c) for c in range(3, 41)] == [
+            self.ernst_sumners(c) for c in range(3, 41)
+        ]
 
     @staticmethod
     def every_composition(c):

@@ -140,19 +140,33 @@ class TestEnumerator:
         assert peak < 64 * 1024
 
 
-class _EveryValue(dict):
-    """A lookup that every knot-valued sequence hits, under its own probe
-    (|num|, den mod |num|), and that never runs empty: _sweep then yields its
-    whole stream."""
+class _EveryResidue(dict):
+    """The row of _EveryValue at p: every probe r hits (p, r), and it never
+    runs empty."""
 
-    def __contains__(self, probe):
+    def __init__(self, p):
+        self.p = p
+
+    def __contains__(self, r):
         return True
 
-    def __getitem__(self, probe):
-        return probe
+    def __getitem__(self, r):
+        return self.p, r
 
-    def __delitem__(self, probe):
-        pass
+    def __len__(self):
+        return 1
+
+
+class _EveryValue(dict):
+    """A lookup with a row at every |num| > 1 that every sequence hits under
+    its own probe, (|num|, r), and that never runs empty: _sweep then yields
+    its whole stream."""
+
+    def __contains__(self, p):
+        return p > 1
+
+    def __getitem__(self, p):
+        return _EveryResidue(p)
 
     def __len__(self):
         return 1
@@ -177,11 +191,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_probes_and_classes(self, t):
+        # Type A probes with the continuant of its head, +-den^-1 (mod p);
+        # a Type B palindrome with den itself.
         for (p, r), cf, cls in _sweep(t, _EveryValue(), t):
             num, den = _eval_entries(cf.entries)
             assert p == abs(num)
-            assert r in {den % p, -den % p}
+            if cls is ExpansionClass.TYPE_A:
+                assert r * den % p in {1, p - 1}
+            else:
+                assert r in {den % p, -den % p}
             assert cls is classify_type(cf)
+
+    @pytest.mark.parametrize("t", range(3, 13))
+    def test_reversal_probe_finds_the_key_of_every_type_a_value(self, t):
+        # The probe of a Type A value num/den is the numerator of its head
+        # a[:-1], not den mod p; in the lookup it must name num/den's knot.
+        keyed = []
+        for cf in enumerate_type_ab(t):
+            if classify_type(cf) is ExpansionClass.TYPE_A:
+                num, den = _eval_entries(cf.entries)
+                if key := _knot_key(num, den):
+                    keyed.append((key, _eval_entries(cf.entries[:-1])[0]))
+        lookup = _residue_lookup({key for key, _ in keyed})
+        for (p, q), head in keyed:
+            assert lookup[p][head % p] == (p, q)
+        assert keyed
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
