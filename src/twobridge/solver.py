@@ -43,8 +43,12 @@ Batches keep the shared sweep.  ``_solve_stream`` yields each knot's result
 as soon as it is known and sweeps each crossing total t once for every knot
 pending at it; :func:`solve_many` collects it, and the census builder feeds
 it the knots of every row it computes.  For whole census rows one sweep per
-total costs less than one search per knot, about half the time through
-row 16, and tests hold the two paths equal, witnesses included.  The
+total costs less than one search per knot: for the 2,158 knots of rows
+3..16 that need the search, about a fifth of the time (0.15 s against
+0.69 s on a 2-vCPU VM), and tests hold the two paths equal, witnesses
+included.  A knot whose m is above ``_SWEEP_LIMIT``, the largest m of census
+rows 3..22, gets the per-knot search instead: the sweep grows exponentially
+in t, so a large-p knot's would never end.  The
 sweep reads the sign vectors of each magnitude pattern, within a budget of
 sign changes and in product order, from a table of steps cached per length
 and cap.  By the lemma a knot is hit at t only by sign vectors with at most
@@ -113,6 +117,11 @@ METHOD_EXHAUSTED = "ExhaustedToBound"
 # Work ceiling of one c2 or search_at call: sequences built by the per-knot
 # search, over all the totals it tries.
 _SEARCH_LIMIT = 100_000
+
+# Largest semi-even bound m a batch sweeps up to; a knot with a larger m gets
+# c2.  28 is the largest m in census rows 3..22, so no census knot leaves the
+# sweep.
+_SWEEP_LIMIT = 28
 
 
 @dataclass(frozen=True)
@@ -552,7 +561,8 @@ def _solve_stream(
     from (knot, its record from ``_rungs``) pairs, which are read lazily.
 
     Step1 and Step2 results come first, in input order, each as soon as its
-    pair is read.  Every other knot stays pending with its record,
+    pair is read, and so does :func:`c2` of a knot whose m is above
+    ``_SWEEP_LIMIT``.  Every other knot stays pending with its record,
     ExhaustedToBound at m.
     Then each crossing total t in some pending knot's span c < t < m is swept
     once, over every knot pending at t: a Search hit is yielded when the sweep
@@ -561,10 +571,12 @@ def _solve_stream(
     """
     pending: dict[tuple[int, int], tuple[TwoBridgeKnot, C2Result]] = {}
     for k, res in records:
-        if res.method == METHOD_EXHAUSTED:
-            pending[(k.p, k.q)] = (k, res)
-        else:
+        if res.method != METHOD_EXHAUSTED:
             yield k, res
+        elif res.semi_even_bound > _SWEEP_LIMIT:
+            yield k, c2(k)
+        else:
+            pending[(k.p, k.q)] = (k, res)
 
     # t runs up to each m, the value of a pending record: at t = m it is final.
     spans = {t for _, r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
@@ -585,8 +597,9 @@ def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
 
     Each knot gets what :func:`c2` returns for it, witness included: at each
     total every knot still pending keeps the first sequence in enumeration
-    order that hits it, the least hit that the per-knot search picks.  The
-    sweep has no work ceiling; for one knot, or knots of large p, use c2.
+    order that hits it, the least hit that the per-knot search picks.  A
+    knot whose m is above ``_SWEEP_LIMIT`` is not swept but solved by c2, so
+    it may raise SearchBudgetExceeded; for one knot, use c2.
     """
     return dict(_solve_stream((k, _rungs(k)) for k in sorted(set(knots))))
 

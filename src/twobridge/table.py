@@ -4,9 +4,11 @@ crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 :func:`build_table` streams the knots of every row it has to compute, with
 the four expansions that ``knot._families`` reads off one composition per
 knot, through ``solver._rungs_of`` into one ``solver._solve_stream``.  So no
-knot is canonicalized, expanded by Euclid or sorted, the rows share one
-sweep per crossing total, and each row is written as soon as its last knot
-is in.
+knot is canonicalized, expanded by Euclid or sorted, and the rows share one
+sweep per crossing total.  Each row's size is known before its first knot:
+the closed form of Ernst and Sumners, ``knot._knot_count``.  So a row is
+written as soon as that many of its results are in, and a cached row is
+served only with that count.
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -23,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .knot import TwoBridgeKnot, _families, enumerate_knots
+from .knot import TwoBridgeKnot, _families, _knot_count, enumerate_knots
 from .solver import _rungs_of, _solve_stream, global_c2_map
 
 __all__ = [
@@ -111,8 +113,9 @@ def _read_cached_row(cache_dir: str | Path, c: int) -> TableRow | None:
         # infinite c, nesting too deep to parse): a miss, so the row is rebuilt.
         return None
     # int() takes true, 5.9 and "5" too: a row is served only if writing it
-    # back gives the same text.
-    return row if row.c == c and text == _row_text(row) else None
+    # back gives the same text, and only with the row's Ernst-Sumners count.
+    ok = row.c == c and row.two_bridge_count == _knot_count(c) and text == _row_text(row)
+    return row if ok else None
 
 
 def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
@@ -138,8 +141,10 @@ def build_table(
 
     The knots of every row not read from the cache go through one solve
     stream, so each crossing total is swept once for all of them.  A row is
-    tallied as its results arrive and written to the cache as soon as its last
-    knot is in, so an interrupted build keeps every row it completed.
+    tallied as its results arrive and written to the cache as soon as its
+    Ernst-Sumners count of results is in, so an interrupted build keeps every
+    row it completed.  A row that ends the stream short of its count raises
+    RuntimeError and is not written.
 
     With cross_check, every per-knot value is recomputed fresh (cache rows are
     not trusted) and compared against the independent global sweep; a
@@ -155,37 +160,24 @@ def build_table(
         c: _read_cached_row(cache_dir, c) if read else None for c in range(c_min, c_max + 1)
     }
     todo = [c for c, row in rows.items() if row is None]
-    counts: dict[int, int] = {}  # a row's knot count, once it is enumerated
-    solved = dict.fromkeys(todo, 0)
+    left = {c: _knot_count(c) for c in todo}  # knots of the row still to come
     offsets: dict[int, dict[int, int]] = {c: {0: 0} for c in todo}
     bad: dict[int, tuple[TwoBridgeKnot, int, int]] = {}
-
-    def settle(c: int) -> None:
-        # Write row c if it is complete; raise once every row up to the least
-        # disagreeing one is.
-        if counts.get(c) == solved[c] and c not in bad:
-            rows[c] = TableRow(c, counts[c], offsets[c])
-            if cache_dir is not None:
-                _write_cached_row(cache_dir, rows[c])
-        if bad and all(counts.get(d) == solved[d] for d in todo if d <= min(bad)):
-            raise CrossCheckError(*bad[min(bad)])
-
-    def records():
-        # A Step1 or Step2 result comes out as soon as its knot goes in, so
-        # a row's last result may come before its count is known.
-        for c in todo:
-            n = 0
-            for n, (k, *family) in enumerate(_families(c), 1):
-                yield k, _rungs_of(k, *family)
-            counts[c] = n
-            settle(c)
-
-    for k, res in _solve_stream(records()):
+    records = ((k, _rungs_of(k, *family)) for c in todo for k, *family in _families(c))
+    for k, res in _solve_stream(records):
         c, j = res.base_crossing, res.value - res.base_crossing
         offsets[c][j] = offsets[c].get(j, 0) + 1
         if oracle is not None and oracle[k][0] != res.value:
             miss = (k, res.value, oracle[k][0])
             bad[c] = min(bad.get(c, miss), miss)
-        solved[c] += 1
-        settle(c)
+        left[c] -= 1
+        if not left[c] and c not in bad:
+            rows[c] = TableRow(c, _knot_count(c), offsets[c])
+            if cache_dir is not None:
+                _write_cached_row(cache_dir, rows[c])
+        # Raise once every row up to the least disagreeing one is complete.
+        if bad and not any(left[d] for d in todo if d <= min(bad)):
+            raise CrossCheckError(*bad[min(bad)])
+    if wrong := {c: n for c, n in left.items() if n}:
+        raise RuntimeError(f"rows short of their knot count, by knots missing: {wrong}")
     return list(rows.values())

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 from math import comb
@@ -693,6 +694,9 @@ class TestC2:
         assert res.semi_even_bound == 9
 
 
+_REFERENCE_LARGE_P = [(100003, 40000), (912309, 231710), (594199, 41628), (534047, 62852)]
+
+
 class TestRungsLargeP:
     @given(knots(max_p=10**6))
     def test_rung_witnesses_check_out(self, k):
@@ -730,9 +734,7 @@ class TestRungsLargeP:
         assert (res.base_crossing, res.semi_even_bound) == (c, m)
         assert c <= res.value <= m
 
-    @pytest.mark.parametrize(
-        "p,q", [(100003, 40000), (912309, 231710), (594199, 41628), (534047, 62852)]
-    )
+    @pytest.mark.parametrize("p,q", _REFERENCE_LARGE_P)
     def test_reference_knots_have_no_hit_below_m(self, p, q):
         # m = c + 2 for each, so only t = c + 1 is searched.  Check every
         # preimage one crossing up, without the search's Type A pruning.
@@ -748,6 +750,21 @@ class TestRungsLargeP:
             assert crossing_sum(x) == c + 1
             assert _knot_key(*_eval_entries(x.entries)) == (k.p, k.q)
             assert classify_type(x) is ExpansionClass.NEITHER
+
+    def test_solve_many_hands_large_bounds_to_c2(self):
+        # Their m is far above the sweep limit: solve_many returns what c2
+        # does at once, where a sweep from t = c + 1 would never end.
+        knots = [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P]
+        start = time.perf_counter()
+        got = solve_many(knots)
+        assert time.perf_counter() - start < 1
+        assert got == {k: c2(k) for k in knots}
+
+    def test_solve_many_refuses_as_c2_does(self):
+        k = canonicalize(791256216780409, 209614989723732)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            solve_many([k])
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 105, 116)
 
 
 class TestGlobalMap:

@@ -185,10 +185,11 @@ class TestCache:
             '{"c": "5", "count": "2", "offsets": {"0": "2"}}',
             '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 3,\n    "1": -1\n  }\n}\n',
             '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 2,\n    "7": 0\n  }\n}\n',
+            '{\n  "c": 5,\n  "count": 3,\n  "offsets": {\n    "0": 3\n  }\n}\n',
         ],
         ids=[
             "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep",
-            "booleans", "floats", "strings", "negative-count", "zero-count",
+            "booleans", "floats", "strings", "negative-count", "zero-count", "wrong-count",
         ],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, text):
@@ -201,6 +202,22 @@ class TestCache:
         # and the bad file was replaced with a good one
         assert json.loads(path.read_text())["c"] == 5
         assert path.read_text() == good
+
+    def test_row_short_of_its_count_raises(self, tmp_path, monkeypatch):
+        # Row sizes come from the closed form, not the enumeration: a knot
+        # the enumeration drops leaves its row unwritten and raises.
+        import twobridge.table as table
+
+        real, dropped = table._families, min(enumerate_knots(6))
+
+        def short(c):
+            return (fam for fam in real(c) if fam[0] != dropped)
+
+        monkeypatch.setattr(table, "_families", short)
+        with pytest.raises(RuntimeError, match="short"):
+            build_table(5, 6, cache_dir=tmp_path)
+        assert table._cache_path(tmp_path, 5).exists()
+        assert not table._cache_path(tmp_path, 6).exists()
 
     def test_mismatched_cache_content_is_ignored(self, tmp_path):
         build_table(5, 5, cache_dir=tmp_path)
@@ -270,6 +287,20 @@ class TestSharedSweep:
         assert build_table(4, 8, cache_dir=tmp_path) == cold
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
+
+    def test_census_never_leaves_the_sweep(self, monkeypatch):
+        # Every census knot's m is within the sweep limit, so no knot is
+        # handed to the per-knot search.
+        import twobridge.solver as solver
+
+        def no_c2(k):
+            raise AssertionError(f"{k} left the sweep")
+
+        monkeypatch.setattr(solver, "c2", no_c2)
+        rows = build_table(3, 14)
+        assert [(r.c, r.two_bridge_count, r.offsets) for r in rows] == [
+            (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
+        ]
 
     def test_stream_matches_solve_many(self, monkeypatch):
         # The census hands each knot's four expansions straight to the rungs;
