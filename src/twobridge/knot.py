@@ -24,14 +24,16 @@ reversed(b), one sequence when b is a palindrome, and the other two are their
 [1, a - 1, ..] partners.  :func:`_family_of` reads all four slopes and
 expansions off b with no Euclid run and no modular inverse, and every path
 goes through it: :func:`_positive_family` hands it one Euclid run, and
-:func:`_families` each composition b of c with b <= reversed(b).
+:func:`_families` each composition b of c with b <= reversed(b).  Both
+give the same record, ``_Family`` = (k, c, slopes, family), which the
+solver carries through every rung.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .contfrac import Rational, _positive_entries
 
@@ -143,44 +145,21 @@ def _knot_key(num: int, den: int) -> tuple[int, int] | None:
     return p, _canonical_q(p, den % p)
 
 
-def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[int, dict[int, tuple]]:
-    """{p: {r: (p, q)}}: for each knot key (p, q), its slope residues r, every
-    r in (0, p) with _knot_key(p, r) == (p, q), in a row at p.  They are
-    closed under negation and inversion, so -den, den^-1 and -den^-1 (mod p)
-    name the same key as den: a sweep may probe with any of them."""
-    lookup: dict[int, dict[int, tuple]] = {}
-    for p, q in keys:
-        lookup.setdefault(p, {}).update(dict.fromkeys(_slopes(p, q), (p, q)))
-    return lookup
-
-
-def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int]:
-    """The key at lookup[p][r], once its residues, and its row if that runs
-    empty, have left lookup."""
-    row = lookup[p]
-    key = row[r]
-    for s in _slopes(*key):
-        row.pop(s, None)
-    if not row:
-        del lookup[p]
-    return key
-
-
 def fraction_to_knot(r: Rational) -> TwoBridgeKnot | None:
     key = _knot_key(r.num, r.den)
     return None if key is None else TwoBridgeKnot._trusted(*key)
 
 
-def _positive_family(k: TwoBridgeKnot) -> tuple[int, tuple[int, int, int, int], list[list[int]]]:
-    """(c, slopes, family) of :func:`_family_of` for k, read off the Euclid
-    expansion of p/q or p/(p - q), whichever denominator is below p/2 and so
-    starts with an entry >= 2."""
-    return _family_of(_positive_entries(k.p, min(k.q, k.p - k.q)))[1:]
+def _positive_family(k: TwoBridgeKnot) -> _Family:
+    """k's record (k, c, slopes, family) from :func:`_family_of`, read off the
+    Euclid expansion of p/q or p/(p - q), whichever denominator is below p/2
+    and so starts with an entry >= 2."""
+    return _family_of(_positive_entries(k.p, min(k.q, k.p - k.q)))
 
 
 def crossing_number(k: TwoBridgeKnot) -> int:
     """Crossing number: the entry sum of any slope's positive expansion."""
-    return _positive_family(k)[0]
+    return _positive_family(k)[1]
 
 
 def _fills(total: int, units: list[int], weight: int, least: int):

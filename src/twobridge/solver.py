@@ -47,8 +47,8 @@ total costs less than one search per knot: for the 2,158 knots of rows
 3..16 that need the search, about a fifth of the time (0.15 s against
 0.69 s on a 2-vCPU VM), and tests hold the two paths equal, witnesses
 included.  A knot whose m is above ``_SWEEP_LIMIT``, the largest m of census
-rows 3..22, gets the per-knot search instead: the sweep grows exponentially
-in t, so a large-p knot's would never end.  The
+rows 3..22, gets the per-knot search on the record the stream holds: the
+sweep grows exponentially in t, so a large-p knot's would never end.  The
 sweep reads the sign vectors of each magnitude pattern, within a budget of
 sign changes and in product order, from a table of steps cached per length
 and cap.  By the lemma a knot is hit at t only by sign vectors with at most
@@ -65,13 +65,14 @@ Type A sequence's continuant matrix makes the numerator of its head a[:-1]
 Each value costs one int lookup in a row per pending p, a residue is taken
 only at a pending p, and nothing is canonicalized.
 
-Steps 1 and 2 run once per knot, in ``_rungs``, which returns the knot's
-C2Result: the Step1 or Step2 result, or else ExhaustedToBound at m with the
-semi-even witness, which only a Search hit below m can replace.
-:func:`step1_check`, :func:`step2_bound`, :func:`c2` and :func:`solve_many`
-read that record.  ``knot._family_of`` reads c, the slope residues and the
-positive expansions (the Step1 candidates and search roots) off one Euclid
-run per knot, or in the census off one composition per knot.
+Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
+c, the slope residues and their positive expansions (the Step1 candidates
+and search roots), read off one Euclid run or, in the census, one
+composition.  ``_rungs_of`` runs Steps 1 and 2 on it once: the Step1 or
+Step2 result, or else ExhaustedToBound at m with the semi-even witness,
+which only a Search hit below m can replace.  ``_searched`` takes record
+and result to the per-knot search; :func:`c2` and ``_solve_stream``, for
+every knot it does not sweep, run the two in turn.
 """
 
 from __future__ import annotations
@@ -88,14 +89,8 @@ from .contfrac import (
     _semi_even_entries,
     _shape,
 )
-from .knot import (
-    TwoBridgeKnot,
-    _families,
-    _fills,
-    _positive_family,
-    _residue_lookup,
-    _take,
-)
+from . import knot as _knot
+from .knot import TwoBridgeKnot, _Family, _families, _fills, _positive_family
 
 __all__ = [
     "C2Result",
@@ -193,16 +188,15 @@ def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
 
 
 def _rungs(k: TwoBridgeKnot) -> C2Result:
-    """k's result from the rungs below the search, each computed once: the
-    Step1 or Step2 result, or else ExhaustedToBound at the semi-even bound m
-    with its witness, which a Search hit below m may still replace."""
-    return _rungs_of(k, *_positive_family(k))
+    """:func:`_rungs_of` on k's record from ``_positive_family``."""
+    return _rungs_of(_positive_family(k))
 
 
-def _rungs_of(
-    k: TwoBridgeKnot, c: int, slopes: tuple[int, int, int, int], family: list[list[int]]
-) -> C2Result:
-    """:func:`_rungs` from k's ``_positive_family``."""
+def _rungs_of(fam: _Family) -> C2Result:
+    """The knot's result from the rungs below the search, from its record:
+    the Step1 or Step2 result, or else ExhaustedToBound at the semi-even
+    bound m with its witness, which a Search hit below m may replace."""
+    k, c, slopes, family = fam
     m, wit = _semi_even_pick(k, slopes)
     for cand in _candidates(family):
         cls = _shape(cand)
@@ -300,6 +294,29 @@ def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int
                 longer.append((i, signs + signs[-1:], k))
         heads = longer
     return tuple((i, signs, (1, -1) if k < cap else signs[-1:]) for i, signs, k in heads)
+
+
+def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[int, dict[int, tuple]]:
+    """{p: {r: (p, q)}}: for each knot key (p, q), its slope residues r, every
+    r in (0, p) with knot._knot_key(p, r) == (p, q), in a row at p.  They are
+    closed under negation and inversion, so -den, den^-1 and -den^-1 (mod p)
+    name the same key as den: a sweep may probe with any of them."""
+    lookup: dict[int, dict[int, tuple]] = {}
+    for p, q in keys:
+        lookup.setdefault(p, {}).update(dict.fromkeys(_knot._slopes(p, q), (p, q)))
+    return lookup
+
+
+def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int]:
+    """The key at lookup[p][r], once its residues, and its row if that runs
+    empty, have left lookup."""
+    row = lookup[p]
+    key = row[r]
+    for s in _knot._slopes(*key):
+        row.pop(s, None)
+    if not row:
+        del lookup[p]
+    return key
 
 
 def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
@@ -498,11 +515,10 @@ def _order_key(entries: tuple[int, ...], cls: ExpansionClass) -> tuple:
 
 
 def _least_hit(
-    k: TwoBridgeKnot, c: int, slopes: tuple[int, int, int, int], family: list[list[int]],
-    t: int, m: int, work: list[int],
+    fam: _Family, t: int, m: int, work: list[int]
 ) -> tuple[tuple[int, ...], ExpansionClass] | None:
     """(entries, class) of the first sequence in :func:`enumerate_type_ab`
-    order at crossing sum t that evaluates into k's slope class, or None.
+    order at crossing sum t that evaluates into the class of fam's knot, or None.
 
     The hits are the preimages, t - c crossings up, of the eight positive
     Step1 candidates under :func:`_preimages` (see the module docstring).
@@ -514,6 +530,7 @@ def _least_hit(
     num): Type B needs an odd t and a knot with q^2 = +-1 (mod p).  Otherwise
     the walk asks :func:`_preimages` for the Type A ones only.
     """
+    k, c, slopes, family = fam
     if t < c:
         return None
     a_only = t % 2 == 0 or k.q * k.q % k.p not in (1, k.p - 1)
@@ -544,9 +561,8 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
     into k's slope class, or None.  Raises SearchBudgetExceeded past the
     search's work ceiling."""
-    c, slopes, family = _positive_family(k)
-    m = _semi_even_pick(k, slopes)[0]
-    hit = _least_hit(k, c, slopes, family, t, m, [_SEARCH_LIMIT])
+    fam = _positive_family(k)
+    hit = _least_hit(fam, t, _semi_even_pick(k, fam[2])[0], [_SEARCH_LIMIT])
     return hit and ContinuedFraction._trusted(hit[0])
 
 
@@ -554,31 +570,42 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 # Full solves
 
 
-def _solve_stream(
-    records: Iterable[tuple[TwoBridgeKnot, C2Result]],
-) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
-    """(knot, result) for each of the distinct knots, as soon as it is known,
-    from (knot, its record from ``_rungs``) pairs, which are read lazily.
+def _searched(fam: _Family, res: C2Result) -> C2Result:
+    """res, the result of fam's rungs, unless it is ExhaustedToBound and the
+    per-knot search hits at t = c + 1 .. m - 1.  Raises SearchBudgetExceeded,
+    carrying c and m, when the search passes its work ceiling."""
+    if res.method != METHOD_EXHAUSTED:
+        return res
+    c, m, work = res.base_crossing, res.value, [_SEARCH_LIMIT]
+    for t in range(c + 1, m):
+        hit = _least_hit(fam, t, m, work)
+        if hit:
+            cf = ContinuedFraction._trusted(hit[0])
+            return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
+    return res
 
-    Step1 and Step2 results come first, in input order, each as soon as its
-    pair is read, and so does :func:`c2` of a knot whose m is above
-    ``_SWEEP_LIMIT``.  Every other knot stays pending with its record,
-    ExhaustedToBound at m.
+
+def _solve_stream(records: Iterable[_Family]) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
+    """(knot, result) for each of the distinct knots, as soon as it is known,
+    from their records, which are read lazily, each through ``_rungs_of``.
+
+    A Step1 or Step2 knot, or one with m above ``_SWEEP_LIMIT``, gets
+    ``_searched`` on its record and comes first, in input order.  Every
+    other knot stays pending with its ExhaustedToBound result, not its record.
     Then each crossing total t in some pending knot's span c < t < m is swept
     once, over every knot pending at t: a Search hit is yielded when the sweep
-    finds it, and a knot still pending at t = m is yielded with its record
+    finds it, and a knot still pending at t = m is yielded with its result
     before that total is swept.
     """
     pending: dict[tuple[int, int], tuple[TwoBridgeKnot, C2Result]] = {}
-    for k, res in records:
-        if res.method != METHOD_EXHAUSTED:
-            yield k, res
-        elif res.semi_even_bound > _SWEEP_LIMIT:
-            yield k, c2(k)
-        else:
+    for fam in records:
+        k, res = fam[0], _rungs_of(fam)
+        if res.method == METHOD_EXHAUSTED and res.semi_even_bound <= _SWEEP_LIMIT:
             pending[(k.p, k.q)] = (k, res)
+        else:
+            yield k, _searched(fam, res)
 
-    # t runs up to each m, the value of a pending record: at t = m it is final.
+    # t runs up to each m, the value of a pending result: at t = m it is final.
     spans = {t for _, r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
     for t in sorted(spans):
         for key in [key for key, (_, r) in pending.items() if r.value == t]:
@@ -595,32 +622,24 @@ def _solve_stream(
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     """Solve a batch of knots with one shared sweep per crossing total.
 
-    Each knot gets what :func:`c2` returns for it, witness included: at each
-    total every knot still pending keeps the first sequence in enumeration
-    order that hits it, the least hit that the per-knot search picks.  A
-    knot whose m is above ``_SWEEP_LIMIT`` is not swept but solved by c2, so
-    it may raise SearchBudgetExceeded; for one knot, use c2.
+    Each knot's record, from one Euclid run, goes through ``_solve_stream``
+    and gets what :func:`c2` returns for it, witness included: at each total
+    every knot still pending keeps the first sequence in enumeration order
+    that hits it, the least hit that the per-knot search picks.  A knot whose
+    m is above ``_SWEEP_LIMIT`` gets the per-knot search instead, so it may
+    raise SearchBudgetExceeded as c2 does; for one knot, use c2.
     """
-    return dict(_solve_stream((k, _rungs(k)) for k in sorted(set(knots))))
+    return dict(_solve_stream(map(_positive_family, sorted(set(knots)))))
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
     """Least crossing sum over Type A / Type B sequences representing k.
 
-    The rungs of ``_rungs``, then the per-knot search at t = c + 1 .. m - 1;
-    no sweep.  Raises SearchBudgetExceeded, carrying c and m, when the search
-    passes its work ceiling."""
-    c, slopes, family = pf = _positive_family(k)
-    res = _rungs_of(k, *pf)
-    if res.method != METHOD_EXHAUSTED:
-        return res
-    work = [_SEARCH_LIMIT]
-    for t in range(c + 1, res.value):
-        hit = _least_hit(k, c, slopes, family, t, res.value, work)
-        if hit:
-            cf = ContinuedFraction._trusted(hit[0])
-            return C2Result(t, cf, hit[1], METHOD_SEARCH, res.semi_even_bound, c)
-    return res
+    The rungs of ``_rungs_of``, then the per-knot search of ``_searched`` at
+    t = c + 1 .. m - 1; no sweep.  Raises SearchBudgetExceeded, carrying c
+    and m, when the search passes its work ceiling."""
+    fam = _positive_family(k)
+    return _searched(fam, _rungs_of(fam))
 
 
 def global_c2_map(

@@ -1,14 +1,14 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
 crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
-:func:`build_table` streams the knots of every row it has to compute, with
-the four expansions that ``knot._families`` reads off one composition per
-knot, through ``solver._rungs_of`` into one ``solver._solve_stream``.  So no
-knot is canonicalized, expanded by Euclid or sorted, and the rows share one
-sweep per crossing total.  Each row's size is known before its first knot:
-the closed form of Ernst and Sumners, ``knot._knot_count``.  So a row is
-written as soon as that many of its results are in, and a cached row is
-served only with that count.
+:func:`build_table` streams the records (k, c, slopes, family) that
+``knot._families`` reads off one composition per knot, for every row it
+has to compute, into one ``solver._solve_stream``, which runs the rungs.
+So no knot is canonicalized, expanded by Euclid or sorted, and the rows
+share one sweep per crossing total.  Each row's size is known before its
+first knot: the closed form of Ernst and Sumners, ``knot._knot_count``.  So
+a row is written as soon as that many of its results are in, and a cached
+row is served only with that count.
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .knot import TwoBridgeKnot, _families, _knot_count, enumerate_knots
-from .solver import _rungs_of, _solve_stream, global_c2_map
+from .solver import _solve_stream, global_c2_map
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -163,8 +163,7 @@ def build_table(
     left = {c: _knot_count(c) for c in todo}  # knots of the row still to come
     offsets: dict[int, dict[int, int]] = {c: {0: 0} for c in todo}
     bad: dict[int, tuple[TwoBridgeKnot, int, int]] = {}
-    records = ((k, _rungs_of(k, *family)) for c in todo for k, *family in _families(c))
-    for k, res in _solve_stream(records):
+    for k, res in _solve_stream(fam for c in todo for fam in _families(c)):
         c, j = res.base_crossing, res.value - res.base_crossing
         offsets[c][j] = offsets[c].get(j, 0) + 1
         if oracle is not None and oracle[k][0] != res.value:

@@ -173,6 +173,7 @@ class TestCrossingNumber:
         assert eval_cf(cf) == r
         assert crossing_number(k) == crossing_sum(cf)
         assert _positive_family(k) == (
+            k,
             crossing_number(k),
             tuple(s.den for s in slope_family(k)),
             [list(positive_expansion(s).entries) for s in slope_family(k)],
@@ -212,11 +213,13 @@ class TestEnumerateKnots:
         knots = [k for k, *_ in families]
         assert len(set(knots)) == len(knots)
         assert set(knots) == self.every_composition(c) == enumerate_knots(c)
-        for k, *family in families:
+        for fam in families:
+            k = fam[0]
             assert TwoBridgeKnot(k.p, k.q) == k  # canonical
-            assert tuple(family) == _positive_family(k)
+            assert fam == _positive_family(k)
             slopes = slope_family(k)  # from a modular inverse and Euclid runs
-            assert tuple(family) == (
+            assert fam == (
+                k,
                 c,
                 tuple(s.den for s in slopes),
                 [list(positive_expansion(s).entries) for s in slopes],

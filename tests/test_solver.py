@@ -19,7 +19,6 @@ from twobridge.knot import (
     TwoBridgeKnot,
     _knot_key,
     _positive_family,
-    _residue_lookup,
     _slopes,
     canonicalize,
     crossing_number,
@@ -30,6 +29,7 @@ from twobridge.solver import (
     _order_key,
     _pairs,
     _preimages,
+    _residue_lookup,
     _rungs,
     _semi_even_pick,
     _sign_steps,
@@ -614,52 +614,60 @@ class TestC2:
             assert res.base_crossing <= res.value <= res.semi_even_bound
 
     def test_crossing_number_once_per_knot(self, monkeypatch):
-        # One Euclid run gives c, the four slopes and the Step1 candidates.
+        # One Euclid run gives a knot's record, c, the four slopes and the
+        # Step1 candidates, and its rungs run once on it, swept or searched.
         import twobridge.knot as knot
         import twobridge.solver as solver
 
-        calls, expansions = [], []
-        real, real_entries = solver._positive_family, knot._positive_entries
+        calls, rungs, expansions = [], [], []
+        real, real_rungs = solver._positive_family, solver._rungs_of
+        real_entries = knot._positive_entries
 
         def counted(k):
             calls.append(k)
             return real(k)
+
+        def counted_rungs(fam):
+            rungs.append(fam[0])
+            return real_rungs(fam)
 
         def counted_entries(p, q):
             expansions.append((p, q))
             return real_entries(p, q)
 
         monkeypatch.setattr(solver, "_positive_family", counted)
+        monkeypatch.setattr(solver, "_rungs_of", counted_rungs)
         monkeypatch.setattr(knot, "_positive_entries", counted_entries)
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
+        knots += [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P]
         solve_many(knots)
-        assert sorted(calls) == sorted(knots)
+        assert sorted(calls) == sorted(rungs) == sorted(knots)
         assert len(expansions) == len(knots)
 
     def test_slopes_once_per_knot_on_the_rung_path(self, monkeypatch):
-        # _rungs reads a knot's slope residues off its expansion, with no
+        # The rungs read a knot's slope residues off its record, with no
         # _slopes call; the sweep's residue lookups are counted apart.
         import twobridge.knot as knot
         import twobridge.solver as solver
 
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
-        real_slopes, real_rungs = knot._slopes, solver._rungs
+        real_slopes, real_rungs = knot._slopes, solver._rungs_of
         inside, rung_calls, sweep_calls = [], [], []
 
         def counted_slopes(p, q):
             (rung_calls if inside else sweep_calls).append((p, q))
             return real_slopes(p, q)
 
-        def counted_rungs(k):
-            inside.append(k)
+        def counted_rungs(fam):
+            inside.append(fam)
             try:
-                return real_rungs(k)
+                return real_rungs(fam)
             finally:
                 inside.pop()
 
         monkeypatch.setattr(knot, "_slopes", counted_slopes)
         assert not hasattr(solver, "_slopes")  # every call goes through knot
-        monkeypatch.setattr(solver, "_rungs", counted_rungs)
+        monkeypatch.setattr(solver, "_rungs_of", counted_rungs)
         results = solve_many(knots)
         assert rung_calls == []
         # A swept knot's residues are listed once per total it is pending at,
@@ -743,7 +751,7 @@ class TestRungsLargeP:
         c = res.base_crossing
         assert (res.method, res.value, res.semi_even_bound) == (METHOD_EXHAUSTED, c + 2, c + 2)
         assert search_at(k, c + 1) is None
-        roots = {tuple(e) for e in _candidates(_positive_family(k)[2])}
+        roots = {tuple(e) for e in _candidates(_positive_family(k)[3])}
         ups = {x for y in roots for x in _preimages(y, 1, False)}
         assert len(ups) > 30
         for x in map(ContinuedFraction, ups):

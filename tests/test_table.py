@@ -272,18 +272,18 @@ class TestSharedSweep:
         assert totals == sorted(spans)
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
-        import twobridge.table as table
+        import twobridge.solver as solver
 
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real, solved = table._rungs_of, []
+        real, solved = solver._rungs_of, []
 
-        def recorded(k, *family):
-            solved.append(k)
-            return real(k, *family)
+        def recorded(fam):
+            solved.append(fam[0])
+            return real(fam)
 
-        monkeypatch.setattr(table, "_rungs_of", recorded)
+        monkeypatch.setattr(solver, "_rungs_of", recorded)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
@@ -293,10 +293,10 @@ class TestSharedSweep:
         # handed to the per-knot search.
         import twobridge.solver as solver
 
-        def no_c2(k):
-            raise AssertionError(f"{k} left the sweep")
+        def no_search(fam, *args):
+            raise AssertionError(f"{fam[0]} left the sweep")
 
-        monkeypatch.setattr(solver, "c2", no_c2)
+        monkeypatch.setattr(solver, "_least_hit", no_search)
         rows = build_table(3, 14)
         assert [(r.c, r.two_bridge_count, r.offsets) for r in rows] == [
             (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
