@@ -40,30 +40,30 @@ raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2 or
 search_at call never sweeps.
 
 Batches keep the shared sweep.  ``_solve_stream`` yields each knot's result
-as soon as it is known and sweeps each crossing total t once for every knot
-pending at it; :func:`solve_many` collects it, and the census builder feeds
-it the knots of every row it computes.  For whole census rows one sweep per
-total costs less than one search per knot: for the 2,158 knots of rows
-3..16 that need the search, about a fifth of the time (0.15 s against
-0.69 s on a 2-vCPU VM), and tests hold the two paths equal, witnesses
-included.  A knot whose m is above ``_SWEEP_LIMIT``, the largest m of census
-rows 3..22, gets the per-knot search on the record the stream holds: the
-sweep grows exponentially in t, so a large-p knot's would never end.  The
-sweep reads the sign vectors of each magnitude pattern, within a budget of
-sign changes and in product order, from a table of steps cached per length
-and cap.  By the lemma a knot is hit at t only by sign vectors with at most
-t - c changes: ``_solve_stream`` passes t minus the least c pending at t.
-:func:`global_c2_map` passes t, which no sign vector exceeds, so no cap
-binds: the oracle walks every sign vector, and the census cross-check keeps
-testing the lemma.  The sweep skips sequences with a negative first entry:
-its negation has the same magnitudes, comes earlier (+ sorts before -) and
-evaluates to the mirror.  A value num/den is in the class of K(p, q) exactly
-when |num| = p and den mod p is a slope residue q, p - q, q^-1 or p - q^-1.
-These are closed under negation and inversion, and the determinant of a
-Type A sequence's continuant matrix makes the numerator of its head a[:-1]
-+-den^-1 (mod num): the Type A path probes with it and computes no den.
-Each value costs one int lookup in a row per pending p, a residue is taken
-only at a pending p, and nothing is canonicalized.
+as soon as it is known and sweeps each crossing total t once, against one
+lookup of every pending knot; :func:`solve_many` collects it, and the census
+builder feeds it the knots of every row it computes.  For whole census rows
+one sweep per total costs less than one search per knot: for the 2,158 knots
+of rows 3..16 that need the search, about a fifth of the time (0.15 s
+against 0.69 s on a 2-vCPU VM), and tests hold the two paths equal,
+witnesses included.  A knot whose m is above ``_SWEEP_LIMIT``, the largest m
+of census rows 3..22, gets the per-knot search on the record the stream
+holds: the sweep grows exponentially in t, so a large-p knot's would never
+end.  The sweep reads the sign vectors of each magnitude pattern, within a
+budget of sign changes and in product order, from a table of steps cached
+per length and cap.  By the lemma a knot is hit at t only by sign vectors
+with at most t - c changes: ``_solve_stream`` passes t minus the least c
+pending below t.  :func:`global_c2_map` passes t, which no sign vector
+exceeds, so no cap binds: the oracle walks every sign vector, and the census
+cross-check keeps testing the lemma.  The sweep skips sequences with a
+negative first entry: its negation has the same magnitudes, comes earlier
+(+ sorts before -) and evaluates to the mirror.  A value num/den is in the
+class of K(p, q) exactly when |num| = p and den mod p is a slope residue q,
+p - q, q^-1 or p - q^-1, as the knot's record holds them.  These are closed
+under negation and inversion, and the determinant of a Type A sequence's
+continuant matrix makes the numerator of its head a[:-1] +-den^-1 (mod num):
+the Type A path probes with it and computes no den.  Each value costs one
+int lookup in a row per pending p, and nothing is canonicalized or inverted.
 
 Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
 c, the slope residues and their positive expansions (the Step1 candidates
@@ -89,7 +89,6 @@ from .contfrac import (
     _semi_even_entries,
     _shape,
 )
-from . import knot as _knot
 from .knot import TwoBridgeKnot, _Family, _families, _fills, _positive_family
 
 __all__ = [
@@ -296,27 +295,27 @@ def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int
     return tuple((i, signs, (1, -1) if k < cap else signs[-1:]) for i, signs, k in heads)
 
 
-def _residue_lookup(keys: Iterable[tuple[int, int]]) -> dict[int, dict[int, tuple]]:
-    """{p: {r: (p, q)}}: for each knot key (p, q), its slope residues r, every
-    r in (0, p) with knot._knot_key(p, r) == (p, q), in a row at p.  They are
-    closed under negation and inversion, so -den, den^-1 and -den^-1 (mod p)
-    name the same key as den: a sweep may probe with any of them."""
+def _residue_lookup(slopes: Iterable[tuple[int, ...]]) -> dict[int, dict[int, tuple]]:
+    """{p: {r: slopes}}: each knot's slope residues as its record holds them,
+    canonical q first, each mapped to the tuple in a row at p = q + (p - q).
+    They are closed under negation and inversion, so -den, den^-1 and
+    -den^-1 (mod p) name the same knot as den: a sweep may probe with any."""
     lookup: dict[int, dict[int, tuple]] = {}
-    for p, q in keys:
-        lookup.setdefault(p, {}).update(dict.fromkeys(_knot._slopes(p, q), (p, q)))
+    for s in slopes:
+        lookup.setdefault(s[0] + s[1], {}).update(dict.fromkeys(s, s))
     return lookup
 
 
 def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int]:
-    """The key at lookup[p][r], once its residues, and its row if that runs
-    empty, have left lookup."""
+    """The key (p, q) of the residues at lookup[p][r], q the first of them,
+    once they, and their row if it runs empty, have left lookup."""
     row = lookup[p]
-    key = row[r]
-    for s in _knot._slopes(*key):
+    slopes = row[r]
+    for s in slopes:
         row.pop(s, None)
     if not row:
         del lookup[p]
-    return key
+    return p, slopes[0]
 
 
 def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
@@ -591,31 +590,32 @@ def _solve_stream(records: Iterable[_Family]) -> Iterator[tuple[TwoBridgeKnot, C
 
     A Step1 or Step2 knot, or one with m above ``_SWEEP_LIMIT``, gets
     ``_searched`` on its record and comes first, in input order.  Every
-    other knot stays pending with its ExhaustedToBound result, not its record.
-    Then each crossing total t in some pending knot's span c < t < m is swept
-    once, over every knot pending at t: a Search hit is yielded when the sweep
-    finds it, and a knot still pending at t = m is yielded with its result
-    before that total is swept.
+    other knot stays pending with its ExhaustedToBound result, its residues
+    in the call's one lookup until ``_take`` removes them.  Each total t in
+    some pending span c < t < m is then swept once, with budget t minus the
+    least c below t: a Search hit is yielded when found, and a knot still
+    pending at t = m before that total is swept.
     """
-    pending: dict[tuple[int, int], tuple[TwoBridgeKnot, C2Result]] = {}
+    pending: dict[tuple[int, int], C2Result] = {}
+    lookup: dict[int, dict[int, tuple]] = {}
     for fam in records:
-        k, res = fam[0], _rungs_of(fam)
+        (k, _, slopes, _), res = fam, _rungs_of(fam)
         if res.method == METHOD_EXHAUSTED and res.semi_even_bound <= _SWEEP_LIMIT:
-            pending[(k.p, k.q)] = (k, res)
+            pending[(k.p, k.q)] = res
+            lookup.setdefault(k.p, {}).update(dict.fromkeys(slopes, slopes))
         else:
             yield k, _searched(fam, res)
 
     # t runs up to each m, the value of a pending result: at t = m it is final.
-    spans = {t for _, r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
+    spans = {t for r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
     for t in sorted(spans):
-        for key in [key for key, (_, r) in pending.items() if r.value == t]:
-            yield pending.pop(key)
-        # Every knot left has m > t.  No knot of crossing number c is hit
-        # with more than t - c sign changes.
-        live = {key: r.base_crossing for key, (_, r) in pending.items() if r.base_crossing < t}
-        hits = _sweep(t, _residue_lookup(live), t - min(live.values())) if live else ()
-        for key, cf, cls in hits:
-            k, r = pending.pop(key)
+        for key in [key for key, r in pending.items() if r.value == t]:
+            yield TwoBridgeKnot._trusted(*_take(lookup, *key)), pending.pop(key)
+        # Every knot left has m > t and is hit with at most t - c sign changes:
+        # one with c >= t only by a Step1 candidate, and none of those is A or B.
+        least = min((r.base_crossing for r in pending.values()), default=t)
+        for key, cf, cls in _sweep(t, lookup, t - least) if least < t else ():
+            k, r = TwoBridgeKnot._trusted(*key), pending.pop(key)
             yield k, C2Result(t, cf, cls, METHOD_SEARCH, r.semi_even_bound, r.base_crossing)
 
 
@@ -657,17 +657,17 @@ def global_c2_map(
     """
     if max_crossing < 3:
         raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
-    targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int]] = {}
+    targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int, tuple]] = {}
     for c in range(3, max_crossing + 1):
         for k, _, slopes, _ in _families(c):
-            targets[(k.p, k.q)] = (k, _semi_even_pick(k, slopes)[0])
+            targets[(k.p, k.q)] = (k, _semi_even_pick(k, slopes)[0], slopes)
 
-    lookup = _residue_lookup(targets)
+    lookup = _residue_lookup(slopes for *_, slopes in targets.values())
     found: dict[tuple[int, int], tuple[int, ContinuedFraction]] = {}
     t = 0
     while lookup:
         t += 1
-        net = max(m for key, (_, m) in targets.items() if key not in found)
+        net = max(m for key, (_, m, _) in targets.items() if key not in found)
         if t > net:
             raise RuntimeError(
                 f"enumeration passed every pending bound ({net}) without a hit"

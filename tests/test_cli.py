@@ -321,6 +321,24 @@ class TestNames:
         assert code == 2
         assert "row 3" in err
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("3_1,3", "expected 3 fields, got 2"),
+            (" ,3,2", "empty name"),
+            ("3_1,x,2", "p and q must be integers"),
+        ],
+    )
+    def test_bad_row_message(self, capsys, tmp_path, row, problem):
+        path = self.write(tmp_path, f"name,p,q\n{row}\n")
+        code, out, err = run(capsys, "names", "--csv", path)
+        assert (code, out, err) == (2, "", f"error: {path} row 2: {problem}\n")
+
+    def test_blank_row_is_skipped(self, capsys, tmp_path):
+        path = self.write(tmp_path, "name,p,q\n\n6_3,13,5\n")
+        assert run(capsys, "names", "--csv", path) == (0, "ok: 1 names\n", "")
+        assert run(capsys, "names", "--csv", path, "--lookup", "6_3") == (0, "K(13,8)\n", "")
+
     def test_duplicate_name(self, capsys, tmp_path):
         path = self.write(tmp_path, "name,p,q\n3_1,3,2\n3_1,5,2\n")
         code, _, err = run(capsys, "names", "--csv", path)
@@ -352,3 +370,25 @@ class TestParser:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["c2", "--name", "a", "--names-file", "f.csv", "--p", "13"],
+                "give either --name or --p/--q, not both",
+            ),
+            (["c2"], "need --p and --q (or --name with --names-file)"),
+            (
+                ["expand", "--p", "5", "--q", "7", "--mode", "positive"],
+                "need 0 < q < p, got p=5 q=7",
+            ),
+            (["render", "--p", "13"], "need both --p and --q"),
+        ],
+    )
+    def test_argument_checks(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "x.svg"
+        if argv[0] == "render":
+            argv = [*argv, "--out", str(out_path)]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not out_path.exists()

@@ -50,6 +50,13 @@ class TestModInverse:
         with pytest.raises(ValueError):
             mod_inverse(6, 9)
 
+    @pytest.mark.parametrize(
+        "q, p, message", [(3, 4, "modulus must be odd"), (5, 3, "q must lie in")]
+    )
+    def test_rejects_bad_modulus_and_range(self, q, p, message):
+        with pytest.raises(ValueError, match=message):
+            mod_inverse(q, p)
+
     @given(knots())
     def test_involution(self, k):
         inv = mod_inverse(k.q, k.p)
@@ -101,6 +108,8 @@ class TestCanonicalize:
             TwoBridgeKnot(13, 5)  # odd q
         with pytest.raises(ValueError):
             TwoBridgeKnot(17, 12)  # even, but the partner slope 10 is smaller
+        with pytest.raises(ValueError, match="p must be odd"):
+            TwoBridgeKnot(4, 2)  # even p: two-bridge link
 
     def test_exhaustive_small_range(self):
         # Every slope of every knot with p < 400 canonicalizes to the same

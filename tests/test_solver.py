@@ -142,17 +142,14 @@ class TestEnumerator:
 
 
 class _EveryResidue(dict):
-    """The row of _EveryValue at p: every probe r hits (p, r), and it never
-    runs empty."""
-
-    def __init__(self, p):
-        self.p = p
+    """The row of _EveryValue at p: every probe r hits the one residue r, so
+    _take names the key (p, r), and it never runs empty."""
 
     def __contains__(self, r):
         return True
 
     def __getitem__(self, r):
-        return self.p, r
+        return (r,)
 
     def __len__(self):
         return 1
@@ -167,10 +164,16 @@ class _EveryValue(dict):
         return p > 1
 
     def __getitem__(self, p):
-        return _EveryResidue(p)
+        return _EveryResidue()
 
     def __len__(self):
         return 1
+
+
+def _lookup(keys):
+    """The sweep's lookup of the knots with these keys, from the slope
+    residues that their records hold, canonical q first."""
+    return _residue_lookup(_slopes(p, q) for p, q in keys)
 
 
 @pytest.fixture(scope="module")
@@ -213,14 +216,14 @@ class TestSweep:
                 num, den = _eval_entries(cf.entries)
                 if key := _knot_key(num, den):
                     keyed.append((key, _eval_entries(cf.entries[:-1])[0]))
-        lookup = _residue_lookup({key for key, _ in keyed})
+        lookup = _lookup({key for key, _ in keyed})
         for (p, q), head in keyed:
-            assert lookup[p][head % p] == (p, q)
+            assert lookup[p][head % p] == _slopes(p, q)
         assert keyed
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
-        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _residue_lookup(keys_le_14), t)]
+        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _lookup(keys_le_14), t)]
         for key, entries in got:
             assert key == _knot_key(*_eval_entries(entries))
         targets, first = set(keys_le_14), {}
@@ -301,8 +304,8 @@ class TestSignBudget:
         hits = 0
         for budget in (1, 2, 3):
             keys = [key for c, ks in keys_by_c_le_14.items() if t - budget <= c < t for key in ks]
-            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _residue_lookup(keys), t)]
-            got = _sweep(t, _residue_lookup(keys), budget)
+            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _lookup(keys), t)]
+            got = _sweep(t, _lookup(keys), budget)
             assert [(key, cf.entries, cls) for key, cf, cls in got] == want
             hits += len(want)
         assert hits > 0
@@ -312,7 +315,7 @@ class TestSignBudget:
         for c in range(3, 12):
             for k in enumerate_knots(c):
                 for t in range(c - 1, c + 5):
-                    full = _sweep(t, _residue_lookup([(k.p, k.q)]), t)
+                    full = _sweep(t, _lookup([(k.p, k.q)]), t)
                     want = next((cf for _, cf, _ in full), None)
                     assert search_at(k, t) == want
                     if t < c:
@@ -323,7 +326,7 @@ class TestSignBudget:
         for c in range(12, 14):
             for k in enumerate_knots(c):
                 for t in (c + 1, c + 2):
-                    full = _sweep(t, _residue_lookup([(k.p, k.q)]), t)
+                    full = _sweep(t, _lookup([(k.p, k.q)]), t)
                     want = next((cf for _, cf, _ in full), None)
                     assert search_at(k, t) == want
                     hits += want is not None
@@ -645,40 +648,26 @@ class TestC2:
         assert len(expansions) == len(knots)
 
     def test_slopes_once_per_knot_on_the_rung_path(self, monkeypatch):
-        # The rungs read a knot's slope residues off its record, with no
-        # _slopes call; the sweep's residue lookups are counted apart.
+        # A knot's slope residues are read once, off its record: the rungs,
+        # the batch lookup, the census and the oracle make no _slopes call.
         import twobridge.knot as knot
         import twobridge.solver as solver
+        from twobridge.table import build_table
 
-        knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
-        real_slopes, real_rungs = knot._slopes, solver._rungs_of
-        inside, rung_calls, sweep_calls = [], [], []
+        real_slopes, calls = knot._slopes, []
 
         def counted_slopes(p, q):
-            (rung_calls if inside else sweep_calls).append((p, q))
+            calls.append((p, q))
             return real_slopes(p, q)
 
-        def counted_rungs(fam):
-            inside.append(fam)
-            try:
-                return real_rungs(fam)
-            finally:
-                inside.pop()
-
+        knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
         monkeypatch.setattr(knot, "_slopes", counted_slopes)
         assert not hasattr(solver, "_slopes")  # every call goes through knot
-        monkeypatch.setattr(solver, "_rungs_of", counted_rungs)
         results = solve_many(knots)
-        assert rung_calls == []
-        # A swept knot's residues are listed once per total it is pending at,
-        # and once more when a Search hit takes them out of the lookup.
-        lookups = sum(
-            r.value - r.base_crossing + (1 if r.method == METHOD_SEARCH else -1)
-            for r in results.values()
-            if r.method in (METHOD_SEARCH, METHOD_EXHAUSTED)
-        )
-        assert lookups > 0
-        assert len(sweep_calls) == lookups
+        assert any(r.method == METHOD_EXHAUSTED for r in results.values())
+        build_table(3, 12)
+        global_c2_map(10)
+        assert calls == []
 
     def test_search_branch_self_corrects(self, monkeypatch):
         # If the greedy bound ever came out loose, the level sweep must
@@ -776,6 +765,10 @@ class TestRungsLargeP:
 
 
 class TestGlobalMap:
+    def test_rejects_rows_below_3(self):
+        with pytest.raises(ValueError, match="max_crossing must be >= 3"):
+            global_c2_map(2)
+
     def test_agrees_with_per_knot_solver(self):
         gm = global_c2_map(8)
         knots = {k for c in range(3, 9) for k in enumerate_knots(c)}

@@ -271,6 +271,22 @@ class TestSharedSweep:
         assert len(totals) == len(set(totals))
         assert totals == sorted(spans)
 
+    def test_one_lookup_for_the_whole_build(self, monkeypatch):
+        # The stream fills one lookup from the records, every total sweeps
+        # it, and each knot has left it by the end.
+        import twobridge.solver as solver
+
+        real, seen = solver._sweep, []
+
+        def recorded(t, lookup, budget):
+            seen.append(lookup)
+            return real(t, lookup, budget)
+
+        monkeypatch.setattr(solver, "_sweep", recorded)
+        build_table(3, 14)
+        assert len(seen) > 1 and all(lookup is seen[0] for lookup in seen)
+        assert seen[0] == {}
+
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
         import twobridge.solver as solver
 
