@@ -36,43 +36,41 @@ entries after the first sign change in place counted from the right, and
 Type A fixes the parity of every other one of them; Type B needs an odd t
 and a knot with q^2 = +-1 (mod p).  One call walks at most
 ``_SEARCH_LIMIT`` sequences: once it holds more than it may still walk, it
-raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2 or
-search_at call never sweeps.
+raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2,
+search_at or solve_many call never sweeps.
 
-Batches keep the shared sweep.  ``_solve_stream`` yields each knot's result
-as soon as it is known and sweeps each crossing total t once, against one
-lookup of every pending knot; :func:`solve_many` collects it, and the census
-builder feeds it the knots of every row it computes.  For whole census rows
-one sweep per total costs less than one search per knot: for the 2,158 knots
-of rows 3..16 that need the search, about a fifth of the time (0.15 s
-against 0.69 s on a 2-vCPU VM), and tests hold the two paths equal,
-witnesses included.  A knot whose m is above ``_SWEEP_LIMIT``, the largest m
-of census rows 3..22, gets the per-knot search on the record the stream
-holds: the sweep grows exponentially in t, so a large-p knot's would never
-end.  The sweep reads the sign vectors of each magnitude pattern, within a
-budget of sign changes and in product order, from a table of steps cached
-per length and cap.  By the lemma a knot is hit at t only by sign vectors
-with at most t - c changes: ``_solve_stream`` passes t minus the least c
-pending below t.  :func:`global_c2_map` passes t, which no sign vector
-exceeds, so no cap binds: the oracle walks every sign vector, and the census
-cross-check keeps testing the lemma.  The sweep skips sequences with a
-negative first entry: its negation has the same magnitudes, comes earlier
-(+ sorts before -) and evaluates to the mirror.  A value num/den is in the
-class of K(p, q) exactly when |num| = p and den mod p is a slope residue q,
-p - q, q^-1 or p - q^-1, as the knot's record holds them.  These are closed
-under negation and inversion, and the determinant of a Type A sequence's
-continuant matrix makes the numerator of its head a[:-1] +-den^-1 (mod num):
-the Type A path probes with it and computes no den.  Each value costs one
-int lookup in a row per pending p, and nothing is canonicalized or inverted.
+The census keeps the shared sweep.  ``_solve_stream``, which only the
+census builder calls, yields each knot's result as soon as it is known and
+sweeps each crossing total t once, against one lookup of every pending
+knot.  For whole census rows one sweep per total costs less than one search
+per knot: for the 2,158 knots of rows 3..16 that need the search, about a
+fifth of the time (0.15 s against 0.69 s on a 2-vCPU VM), and tests hold
+the two paths equal, witnesses included.  Every other caller gets the
+per-knot search: :func:`solve_many` is :func:`c2` per knot, so no engine
+limit picks between the two.  The sweep reads the sign vectors of each
+magnitude pattern, within a budget of sign changes and in product order,
+from a table of steps cached per length and cap.  By the lemma a knot is
+hit at t only by sign vectors with at most t - c changes: ``_solve_stream``
+passes t minus the least c pending below t.  :func:`global_c2_map` passes
+t, which no sign vector exceeds, so no cap binds: the oracle walks every
+sign vector, and the census cross-check keeps testing the lemma.  The sweep
+skips sequences with a negative first entry: its negation has the same
+magnitudes, comes earlier (+ sorts before -) and evaluates to the mirror.
+A value num/den is in the class of K(p, q) exactly when |num| = p and den
+mod p is a slope residue q, p - q, q^-1 or p - q^-1, as the knot's record
+holds them.  These are closed under negation and inversion, and the
+determinant of a Type A sequence's continuant matrix makes the numerator of
+its head a[:-1] +-den^-1 (mod num): the Type A path probes with it and
+computes no den.  Each value costs one int lookup in a row per pending p,
+and nothing is canonicalized or inverted.
 
 Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
 c, the slope residues and their positive expansions (the Step1 candidates
 and search roots), read off one Euclid run or, in the census, one
 composition.  ``_rungs_of`` runs Steps 1 and 2 on it once: the Step1 or
 Step2 result, or else ExhaustedToBound at m with the semi-even witness,
-which only a Search hit below m can replace.  ``_searched`` takes record
-and result to the per-knot search; :func:`c2` and ``_solve_stream``, for
-every knot it does not sweep, run the two in turn.
+which only a Search hit below m can replace: :func:`c2` then runs the
+per-knot search on the record, and ``_solve_stream`` the sweep.
 """
 
 from __future__ import annotations
@@ -111,11 +109,6 @@ METHOD_EXHAUSTED = "ExhaustedToBound"
 # Work ceiling of one c2 or search_at call: sequences built by the per-knot
 # search, over all the totals it tries.
 _SEARCH_LIMIT = 100_000
-
-# Largest semi-even bound m a batch sweeps up to; a knot with a larger m gets
-# c2.  28 is the largest m in census rows 3..22, so no census knot leaves the
-# sweep.
-_SWEEP_LIMIT = 28
 
 
 @dataclass(frozen=True)
@@ -569,42 +562,28 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 # Full solves
 
 
-def _searched(fam: _Family, res: C2Result) -> C2Result:
-    """res, the result of fam's rungs, unless it is ExhaustedToBound and the
-    per-knot search hits at t = c + 1 .. m - 1.  Raises SearchBudgetExceeded,
-    carrying c and m, when the search passes its work ceiling."""
-    if res.method != METHOD_EXHAUSTED:
-        return res
-    c, m, work = res.base_crossing, res.value, [_SEARCH_LIMIT]
-    for t in range(c + 1, m):
-        hit = _least_hit(fam, t, m, work)
-        if hit:
-            cf = ContinuedFraction._trusted(hit[0])
-            return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
-    return res
-
-
 def _solve_stream(records: Iterable[_Family]) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
     """(knot, result) for each of the distinct knots, as soon as it is known,
-    from their records, which are read lazily, each through ``_rungs_of``.
+    from their records, which are read lazily, each through ``_rungs_of``;
+    the census builder's solve.
 
-    A Step1 or Step2 knot, or one with m above ``_SWEEP_LIMIT``, gets
-    ``_searched`` on its record and comes first, in input order.  Every
-    other knot stays pending with its ExhaustedToBound result, its residues
-    in the call's one lookup until ``_take`` removes them.  Each total t in
-    some pending span c < t < m is then swept once, with budget t minus the
-    least c below t: a Search hit is yielded when found, and a knot still
-    pending at t = m before that total is swept.
+    A Step1 or Step2 knot comes first, in input order.  Every ExhaustedToBound
+    knot stays pending, its residues in the call's one lookup until ``_take``
+    removes them.  Each total t in some pending span c < t < m is then swept
+    once, with budget t minus the least c below t: a Search hit is yielded
+    when found, and a knot still pending at t = m before that total is swept.
+    The stream never runs the per-knot search, so it refuses no knot.
     """
     pending: dict[tuple[int, int], C2Result] = {}
-    lookup: dict[int, dict[int, tuple]] = {}
+    held: list[tuple[int, ...]] = []
     for fam in records:
-        (k, _, slopes, _), res = fam, _rungs_of(fam)
-        if res.method == METHOD_EXHAUSTED and res.semi_even_bound <= _SWEEP_LIMIT:
+        k, res = fam[0], _rungs_of(fam)
+        if res.method == METHOD_EXHAUSTED:
             pending[(k.p, k.q)] = res
-            lookup.setdefault(k.p, {}).update(dict.fromkeys(slopes, slopes))
+            held.append(fam[2])
         else:
-            yield k, _searched(fam, res)
+            yield k, res
+    lookup = _residue_lookup(held)
 
     # t runs up to each m, the value of a pending result: at t = m it is final.
     spans = {t for r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
@@ -620,26 +599,29 @@ def _solve_stream(records: Iterable[_Family]) -> Iterator[tuple[TwoBridgeKnot, C
 
 
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
-    """Solve a batch of knots with one shared sweep per crossing total.
-
-    Each knot's record, from one Euclid run, goes through ``_solve_stream``
-    and gets what :func:`c2` returns for it, witness included: at each total
-    every knot still pending keeps the first sequence in enumeration order
-    that hits it, the least hit that the per-knot search picks.  A knot whose
-    m is above ``_SWEEP_LIMIT`` gets the per-knot search instead, so it may
-    raise SearchBudgetExceeded as c2 does; for one knot, use c2.
-    """
-    return dict(_solve_stream(map(_positive_family, sorted(set(knots)))))
+    """{k: c2(k)} for each distinct knot, in input order; raises
+    SearchBudgetExceeded where :func:`c2` does.  No batch sweeps: only the
+    census builder, through ``_solve_stream``, shares one sweep per total."""
+    return {k: c2(k) for k in dict.fromkeys(knots)}
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
     """Least crossing sum over Type A / Type B sequences representing k.
 
-    The rungs of ``_rungs_of``, then the per-knot search of ``_searched`` at
-    t = c + 1 .. m - 1; no sweep.  Raises SearchBudgetExceeded, carrying c
-    and m, when the search passes its work ceiling."""
+    The rungs of ``_rungs_of``; then, for an ExhaustedToBound result, the
+    per-knot search at t = c + 1 .. m - 1, whose first hit is the Search
+    result; no sweep.  Raises SearchBudgetExceeded, carrying c and m, when
+    the search passes its work ceiling."""
     fam = _positive_family(k)
-    return _searched(fam, _rungs_of(fam))
+    res = _rungs_of(fam)
+    if res.method == METHOD_EXHAUSTED:
+        c, m, work = res.base_crossing, res.value, [_SEARCH_LIMIT]
+        for t in range(c + 1, m):
+            hit = _least_hit(fam, t, m, work)
+            if hit:
+                cf = ContinuedFraction._trusted(hit[0])
+                return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
+    return res
 
 
 def global_c2_map(

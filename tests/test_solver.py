@@ -33,6 +33,7 @@ from twobridge.solver import (
     _rungs,
     _semi_even_pick,
     _sign_steps,
+    _solve_stream,
     _sweep,
     _type_a_magnitudes,
     _type_b_halves,
@@ -168,6 +169,12 @@ class _EveryValue(dict):
 
     def __len__(self):
         return 1
+
+
+def _swept(knots):
+    """{k: result} from the census's shared sweep, ``_solve_stream``, over
+    the knots' records."""
+    return dict(_solve_stream(map(_positive_family, knots)))
 
 
 def _lookup(keys):
@@ -334,7 +341,7 @@ class TestSignBudget:
 
     def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
         # Raising every semi-even bound by 3 makes the Search rung decide
-        # most knots; the budgeted solve must match the unbudgeted one, and
+        # most knots; the budgeted sweep must match the unbudgeted one, and
         # the per-knot search in c2 must match both.
         import twobridge.solver as solver
 
@@ -346,10 +353,10 @@ class TestSignBudget:
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
-        budgeted = solve_many(knots)
+        budgeted = _swept(knots)
         assert {k: c2(k) for k in knots} == budgeted
         monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: real_sweep(t, lookup, t))
-        assert solve_many(knots) == budgeted
+        assert _swept(knots) == budgeted
         assert sum(r.method == METHOD_SEARCH for r in budgeted.values()) > 400
 
 
@@ -531,9 +538,9 @@ class TestC2:
             assert c2(k).value == t, f"{k}: solver disagrees with brute force"
 
     def test_batched_equals_individual(self):
-        # The batch sweep and the per-knot search, witnesses included.
+        # The census sweep and the per-knot search, witnesses included.
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
-        batched = solve_many(knots)
+        batched = _swept(knots)
         for k in knots:
             assert batched[k] == c2(k)
 
@@ -670,7 +677,7 @@ class TestC2:
         assert calls == []
 
     def test_search_branch_self_corrects(self, monkeypatch):
-        # If the greedy bound ever came out loose, the level sweep must
+        # If the greedy bound ever came out loose, the census sweep must
         # still land on the true value; simulate a looser rule.
         import twobridge.solver as solver
 
@@ -684,7 +691,7 @@ class TestC2:
             return m, w
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
-        res = solve_many([k13])[k13]
+        res = _swept([k13])[k13]
         assert res.value == 7
         assert res.method == METHOD_SEARCH
         assert res.witness.entries == (1, 2, -2, -2)
@@ -749,13 +756,28 @@ class TestRungsLargeP:
             assert classify_type(x) is ExpansionClass.NEITHER
 
     def test_solve_many_hands_large_bounds_to_c2(self):
-        # Their m is far above the sweep limit: solve_many returns what c2
-        # does at once, where a sweep from t = c + 1 would never end.
+        # solve_many returns what c2 does at once, where a sweep from
+        # t = c + 1 up to their m would never end.
         knots = [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P]
         start = time.perf_counter()
         got = solve_many(knots)
         assert time.perf_counter() - start < 1
         assert got == {k: c2(k) for k in knots}
+
+    def test_solve_many_never_sweeps(self, monkeypatch):
+        # solve_many is c2 per knot: the census is the only caller of the
+        # sweep.  K(11047,6378) has c = 21 and m = 27.
+        import twobridge.solver as solver
+
+        def no_sweep(*args):
+            raise AssertionError("swept")
+
+        knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
+        knots += [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P + [(11047, 6378)]]
+        want = {k: c2(k) for k in knots}
+        assert any(r.method == METHOD_EXHAUSTED for r in want.values())
+        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        assert solve_many(knots) == want
 
     def test_solve_many_refuses_as_c2_does(self):
         k = canonicalize(791256216780409, 209614989723732)
@@ -768,6 +790,16 @@ class TestGlobalMap:
     def test_rejects_rows_below_3(self):
         with pytest.raises(ValueError, match="max_crossing must be >= 3"):
             global_c2_map(2)
+
+    def test_no_hit_below_every_bound_raises(self, monkeypatch):
+        # A sweep that never hits must end in an error, not a loop.
+        import twobridge.solver as solver
+
+        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: iter(()))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="enumeration passed every pending bound"):
+            global_c2_map(5)
+        assert time.perf_counter() - start < 1
 
     def test_agrees_with_per_knot_solver(self):
         gm = global_c2_map(8)

@@ -305,8 +305,8 @@ class TestSharedSweep:
         assert sorted(solved) == sorted(want)
 
     def test_census_never_leaves_the_sweep(self, monkeypatch):
-        # Every census knot's m is within the sweep limit, so no knot is
-        # handed to the per-knot search.
+        # The census stream sweeps every knot the rungs leave open: no knot
+        # is handed to the per-knot search.
         import twobridge.solver as solver
 
         def no_search(fam, *args):
