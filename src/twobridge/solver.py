@@ -90,6 +90,10 @@ from .contfrac import (
 from .knot import TwoBridgeKnot, _Family, _families, _fills, _positive_family
 
 __all__ = [
+    "METHOD_STEP1",
+    "METHOD_STEP2",
+    "METHOD_SEARCH",
+    "METHOD_EXHAUSTED",
     "C2Result",
     "SearchBudgetExceeded",
     "step1_check",

@@ -25,14 +25,13 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .knot import TwoBridgeKnot, _families, _knot_count, enumerate_knots
+from .knot import TwoBridgeKnot, _families, _knot_count
 from .solver import _solve_stream, global_c2_map
 
 __all__ = [
     "ALGORITHM_VERSION",
     "TableRow",
     "CrossCheckError",
-    "enumerate_knots",
     "table_row",
     "build_table",
 ]

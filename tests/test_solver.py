@@ -22,6 +22,7 @@ from twobridge.knot import (
     _slopes,
     canonicalize,
     crossing_number,
+    enumerate_knots,
     fraction_to_knot,
 )
 from twobridge.solver import (
@@ -51,7 +52,6 @@ from twobridge.solver import (
     step1_check,
     step2_bound,
 )
-from twobridge.table import enumerate_knots
 
 # Brute-force oracle: every signed sequence with |a| summing to t, filtered
 # by classify_type.  Independent of the solver's shape-directed generators.

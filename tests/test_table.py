@@ -5,14 +5,13 @@ import pytest
 
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
-from twobridge.knot import canonicalize, crossing_number
+from twobridge.knot import canonicalize, crossing_number, enumerate_knots
 from twobridge.solver import METHOD_EXHAUSTED, _rungs, solve_many
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
     TableRow,
     build_table,
-    enumerate_knots,
     table_row,
 )
 
