@@ -162,6 +162,13 @@ class TestSvg:
             ((2, 6, 1, 4), "6a7c07c812658533ef522689f22d3c76994688cd7bdca6212c5d7d955a011e5b"),
             ((1, 2, 3, 2, 1), "e7b7ab7763caa1e0e6b72368c3c52ca79a8baff0e53a454636c0d1af6e190825"),
             ((3, -1, 3), "5859054fdefd289640c5ed18451bbf38988bf0dcee465e62ded5646e012421c2"),
+            # Type A with one split column: no split-to-split rail
+            ((1, 2), "52e73e0526837507b8f641d9c250759e3bf10d8aff5512c99cb1a07cc99802a4"),
+            # Type B with four columns: two arm links
+            (
+                (2, 1, 1, 3, 1, 1, 2),
+                "4254a574358f664154b66d17432c76c52ba6f16253adbdc48c12144a9fc68e75",
+            ),
             # the c2 witness of K(100003,16668)
             (
                 (5, 2, -1, -3332, 2, 2),
