@@ -195,19 +195,6 @@ def _nearest_even(p: int, q: int) -> int:
     return 2 * ((p + q) // (2 * q))
 
 
-def _even_entries(p: int, q: int) -> list[int]:
-    out = []
-    while q != 1:
-        a = _nearest_even(p, q)
-        out.append(a)
-        p, q = q, p - a * q
-        if q < 0:
-            p, q = -p, -q
-    assert p % 2 == 0, "even expansion must terminate on an even integer"
-    out.append(p)
-    return out
-
-
 def even_expansion(r: Rational) -> ContinuedFraction:
     """All-even expansion: repeatedly take the even integer within distance 1.
 
@@ -217,13 +204,13 @@ def even_expansion(r: Rational) -> ContinuedFraction:
     """
     _require_slope(r, "even_expansion")
     _require_mixed_parity(r, "even_expansion")
-    return ContinuedFraction._trusted(tuple(_even_entries(r.num, r.den)))
+    return ContinuedFraction._trusted(tuple(_semi_even_entries(r.num, r.den, all_even=True)))
 
 
-def _semi_even_entries(p: int, q: int) -> list[int]:
+def _semi_even_entries(p: int, q: int, all_even: bool = False) -> list[int]:
     out = []
     while q != 1:
-        if p % 2 == 0:
+        if p % 2 == 0 or all_even:
             # Constrained: the entry must be even, take the nearest even.
             a = _nearest_even(p, q)
         else:
@@ -233,6 +220,7 @@ def _semi_even_entries(p: int, q: int) -> list[int]:
         p, q = q, p - a * q
         if q < 0:
             p, q = -p, -q
+    assert p % 2 == 0 or not all_even, "even expansion must terminate on an even integer"
     out.append(p)
     return out
 

@@ -177,9 +177,13 @@ class _Connectors:
         for pts in (points, [self._flip(p) for p in points]):
             self.parts.append(_path(pts))
 
+    def turn(self, p, x, q) -> None:
+        """The cubic strand from p out to column x, across to q's height and
+        back in to q."""
+        self.path([p, (x, p[1]), (x, q[1]), q])
+
     def s_curve(self, p, q) -> None:
-        mx = (p[0] + q[0]) // 2
-        self.path([p, (mx, p[1]), (mx, q[1]), q])
+        self.turn(p, (p[0] + q[0]) // 2, q)
 
 
 def _columns(lay: DiagramLayout):
@@ -222,24 +226,9 @@ def to_svg(lay: DiagramLayout) -> str:
         split_idx = list(range(1, ncols, 2))
         for a, b in zip(split_idx, split_idx[1:]):
             con.line((placed[a][1], ay - (H + d)), (placed[b][0], ay - (H + d)))
-        xl0 = placed[0][0]
-        con.path(
-            [
-                (placed[1][0], ay - (H + d)),
-                (xl0 - 2 * u, ay - (H + d)),
-                (xl0 - 2 * u, ay - d),
-                (xl0, ay - d),
-            ]
-        )
-        xrn = placed[-1][1]
-        con.path(
-            [
-                (xrn, ay - (H - d)),
-                (xrn + 2 * u, ay - (H - d)),
-                (xrn + 2 * u, ay - (H + d)),
-                (xrn, ay - (H + d)),
-            ]
-        )
+        xl0, xrn = placed[0][0], placed[-1][1]
+        con.turn((placed[1][0], ay - (H + d)), xl0 - 2 * u, (xl0, ay - d))
+        con.turn((xrn, ay - (H - d)), xrn + 2 * u, (xrn, ay - (H + d)))
     else:
         h = ncols
         if h == 1:
@@ -251,25 +240,11 @@ def to_svg(lay: DiagramLayout) -> str:
                 for yy in (ay - (H + d), ay - (H - d)):
                     con.line((placed[i][1], yy), (placed[i + 1][0], yy))
             xl0 = placed[0][0]
-            con.path(
-                [
-                    (xl0, ay - (H + d)),
-                    (xl0 - 2 * u, ay - (H + d)),
-                    (xl0 - 2 * u, ay - (H - d)),
-                    (xl0, ay - (H - d)),
-                ]
-            )
+            con.turn((xl0, ay - (H + d)), xl0 - 2 * u, (xl0, ay - (H - d)))
             arm_xr = placed[h - 2][1]
             cx_l, cx_r = placed[h - 1][0], placed[h - 1][1]
             con.s_curve((arm_xr, ay - (H - d)), (cx_l, ay - d))
-            con.path(
-                [
-                    (arm_xr, ay - (H + d)),
-                    (cx_r + 3 * u, ay - (H + d)),
-                    (cx_r + 3 * u, ay - d),
-                    (cx_r, ay - d),
-                ]
-            )
+            con.turn((arm_xr, ay - (H + d)), cx_r + 3 * u, (cx_r, ay - d))
 
     glyphs: list[str] = []
     for xl, _, col in placed:

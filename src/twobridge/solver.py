@@ -141,10 +141,12 @@ class C2Result:
 
 class SearchBudgetExceeded(RuntimeError):
     """The per-knot search reached its work ceiling before deciding c2(knot);
-    only the proven bracket c <= c2 <= m is known."""
+    only the proven bracket c <= c2 <= m is known.  t, when given, is the
+    one crossing total that :func:`search_at` was searching."""
 
-    def __init__(self, knot: TwoBridgeKnot, c: int, m: int):
-        super().__init__(f"c2 of {knot} undecided within the search limit: {c} <= c2 <= {m}")
+    def __init__(self, knot: TwoBridgeKnot, c: int, m: int, t: int | None = None):
+        what = f"search of {knot} at t={t} passed" if t else f"c2 of {knot} undecided within"
+        super().__init__(f"{what} the search limit: {c} <= c2 <= {m}")
         self.knot, self.c, self.m = knot, c, m
 
 
@@ -555,10 +557,13 @@ def _least_hit(
 
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
-    into k's slope class, or None.  Raises SearchBudgetExceeded past the
-    search's work ceiling."""
+    into k's slope class, or None.  Raises SearchBudgetExceeded, naming t,
+    past the search's work ceiling."""
     fam = _positive_family(k)
-    hit = _least_hit(fam, t, _semi_even_pick(k, fam[2])[0], [_SEARCH_LIMIT])
+    try:
+        hit = _least_hit(fam, t, _semi_even_pick(k, fam[2])[0], [_SEARCH_LIMIT])
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(exc.knot, exc.c, exc.m, t) from None
     return hit and ContinuedFraction._trusted(hit[0])
 
 
@@ -638,8 +643,9 @@ def global_c2_map(
     the stepwise machinery, so agreement with :func:`c2` is meaningful.
     Returns {knot: (t, first witness)} for every knot with crossing number up
     to max_crossing.  Every knot is found by the time t reaches its semi-even
-    bound (that expansion is itself an enumerated Type A sequence); passing a
-    bound without a hit would be an implementation bug and raises.
+    bound m (that expansion is itself an enumerated Type A sequence); a knot
+    first hit past its m, or left when t passes the largest m, would be an
+    implementation bug and raises.
     """
     if max_crossing < 3:
         raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
@@ -649,15 +655,14 @@ def global_c2_map(
             targets[(k.p, k.q)] = (k, _semi_even_pick(k, slopes)[0], slopes)
 
     lookup = _residue_lookup(slopes for *_, slopes in targets.values())
-    found: dict[tuple[int, int], tuple[int, ContinuedFraction]] = {}
-    t = 0
-    while lookup:
-        t += 1
-        net = max(m for key, (_, m, _) in targets.items() if key not in found)
-        if t > net:
-            raise RuntimeError(
-                f"enumeration passed every pending bound ({net}) without a hit"
-            )
+    found: dict[TwoBridgeKnot, tuple[int, ContinuedFraction]] = {}
+    net = max(m for _, m, _ in targets.values())
+    for t in range(1, net + 1):
         for key, cf, _ in _sweep(t, lookup, t):
-            found[key] = (t, cf)
-    return {targets[key][0]: hit for key, hit in found.items()}
+            k, m, _ = targets[key]
+            if t > m:
+                raise RuntimeError(f"{k} first hit at t={t}, past its semi-even bound {m}")
+            found[k] = (t, cf)
+        if not lookup:
+            return found
+    raise RuntimeError(f"enumeration passed every pending bound ({net}) without a hit")

@@ -592,6 +592,14 @@ class TestC2:
             search_at(k, t)
         assert (info.value.knot, info.value.c, info.value.m) == (k, 6, 7)
 
+    def test_search_at_refusal_names_its_total(self):
+        # search_at searches one total; c2 of K(13,8) is decided (Step2).
+        with pytest.raises(SearchBudgetExceeded) as info:
+            search_at(canonicalize(13, 5), 80)
+        assert str(info.value) == (
+            "search of K(13,8) at t=80 passed the search limit: 6 <= c2 <= 7"
+        )
+
     def test_c2_reads_no_slopes(self, monkeypatch):
         # A canonical knot's c2, search included, reads its slopes off one
         # Euclid run.
@@ -800,6 +808,22 @@ class TestGlobalMap:
         with pytest.raises(RuntimeError, match="enumeration passed every pending bound"):
             global_c2_map(5)
         assert time.perf_counter() - start < 1
+
+    def test_hit_past_its_own_bound_raises(self, monkeypatch):
+        # K(13,8) has m = 7; reported as 6, its hit at t = 7 must raise
+        # although knots with larger bounds are still pending.
+        import twobridge.solver as solver
+
+        real = solver._semi_even_pick
+
+        def low(k, slopes):
+            m, wit = real(k, slopes)
+            return (m - 1 if (k.p, k.q) == (13, 8) else m), wit
+
+        monkeypatch.setattr(solver, "_semi_even_pick", low)
+        with pytest.raises(RuntimeError) as info:
+            global_c2_map(8)
+        assert str(info.value) == "K(13,8) first hit at t=7, past its semi-even bound 6"
 
     def test_agrees_with_per_knot_solver(self):
         gm = global_c2_map(8)
