@@ -34,7 +34,9 @@ under ``_order_key``, which reproduces :func:`enumerate_type_ab` order, is
 the answer.  The walk prunes what cannot be Type A: a later step keeps the
 entries after the first sign change in place counted from the right, and
 Type A fixes the parity of every other one of them; Type B needs an odd t
-and a knot with q^2 = +-1 (mod p).  One call walks at most
+and a knot with q^2 = +-1 (mod p).  Where Type B cannot hit, a preimage
+that spends all the crossings left is a leaf, and it is built only if it is
+Type A, which a few parities of its node decide.  One call walks at most
 ``_SEARCH_LIMIT`` sequences: once it holds more than it may still walk, it
 raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2,
 search_at or solve_many call never sweeps.
@@ -147,7 +149,7 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, knot: TwoBridgeKnot, c: int, m: int, t: int | None = None):
         what = f"search of {knot} at t={t} passed" if t else f"c2 of {knot} undecided within"
         super().__init__(f"{what} the search limit: {c} <= c2 <= {m}")
-        self.knot, self.c, self.m = knot, c, m
+        self.knot, self.c, self.m, self.t = knot, c, m, t
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +442,48 @@ def _preimages(
     right, the entries after the first negative y[j] of y (y[j] too, unless
     the move costs 3 or more), and x keeps those after the y[i] it merges
     into.  So y[low:], low the least index that qualifies, must cover both.
-    And an x of cost room must not put two odd entries side by side around
-    its -1.
+
+    An x of cost room is a leaf, and with a_only it is yielded only if it
+    is Type A, which parities of y decide before it is built.  Most such x
+    put two odd entries side by side around their -1.  The others rewrite
+    y[i - 1] and y[i], or, when y[i - 1] = 1, y[i - 2 .. i] (the
+    b >= 2 case at cost 1; the b = 1 merge of s = 1 into v = y[i], at cost
+    1 or, for v < 0, 3), or y[0] (the leading case at cost 2).  Its length
+    is n +- 1, so n must be odd.  The entries after the rewritten ones keep
+    their places, which low covers; those before them move by one place,
+    so they hold no odd entry at an odd index: they end at most at hi, the
+    first such index (n if none).  The rewritten entries that land on odd
+    places must be even:
+      - b >= 2, y[i - 1] > 1: x has [y[i - 1] - 1, 1, -1 - y[i]], so n - i,
+        y[i] and y[i - 1] are odd;
+      - b >= 2, y[i - 1] = 1: x has [y[i - 2] + 1, -1 - y[i]], so y[i] is
+        odd if n - i is odd, and y[i - 2] is odd if n - i is even;
+      - the merge: x has [y[i - 1] + 1, -1, 1 - v], so n - i, v and
+        y[i - 1] are odd;
+      - the leading case: x starts [1, -1 - y[0]], so y[0] is odd.
     """
     n = len(y)
+    if a_only and room == 1 and n % 2 == 0:  # every x has length n +- 1
+        return
     j = next((i for i, a in enumerate(y) if a < 0), n)  # y[:j] is positive
-    low = 0
+    low, hi = 0, n
     if a_only:
         low = next((i + 1 for i in range(n - 1, -1, -2) if y[i] % 2), 0)
         if low > (j if room < 3 else j + 1):
             return
+        hi = next((i for i in range(1, n, 2) if y[i] % 2), n)
     # b >= 2: y = stack + [b - 1] + (-R), cost 1.
     for i in range(max(1, low - 1), j):
+        if a_only and room == 1 and not (
+            y[i - 1] > 1 and (n - i) % 2 and y[i] % 2 and y[i - 1] % 2 and i - 1 <= hi
+            or y[i - 1] == 1 and y[i if (n - i) % 2 else i - 2] % 2 and i - 2 <= hi
+        ):
+            continue
         head = _unstack(y[:i])
         if head:
             yield head + (-1 - y[i],) + _negated(y[i + 1:])
     # a = 1 with L empty and b >= 2: [0, 1, b - 1, -R] names the knot of [b - 1, -R].
-    if room >= 2 and low <= 1:
+    if room >= 2 and low <= 1 and (room > 2 or not a_only or n % 2 and y[0] % 2):
         yield (1, -1 - y[0]) + _negated(y[1:])
     # b = 1: the entries tops = (s_1, .., s_k) cancel against the top of the
     # stack first, then the zero ends in one of three ways.  The first is a
@@ -476,7 +503,10 @@ def _preimages(
                 top = 0 if tops else min(top, 1)
             for s in range(1, top + 1):
                 cost = spent + s + abs(v - s) - abs(v)
-                if s == v or a_only and cost == room and (tops or s > 1):
+                if s == v or a_only and cost == room and (
+                    tops or s > 1
+                    or not (n % 2 and (n - i) % 2 and v % 2 and z[i - 1] % 2 and i - 1 <= hi)
+                ):
                     continue
                 head = _unstack(z[:i] + (s,) + stacked)
                 if head:

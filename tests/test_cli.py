@@ -132,12 +132,23 @@ class TestC2:
         assert code == 2
 
     def test_large_p_decides(self, capsys):
-        # c = 3342, and the per-knot search builds 24 sequences to decide it.
+        # c = 3342, and the per-knot search builds 8 sequences to decide it.
         code, out, _ = run(capsys, "c2", "--p", "100003", "--q", "40000")
         assert code == 0
         assert out.strip() == (
             "K(100003,16668): c2=3344 c=3342 m=3344 method=ExhaustedToBound"
             " witness=[5,2,-1,-3332,2,2] class=TypeA"
+        )
+
+    def test_large_p_decided_within_the_search_limit(self, capsys):
+        # The search builds only Type A leaves, so this one, c = 139 and
+        # m = 147, is decided within _SEARCH_LIMIT; it is in README.
+        code, out, _ = run(capsys, "c2", "--p", "314573286388203", "--q", "189071533637990")
+        assert code == 0
+        assert out.strip() == (
+            "K(314573286388203,189071533637990): c2=147 c=139 m=147 method=ExhaustedToBound"
+            " witness=[1,20,1,2,-2,-2,1,2,8,2,2,2,-1,-2,-1,-8,4,2,1,8,-3,-4,-1,-14,1,2,"
+            "-3,-4,-1,-38,2,2] class=TypeA"
         )
 
 

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from itertools import product
@@ -11,6 +12,7 @@ from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
     _eval_entries,
+    _shape,
     classify_type,
     crossing_sum,
     eval_cf,
@@ -408,6 +410,22 @@ def signed_sequences(t):
             yield (mags[0], *(s * m for s, m in zip(signs, mags[1:])))
 
 
+def _filter_nodes():
+    """Every y with entries 1..4 and length <= 6, then seeded signed y."""
+    for n in range(1, 7):
+        yield from product(range(1, 5), repeat=n)
+    rng = random.Random(20)
+    for _ in range(1_000):
+        n = rng.randint(2, 12)
+        yield (rng.randint(1, 6), *(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(n - 1)))
+
+
+def _leaves(y, room, a_only):
+    """The preimages of y that cost all of room, sorted."""
+    t = sum(map(abs, y)) + room
+    return sorted(x for x in _preimages(y, room, a_only) if sum(map(abs, x)) == t)
+
+
 def _pairs_reference(room):
     yield ()
     for s in range(1, room // 2 + 1):
@@ -446,6 +464,22 @@ class TestPreimages:
                     cost = crossing_sum(ContinuedFraction(x)) - t
                     assert 1 <= cost <= room and x[0] > 0
                     assert _move(x) == (y, cost)
+
+    @pytest.mark.parametrize("room", [1, 2, 3])
+    def test_a_only_leaves_are_the_type_a_leaves(self, room):
+        # A preimage that costs all of room is a leaf: it is built only if
+        # it is Type A, and none of those is dropped.
+        for y in _filter_nodes():
+            want = [x for x in _leaves(y, room, False) if _shape(x) is ExpansionClass.TYPE_A]
+            assert _leaves(y, room, True) == want, y
+
+    def test_a_only_room_one_yields_only_type_a(self):
+        # Every preimage one crossing up is a leaf.  (1, 1, 1, 1, 1, 1) has
+        # the Neither preimage (1, 1, 1, 2, -2) there, and no Type A one.
+        assert list(_preimages((1,) * 6, 1, True)) == []
+        for y in _filter_nodes():
+            for x in _preimages(y, 1, True):
+                assert _shape(x) is ExpansionClass.TYPE_A, (y, x)
 
     @pytest.mark.parametrize("t", range(1, 11))
     def test_order_key_is_the_enumeration_order(self, t):
@@ -599,6 +633,18 @@ class TestC2:
         assert str(info.value) == (
             "search of K(13,8) at t=80 passed the search limit: 6 <= c2 <= 7"
         )
+
+    def test_refusal_carries_its_total(self, monkeypatch):
+        # .t is the total a search_at refusal searched; a c2 refusal has none.
+        with pytest.raises(SearchBudgetExceeded) as info:
+            search_at(canonicalize(13, 5), 80)
+        assert info.value.t == 80
+        import twobridge.solver as solver
+
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+        with pytest.raises(SearchBudgetExceeded) as info:
+            c2(canonicalize(65, 18))
+        assert info.value.t is None
 
     def test_c2_reads_no_slopes(self, monkeypatch):
         # A canonical knot's c2, search included, reads its slopes off one
@@ -762,6 +808,23 @@ class TestRungsLargeP:
             assert crossing_sum(x) == c + 1
             assert _knot_key(*_eval_entries(x.entries)) == (k.p, k.q)
             assert classify_type(x) is ExpansionClass.NEITHER
+
+    def test_search_size_of_the_readme_knot(self, monkeypatch):
+        # README: c2 of K(100003,16668), c = 3342, takes 8 sequences from
+        # the search tree, all at t = c + 1, counted off its one work list.
+        import twobridge.solver as solver
+
+        real, works = solver._least_hit, []
+
+        def spy(fam, t, m, work):
+            works.append(work)
+            return real(fam, t, m, work)
+
+        monkeypatch.setattr(solver, "_least_hit", spy)
+        res = c2(canonicalize(100003, 40000))
+        assert (res.base_crossing, res.value, res.method) == (3342, 3344, METHOD_EXHAUSTED)
+        assert len(works) == 1
+        assert solver._SEARCH_LIMIT - works[0][0] == 8
 
     def test_solve_many_hands_large_bounds_to_c2(self):
         # solve_many returns what c2 does at once, where a sweep from
