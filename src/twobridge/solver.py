@@ -10,6 +10,27 @@ The pipeline short-circuits in order of cost:
    with crossing sum t, in :func:`enumerate_type_ab` order, that evaluates
    into the knot's slope class.  Exhaustion settles the value at m.
 
+Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
+c, the slope residues and their positive expansions (the Step1 candidates
+and search roots), read off one Euclid run or, in the census, one
+composition.  One solve, ``_solve``, serves :func:`c2`, :func:`solve_many`
+and the census: ``_rungs_of`` runs Steps 1 and 2 on the record once, and
+Step 3 searches only the totals where a hit is still possible.
+
+The continuant matrix of a Type A sequence [a1, b1, .., an, bn] is
+U^a1 L^b1 .. U^an L^bn, with U = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]],
+and its crossing sum is a word length: U^+-1 costs 1 and L^+-2 costs 2.
+U and L^2 generate Gamma_0(2), which modulo +-I is the free product
+<u> * <e> of u = U and e = L^2 U^-1 = [[1, -1], [2, -1]], e^2 = -I.  A
+slope class fixes the matrix g up to a power of L^2 on the left and of U on
+the right, so the least Type A crossing sum into it is the distance to the
+double coset <L^2> g <U>, which :func:`_type_a_distance` reads off the
+semi-even expansion.  A Type B sequence needs an odd total and a knot with
+q^2 = +-1 (mod p): a palindrome has a symmetric continuant matrix, so its
+value num/den has den^2 = +-1 (mod num).  So ``_solve`` searches t >= d,
+the Type A distance, and, for such a knot, odd t.  Lemma A, d = m, has
+held on every knot tried, so in practice only such knots are searched.
+
 Sign changes cost crossings.  The identity [.., a, -b, tail] = [.., a - 1,
 1, b - 1, -tail] keeps the value and removes one crossing and one sign
 change; the zeros it may leave merge without adding crossings ([x, 0, y] =
@@ -17,7 +38,7 @@ change; the zeros it may leave merge without adding crossings ([x, 0, y] =
 names the knot of [rest]).  So a sequence with crossing sum t and s sign
 changes between adjacent entries evaluates to a knot with c <= t - s.
 
-The per-knot search behind :func:`c2` and :func:`search_at` turns that
+The per-knot search behind ``_solve`` and :func:`search_at` turns that
 around.  Take a hit x at t = c + d with a positive first entry (its negation
 names the mirror, the same knot).  Apply the move at its first sign change,
 with its merges, again and again: each step removes at least one crossing,
@@ -33,50 +54,23 @@ exponentially in t.  Each is evaluated before it counts, and the least
 under ``_order_key``, which reproduces :func:`enumerate_type_ab` order, is
 the answer.  The walk prunes what cannot be Type A: a later step keeps the
 entries after the first sign change in place counted from the right, and
-Type A fixes the parity of every other one of them; Type B needs an odd t
-and a knot with q^2 = +-1 (mod p).  Where Type B cannot hit, a preimage
-that spends all the crossings left is a leaf, and it is built only if it is
-Type A, which a few parities of its node decide.  One call walks at most
-``_SEARCH_LIMIT`` sequences: once it holds more than it may still walk, it
-raises SearchBudgetExceeded with the proven bracket c <= c2 <= m.  A c2,
-search_at or solve_many call never sweeps.
+Type A fixes the parity of every other one of them.  Where Type B cannot
+hit, a preimage that spends all the crossings left is a leaf, and it is
+built only if it is Type A, which a few parities of its node decide.  One
+:func:`c2` or :func:`search_at` call walks at most ``_SEARCH_LIMIT``
+sequences: once it holds more than it may still walk, it raises
+SearchBudgetExceeded with the proven bracket c <= c2 <= m.  The census
+searches with no limit.
 
-The census keeps the shared sweep.  ``_solve_stream``, which only the
-census builder calls, yields each knot's result as soon as it is known and
-sweeps each crossing total t once, against one lookup of every pending
-knot.  For whole census rows one sweep per total costs less than one search
-per knot: for the 2,158 knots of rows 3..16 that need the search, about a
-fifth of the time (0.15 s against 0.69 s on a 2-vCPU VM), and tests hold
-the two paths equal, witnesses included.  Every other caller gets the
-per-knot search: :func:`solve_many` is :func:`c2` per knot, so no engine
-limit picks between the two.  The sweep reads the sign vectors of each
-magnitude pattern, within a budget of sign changes and in product order,
-from a table of steps cached per length and cap.  By the lemma a knot is
-hit at t only by sign vectors with at most t - c changes: ``_solve_stream``
-passes t minus the least c pending below t.  :func:`global_c2_map` passes
-t, which no sign vector exceeds, so no cap binds: the oracle walks every
-sign vector, and the census cross-check keeps testing the lemma.  The sweep
-skips sequences with a negative first entry: its negation has the same
-magnitudes, comes earlier (+ sorts before -) and evaluates to the mirror.
-A value num/den is in the class of K(p, q) exactly when |num| = p and den
-mod p is a slope residue q, p - q, q^-1 or p - q^-1, as the knot's record
-holds them.  These are closed under negation and inversion, and the
-determinant of a Type A sequence's continuant matrix makes the numerator of
-its head a[:-1] +-den^-1 (mod num): the Type A path probes with it and
-computes no den.  Each value costs one int lookup in a row per pending p,
-and nothing is canonicalized or inverted.
-
-Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
-c, the slope residues and their positive expansions (the Step1 candidates
-and search roots), read off one Euclid run or, in the census, one
-composition.  ``_rungs_of`` runs Steps 1 and 2 on it once: the Step1 or
-Step2 result, or else ExhaustedToBound at m with the semi-even witness,
-which only a Search hit below m can replace: :func:`c2` then runs the
-per-knot search on the record, and ``_solve_stream`` the sweep.
+The sweep serves only :func:`global_c2_map`, the independent oracle.  It
+skips sequences with a negative first entry, whose negations come earlier
+(+ sorts before -) and name the mirror, and probes each value with one int
+lookup of a slope residue q, p - q, q^-1 or p - q^-1 (see :func:`_sweep`).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -158,15 +152,17 @@ class SearchBudgetExceeded(RuntimeError):
 
 def _semi_even_pick(
     k: TwoBridgeKnot, slopes: tuple[int, int, int, int]
-) -> tuple[int, ContinuedFraction]:
-    """Best semi-even expansion over the (one or two) even denominators among
-    k's slope denominators, ties on crossing sum going to the smaller one."""
-    s, _, entries = min(
+) -> tuple[int, ContinuedFraction, list[list[int]]]:
+    """(m, witness, expansions): the best semi-even expansion over the (one
+    or two) even denominators among k's slope denominators, ties on crossing
+    sum going to the smaller one, and the semi-even expansions of them all."""
+    picks = sorted(
         (sum(abs(a) for a in e), d, e)
         for d in {r for r in slopes if r % 2 == 0}
         for e in [_semi_even_entries(k.p, d)]
     )
-    return s, ContinuedFraction._trusted(tuple(entries))
+    s, _, entries = picks[0]
+    return s, ContinuedFraction._trusted(tuple(entries)), [e for *_, e in picks]
 
 
 def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
@@ -188,24 +184,25 @@ def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
 
 
 def _rungs(k: TwoBridgeKnot) -> C2Result:
-    """:func:`_rungs_of` on k's record from ``_positive_family``."""
-    return _rungs_of(_positive_family(k))
+    """The result of :func:`_rungs_of` on k's record from ``_positive_family``."""
+    return _rungs_of(_positive_family(k))[0]
 
 
-def _rungs_of(fam: _Family) -> C2Result:
+def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
     """The knot's result from the rungs below the search, from its record:
     the Step1 or Step2 result, or else ExhaustedToBound at the semi-even
-    bound m with its witness, which a Search hit below m may replace."""
+    bound m with its witness, which a Search hit below m may replace; and
+    the semi-even expansions of its even slopes."""
     k, c, slopes, family = fam
-    m, wit = _semi_even_pick(k, slopes)
+    m, wit, evens = _semi_even_pick(k, slopes)
     for cand in _candidates(family):
         cls = _shape(cand)
         if cls is not ExpansionClass.NEITHER:
             cf = ContinuedFraction._trusted(tuple(cand))
-            return C2Result(c, cf, cls, METHOD_STEP1, m, c)
+            return C2Result(c, cf, cls, METHOD_STEP1, m, c), evens
     _bound_above(k, c, m)
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
-    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c)
+    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
 
 
 def step1_check(k: TwoBridgeKnot) -> C2Result | None:
@@ -219,6 +216,54 @@ def step2_bound(k: TwoBridgeKnot) -> int:
     Raises RuntimeError when m <= c(K)."""
     res = _rungs(k)
     return _bound_above(k, res.base_crossing, res.semi_even_bound)
+
+
+def _palindromic(k: TwoBridgeKnot) -> bool:
+    """q^2 = +-1 (mod p): only such a knot has a Type B sequence."""
+    return k.q * k.q % k.p in (1, k.p - 1)
+
+
+def _type_a_distance(expansions: Iterable[list[int]]) -> int:
+    """The least crossing sum of a Type A sequence into the class of one of
+    the slopes whose semi-even expansions are given, or 0, which bounds
+    nothing, where the reading is not known to be exact.
+
+    With L^2 = e u and L^-2 = u^-1 e an expansion [a1, b1, .., an, bn]
+    spells the normal form u^k0 e u^k1 .. e u^km of its matrix, with
+    m = sum |b_i| / 2.  A shortest word cancels no e (a cancelling pair
+    costs at least 4 and can be replaced by u^+-1 or by nothing), so each e
+    comes from one L^+-2, which adds 1 to the segment after it or -1 to the
+    one before.  Two states carry the least cost of the segments so far: P
+    if the last e came from L^2, M if from L^-2.  Starting at P, M = 1, 0,
+    k0 makes them |k0|, |k0 + 1|; the last segment is free (the right
+    coset), so the distance is 2m + min(P, M).  Three facts keep it small:
+
+    - No left-coset search: for 0 < r < p the semi-even expansion of p/r
+      has a1 >= 1 and b1 >= 2, so k0 = a1 >= 1 and no prefix L^2j cancels.
+      One that does not cancel adds 2|j| e's and changes one gap's cost by
+      at most 1.
+    - No reduction stack: no inner segment was 0 for any even slope with
+      c <= 18, so the form is reduced.  A 0 returns 0.
+    - Linear time: an entry b = 2j gives |j| e's whose inner segments all
+      equal sign(j), and the update is idempotent on them, so it runs once
+      per entry.  K(100003,16668) has an entry of -3332.
+    """
+    least = []
+    for entries in expansions:
+        P, M, after = 1, 0, False  # after: the u that the last L^2 left over
+        it = iter(entries)
+        for a, b in zip(it, it):
+            k = after + a - (b < 0)  # the segment that U^a and its neighbours make
+            if not k:
+                return 0
+            P, M = min(P + abs(k - 1), M + abs(k)), min(P + abs(k), M + abs(k + 1))
+            if b > 2:  # the update at k = 1 stands for the run of u segments
+                P, M = min(P, M + 1), min(P + 1, M + 2)
+            elif b < -2:  # and at k = -1 for the run of u^-1 segments
+                P, M = min(P + 2, M + 1), min(P + 1, M)
+            after = b > 0
+        least.append(sum(map(abs, entries[1::2])) + min(P, M))
+    return min(least)
 
 
 # ---------------------------------------------------------------------------
@@ -269,31 +314,24 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
 
 
 @lru_cache
-def _sign_steps(n: int, cap: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The sign vectors of a pattern of length n with a + first entry and at
-    most cap changes between adjacent entries, as steps.
+def _sign_steps(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The sign vectors of a pattern of length n with a + first entry, as
+    steps.
 
     The heads, signs of slots 0 .. n - 2, come in product order (+ before -):
-    each kept prefix is extended by + and then by -, so the work grows with
-    the heads kept, not with 2^n.  Step (i, signs, lasts) turns the previous
-    head into the next one: i is the first slot that differs, signs are the
-    new signs of slots i .. n - 2, and lasts are the signs that the last slot
-    may take within the cap, + first.
+    each prefix is extended by + and then by -.  Step (i, signs, lasts) turns
+    the previous head into the next one: i is the first slot that differs,
+    signs are the new signs of slots i .. n - 2, and lasts are the signs that
+    the last slot takes, + first.
     """
     if n == 1:  # the one entry is the first
         return ((0, (), (1,)),)
-    # (i, signs of slots i .. j, changes) for each kept head of slots 0 .. j.
-    heads = [(0, (1,), 0)]
+    # (i, signs of slots i .. j) for each head of slots 0 .. j: + keeps i, and
+    # the - head after it differs from it first at j.
+    heads = [(0, (1,))]
     for j in range(1, n - 1):
-        longer = []
-        for i, signs, k in heads:
-            if k < cap:  # + keeps i; the - head after it differs from it first at j
-                longer.append((i, signs + (1,), k + (signs[-1] < 0)))
-                longer.append((j, (-1,), k + (signs[-1] > 0)))
-            else:
-                longer.append((i, signs + signs[-1:], k))
-        heads = longer
-    return tuple((i, signs, (1, -1) if k < cap else signs[-1:]) for i, signs, k in heads)
+        heads = [h for i, signs in heads for h in ((i, signs + (1,)), (j, (-1,)))]
+    return tuple((i, signs, (1, -1)) for i, signs in heads)
 
 
 def _residue_lookup(slopes: Iterable[tuple[int, ...]]) -> dict[int, dict[int, tuple]]:
@@ -319,7 +357,7 @@ def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int
     return p, slopes[0]
 
 
-def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
+def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
     """(key, sequence, class) at each key's first hit: among the sequences
     with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
     order, the first whose value num/den probes key = lookup[|num|][r].  The
@@ -337,21 +375,12 @@ def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
     continuants of the head a[:-1] are kept, so a step from slot i recomputes
     only the prefixes from i on, and each sign of the last entry is read off
     the head's continuants.
-
-    Only sequences with at most budget sign changes between adjacent entries
-    are evaluated (budget // 2 on a Type B half, whose palindrome doubles its
-    changes), in the same order.  By the lemma in the module docstring this
-    drops no first hit of a knot with c >= t - budget.  Budget t caps
-    nothing: a Type A pattern has at most t - 1 changes, and a Type B half,
-    of length at most (t + 1) / 2, at most t // 2.
     """
-    if budget < 0:
-        return
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for mag in _type_a_magnitudes(t):
         a, n, last = list(mag), len(mag), mag[-1]
         P = [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
-        for i, signs, lasts in _sign_steps(n, min(n - 1, budget)):
+        for i, signs, lasts in _sign_steps(n):
             for j, s in enumerate(signs, i):
                 a[j] = x = s * mag[j]
                 P[j + 2] = x * P[j + 1] + P[j]
@@ -367,7 +396,7 @@ def _sweep(t: int, lookup: dict, budget: int) -> Iterator[tuple]:
         a, n, last = list(mag), len(mag), mag[-1]
         # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
         P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-        for i, signs, lasts in _sign_steps(n, min(n - 1, budget // 2)):
+        for i, signs, lasts in _sign_steps(n):
             for j, s in enumerate(signs, i):
                 a[j] = x = s * mag[j]
                 P[j + 2] = x * P[j + 1] + P[j]
@@ -553,15 +582,13 @@ def _least_hit(
     The tree is walked depth first; each sequence taken from it costs one
     unit of work[0].  A stack longer than the work left raises
     SearchBudgetExceeded with c <= c2 <= m, so none is built longer.
-    A Type B sequence has an odd crossing sum, and a palindrome has a
-    symmetric continuant matrix, so its value num/den has den^2 = +-1 (mod
-    num): Type B needs an odd t and a knot with q^2 = +-1 (mod p).  Otherwise
-    the walk asks :func:`_preimages` for the Type A ones only.
+    Type B needs an odd t and a knot with q^2 = +-1 (mod p); otherwise the
+    walk asks :func:`_preimages` for the Type A ones only.
     """
     k, c, slopes, family = fam
     if t < c:
         return None
-    a_only = t % 2 == 0 or k.q * k.q % k.p not in (1, k.p - 1)
+    a_only = t % 2 == 0 or not _palindromic(k)
     residues = set(slopes)
     todo = list({tuple(e) for e in _candidates(family)})
     best = None
@@ -601,66 +628,41 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 # Full solves
 
 
-def _solve_stream(records: Iterable[_Family]) -> Iterator[tuple[TwoBridgeKnot, C2Result]]:
-    """(knot, result) for each of the distinct knots, as soon as it is known,
-    from their records, which are read lazily, each through ``_rungs_of``;
-    the census builder's solve.
+def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
+    """The knot's result from its record: the one solve behind :func:`c2`,
+    :func:`solve_many` and the census, which sets no limit.
 
-    A Step1 or Step2 knot comes first, in input order.  Every ExhaustedToBound
-    knot stays pending, its residues in the call's one lookup until ``_take``
-    removes them.  Each total t in some pending span c < t < m is then swept
-    once, with budget t minus the least c below t: a Search hit is yielded
-    when found, and a knot still pending at t = m before that total is swept.
-    The stream never runs the per-knot search, so it refuses no knot.
-    """
-    pending: dict[tuple[int, int], C2Result] = {}
-    held: list[tuple[int, ...]] = []
-    for fam in records:
-        k, res = fam[0], _rungs_of(fam)
-        if res.method == METHOD_EXHAUSTED:
-            pending[(k.p, k.q)] = res
-            held.append(fam[2])
-        else:
-            yield k, res
-    lookup = _residue_lookup(held)
-
-    # t runs up to each m, the value of a pending result: at t = m it is final.
-    spans = {t for r in pending.values() for t in range(r.base_crossing + 1, r.value + 1)}
-    for t in sorted(spans):
-        for key in [key for key, r in pending.items() if r.value == t]:
-            yield TwoBridgeKnot._trusted(*_take(lookup, *key)), pending.pop(key)
-        # Every knot left has m > t and is hit with at most t - c sign changes:
-        # one with c >= t only by a Step1 candidate, and none of those is A or B.
-        least = min((r.base_crossing for r in pending.values()), default=t)
-        for key, cf, cls in _sweep(t, lookup, t - least) if least < t else ():
-            k, r = TwoBridgeKnot._trusted(*key), pending.pop(key)
-            yield k, C2Result(t, cf, cls, METHOD_SEARCH, r.semi_even_bound, r.base_crossing)
+    The rungs of ``_rungs_of``; then, for an ExhaustedToBound result at m,
+    the per-knot search at each total c < t < m that can hold a hit: t >= d,
+    the Type A distance, and, for a knot with q^2 = +-1 (mod p), odd t.
+    The first hit is the Search result.  One Type A sequence hits at d, so a
+    search at d < m, which would make Lemma A false, ends there.  Raises
+    SearchBudgetExceeded once the search has walked limit sequences."""
+    res, evens = _rungs_of(fam)
+    if res.method != METHOD_EXHAUSTED:
+        return res
+    k, c, m = fam[0], res.base_crossing, res.value
+    d, type_b, work = _type_a_distance(evens), _palindromic(k), [limit]
+    for t in range(c + 1, m):
+        if (t >= d or type_b and t % 2) and (hit := _least_hit(fam, t, m, work)):
+            cf = ContinuedFraction._trusted(hit[0])
+            return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
+    return res
 
 
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
     """{k: c2(k)} for each distinct knot, in input order; raises
-    SearchBudgetExceeded where :func:`c2` does.  No batch sweeps: only the
-    census builder, through ``_solve_stream``, shares one sweep per total."""
+    SearchBudgetExceeded where :func:`c2` does."""
     return {k: c2(k) for k in dict.fromkeys(knots)}
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
     """Least crossing sum over Type A / Type B sequences representing k.
 
-    The rungs of ``_rungs_of``; then, for an ExhaustedToBound result, the
-    per-knot search at t = c + 1 .. m - 1, whose first hit is the Search
-    result; no sweep.  Raises SearchBudgetExceeded, carrying c and m, when
-    the search passes its work ceiling."""
-    fam = _positive_family(k)
-    res = _rungs_of(fam)
-    if res.method == METHOD_EXHAUSTED:
-        c, m, work = res.base_crossing, res.value, [_SEARCH_LIMIT]
-        for t in range(c + 1, m):
-            hit = _least_hit(fam, t, m, work)
-            if hit:
-                cf = ContinuedFraction._trusted(hit[0])
-                return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
-    return res
+    The one solve, ``_solve``, on k's record, with the work ceiling
+    ``_SEARCH_LIMIT``; no sweep.  Raises SearchBudgetExceeded, carrying c
+    and m, when the search passes it."""
+    return _solve(_positive_family(k), _SEARCH_LIMIT)
 
 
 def global_c2_map(
@@ -688,7 +690,7 @@ def global_c2_map(
     found: dict[TwoBridgeKnot, tuple[int, ContinuedFraction]] = {}
     net = max(m for _, m, _ in targets.values())
     for t in range(1, net + 1):
-        for key, cf, _ in _sweep(t, lookup, t):
+        for key, cf, _ in _sweep(t, lookup):
             k, m, _ = targets[key]
             if t > m:
                 raise RuntimeError(f"{k} first hit at t={t}, past its semi-even bound {m}")

@@ -1,14 +1,14 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
 crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
-:func:`build_table` streams the records (k, c, slopes, family) that
-``knot._families`` reads off one composition per knot, for every row it
-has to compute, into one ``solver._solve_stream``, which runs the rungs.
-So no knot is canonicalized, expanded by Euclid or sorted, and the rows
-share one sweep per crossing total.  Each row's size is known before its
-first knot: the closed form of Ernst and Sumners, ``knot._knot_count``.  So
-a row is written as soon as that many of its results are in, and a cached
-row is served only with that count.
+:func:`build_table` solves each row it has to compute one record (k, c,
+slopes, family) at a time, as ``knot._families`` reads them off one
+composition per knot, through ``solver._solve``, the solve behind
+:func:`twobridge.solver.c2`, with no search limit.  So no knot is
+canonicalized, expanded by Euclid or sorted, and no result is held past its
+tally.  Each row's size is known before its first knot: the closed form of
+Ernst and Sumners, ``knot._knot_count``.  A row is written once that many
+of its knots are tallied, and a cached row is served only with that count.
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .knot import TwoBridgeKnot, _families, _knot_count
-from .solver import _solve_stream, global_c2_map
+from .solver import _solve, global_c2_map
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -138,44 +138,38 @@ def build_table(
 ) -> list[TableRow]:
     """Rows for c_min..c_max inclusive.
 
-    The knots of every row not read from the cache go through one solve
-    stream, so each crossing total is swept once for all of them.  A row is
-    tallied as its results arrive and written to the cache as soon as its
-    Ernst-Sumners count of results is in, so an interrupted build keeps every
-    row it completed.  A row that ends the stream short of its count raises
-    RuntimeError and is not written.
+    Each row not read from the cache is solved knot by knot and written to
+    the cache as soon as it is complete, so an interrupted build keeps every
+    row it completed.  A row whose knots fall short of its Ernst-Sumners
+    count raises RuntimeError and is not written.
 
     With cross_check, every per-knot value is recomputed fresh (cache rows are
     not trusted) and compared against the independent global sweep; a
-    disagreement raises CrossCheckError for the least disagreeing knot in
-    (c, knot) order, once every row up to that knot's is complete.  Only rows
-    that agree throughout are written.
+    disagreement raises CrossCheckError for the least disagreeing knot of the
+    least row that has one, once that row is complete.  Only rows that agree
+    are written.
     """
     if not 3 <= c_min <= c_max:
         raise ValueError(f"need 3 <= c_min <= c_max, got {c_min}..{c_max}")
     oracle = global_c2_map(c_max) if cross_check else None
     read = cache_dir is not None and not cross_check
-    rows: dict[int, TableRow | None] = {
-        c: _read_cached_row(cache_dir, c) if read else None for c in range(c_min, c_max + 1)
-    }
-    todo = [c for c, row in rows.items() if row is None]
-    left = {c: _knot_count(c) for c in todo}  # knots of the row still to come
-    offsets: dict[int, dict[int, int]] = {c: {0: 0} for c in todo}
-    bad: dict[int, tuple[TwoBridgeKnot, int, int]] = {}
-    for k, res in _solve_stream(fam for c in todo for fam in _families(c)):
-        c, j = res.base_crossing, res.value - res.base_crossing
-        offsets[c][j] = offsets[c].get(j, 0) + 1
-        if oracle is not None and oracle[k][0] != res.value:
-            miss = (k, res.value, oracle[k][0])
-            bad[c] = min(bad.get(c, miss), miss)
-        left[c] -= 1
-        if not left[c] and c not in bad:
-            rows[c] = TableRow(c, _knot_count(c), offsets[c])
+    rows = []
+    for c in range(c_min, c_max + 1):
+        row = _read_cached_row(cache_dir, c) if read else None
+        if row is None:
+            offsets, bad = {0: 0}, []
+            for fam in _families(c):
+                res = _solve(fam)
+                j = res.value - c
+                offsets[j] = offsets.get(j, 0) + 1
+                if oracle is not None and oracle[fam[0]][0] != res.value:
+                    bad.append((fam[0], res.value, oracle[fam[0]][0]))
+            if bad:
+                raise CrossCheckError(*min(bad))
+            if (n := sum(offsets.values())) != _knot_count(c):
+                raise RuntimeError(f"row {c} is short of its knot count: {n} of {_knot_count(c)}")
+            row = TableRow(c, n, offsets)
             if cache_dir is not None:
-                _write_cached_row(cache_dir, rows[c])
-        # Raise once every row up to the least disagreeing one is complete.
-        if bad and not any(left[d] for d in todo if d <= min(bad)):
-            raise CrossCheckError(*bad[min(bad)])
-    if wrong := {c: n for c, n in left.items() if n}:
-        raise RuntimeError(f"rows short of their knot count, by knots missing: {wrong}")
-    return list(rows.values())
+                _write_cached_row(cache_dir, row)
+        rows.append(row)
+    return rows

@@ -6,6 +6,13 @@ semi-even expansion of p/r.  A Type A value always has an even denominator
 (mod 2 each pair of continuant matrices multiplies to [[1, a], [0, 1]]), so
 r is den mod p, or p minus it when that is odd.
 
+The Type A distance of ``solver._type_a_distance``, read off a slope's
+semi-even expansion in Gamma_0(2), is the least Type A crossing sum into
+the slope, so Lemma A says that it is m.  Its three facts are checked here:
+the expansion's first entries keep the normal form's first segment
+positive, no inner segment is 0, and one update stands for a run of equal
+segments.
+
 Lemma B, in the form that holds: a knot's least Type B crossing sum, when
 it is below the semi-even bound m, is the crossing number c, and the knot
 is decided by Step1.  Through crossing sum 15 it is c for every knot that
@@ -25,8 +32,15 @@ from twobridge.contfrac import (
     classify_type,
     crossing_sum,
 )
-from twobridge.knot import TwoBridgeKnot, _knot_key
-from twobridge.solver import METHOD_STEP1, _rungs, c2, enumerate_type_ab
+from twobridge.knot import TwoBridgeKnot, _families, _knot_key, _positive_family, canonicalize
+from twobridge.solver import (
+    METHOD_STEP1,
+    _rungs,
+    _semi_even_pick,
+    _type_a_distance,
+    c2,
+    enumerate_type_ab,
+)
 
 
 def _semi_even_sum(p, r):
@@ -75,6 +89,94 @@ class TestLemmaA:
         ]
         assert len(slopes) == 978
         assert set(slopes) <= {(p, r) for *_, p, r in type_a_slopes_to_14}
+
+
+def _normal_form(entries):
+    """The u-exponents k0, .., km of U^a1 L^b1 .. U^an L^bn in <u> * <e>,
+    spelled letter by letter: L^2 = e u and L^-2 = u^-1 e."""
+    ks = [0]
+    for a, b in zip(entries[::2], entries[1::2]):
+        ks[-1] += a
+        for _ in range(abs(b) // 2):
+            if b > 0:
+                ks.append(1)
+            else:
+                ks[-1] -= 1
+                ks.append(0)
+    return ks
+
+
+def _letter_distance(entries):
+    """The two-state program over every segment of the normal form: P if
+    the e before the next segment came from L^2, M if from L^-2; the last
+    segment is free."""
+    ks = _normal_form(entries)
+    P, M = abs(ks[0]), abs(ks[0] + 1)
+    for k in ks[1:-1]:
+        P, M = min(P + abs(k - 1), M + abs(k)), min(P + abs(k), M + abs(k + 1))
+    return 2 * (len(ks) - 1) + min(P, M)
+
+
+def _even_slopes(c_max):
+    """(k, m, semi-even expansions of its even slopes) for each knot with
+    crossing number up to c_max."""
+    for c in range(3, c_max + 1):
+        for k, _, slopes, _ in _families(c):
+            m, _, evens = _semi_even_pick(k, slopes)
+            yield k, m, evens
+
+
+class TestTypeADistance:
+    def test_distance_is_the_least_type_a_sum_to_14(self, type_a_slopes_to_14):
+        least = {}
+        for t, _, p, r in type_a_slopes_to_14:
+            least.setdefault((p, r), t)
+        for (p, r), t in least.items():
+            assert _type_a_distance([_semi_even_entries(p, r)]) == t, (p, r)
+        # A Type A sequence with crossing sum t evaluates to a knot with
+        # c <= t, and a knot with c <= 14 has p <= F(15) = 610.  Every slope
+        # there within distance 14 is reached.
+        within = {
+            (p, r)
+            for p in range(3, 611, 2)
+            for r in range(2, p, 2)
+            if gcd(p, r) == 1 and _type_a_distance([_semi_even_entries(p, r)]) <= 14
+        }
+        assert within == set(least)
+
+    def test_distance_is_m_to_16(self):
+        n = 0
+        for k, m, evens in _even_slopes(16):
+            assert _type_a_distance(evens) == m, k
+            n += 1
+        assert n == 5_546
+
+    def test_normal_form_is_reduced_to_16(self):
+        # a1 >= 1 and b1 >= 2 make k0 = a1 >= 1, and no inner segment is 0.
+        n = 0
+        for _, _, evens in _even_slopes(16):
+            for e in evens:
+                ks = _normal_form(e)
+                assert e[0] >= 1 and e[1] >= 2 and ks[0] == e[0], e
+                assert all(ks[1:-1]), e
+                n += 1
+        assert n == 10_922  # 170 knots have one even slope
+
+    def test_run_saturated_program_is_the_letter_one(self):
+        # K(100003,16668) spells 1,668 e's on one slope, 1,666 of them from
+        # its entry -3332, and 4 on the other.  The second knot's expansions
+        # carry 10^12 once as a U exponent and once as an L one, which no
+        # letter-by-letter program could spell.
+        k = canonicalize(100003, 16668)
+        evens = _semi_even_pick(k, _positive_family(k)[2])[2]
+        assert sorted(map(len, map(_normal_form, evens))) == [5, 1_669]
+        for e in evens:
+            assert _type_a_distance([e]) == _letter_distance(e) == sum(map(abs, e))
+        k = canonicalize(6_000_000_000_005, 3_000_000_000_004)
+        evens = _semi_even_pick(k, _positive_family(k)[2])[2]
+        assert sorted(evens) == [[1, 2, -1, -10**12, 1, 2], [1, 2, 10**12, 2]]
+        assert _type_a_distance([[1, 2, 10**12, 2]]) == _letter_distance([1, 2, 10**12, 2])
+        assert _type_a_distance(evens) == 10**12 + 5 == c2(k).value
 
 
 class TestLemmaB:

@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import product
-from math import comb
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +36,7 @@ from twobridge.solver import (
     _rungs,
     _semi_even_pick,
     _sign_steps,
-    _solve_stream,
+    _solve,
     _sweep,
     _type_a_magnitudes,
     _type_b_halves,
@@ -174,9 +174,9 @@ class _EveryValue(dict):
 
 
 def _swept(knots):
-    """{k: result} from the census's shared sweep, ``_solve_stream``, over
-    the knots' records."""
-    return dict(_solve_stream(map(_positive_family, knots)))
+    """{k: result} from the census's solve, ``_solve`` with no search limit,
+    over the knots' records."""
+    return {k: _solve(_positive_family(k)) for k in knots}
 
 
 def _lookup(keys):
@@ -200,13 +200,13 @@ class TestSweep:
             for cf in enumerate_type_ab(t)
             if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
         ]
-        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue(), t)] == want
+        assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue())] == want
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_probes_and_classes(self, t):
         # Type A probes with the continuant of its head, +-den^-1 (mod p);
         # a Type B palindrome with den itself.
-        for (p, r), cf, cls in _sweep(t, _EveryValue(), t):
+        for (p, r), cf, cls in _sweep(t, _EveryValue()):
             num, den = _eval_entries(cf.entries)
             assert p == abs(num)
             if cls is ExpansionClass.TYPE_A:
@@ -232,7 +232,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("t", range(1, 13))
     def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
-        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _lookup(keys_le_14), t)]
+        got = [(key, cf.entries) for key, cf, _ in _sweep(t, _lookup(keys_le_14))]
         for key, entries in got:
             assert key == _knot_key(*_eval_entries(entries))
         targets, first = set(keys_le_14), {}
@@ -260,8 +260,8 @@ def keys_by_c_le_14():
 
 class TestSignBudget:
     """A signed sequence with crossing sum t and s sign changes evaluates to
-    a knot with c <= t - s, so a sweep at t may skip every sign vector with
-    more than t - c changes for the knots it looks for."""
+    a knot with c <= t - s: the per-knot search walks back from the Step1
+    candidates in at most t - c moves, each removing a sign change."""
 
     def test_lemma_for_every_signed_sequence_up_to_sum_11(self):
         # The first sign is fixed: negation keeps the changes and the knot.
@@ -283,48 +283,50 @@ class TestSignBudget:
         assert tight > 0
 
     def test_sign_table_grows_with_its_output(self):
-        # A head of length n - 1 has n - 2 adjacent pairs, at most cap of
-        # which change.  A table filtered from all 2^(n - 2) heads would not
-        # finish at n = 40.
-        assert len(_sign_steps(1, 0)) == 1
-        for n in range(2, 41):
-            for cap in range(4):
-                assert len(_sign_steps(n, cap)) == sum(comb(n - 2, s) for s in range(cap + 1))
-        assert len(_sign_steps(40, 2)) == 742
+        # Every head of length n - 1 with a + first sign, in product order,
+        # each step rewriting the slots from the first that differs.
+        assert _sign_steps(1) == ((0, (), (1,)),)
+        for n in range(2, 13):
+            steps, head = _sign_steps(n), []
+            assert len(steps) == 2 ** (n - 2)
+            heads = []
+            for i, signs, lasts in steps:
+                head = head[:i] + list(signs)
+                heads.append(tuple(head))
+                assert lasts == (1, -1)
+            assert heads == [(1, *rest) for rest in product((1, -1), repeat=n - 2)]
 
     @pytest.mark.parametrize("t", range(1, 14))
     def test_stream_is_the_unbudgeted_one_within_the_changes(self, t):
-        # Type B palindromes have twice their half's changes, so a budget b
-        # admits halves with b // 2: the filter on the whole sequence says so.
-        # The reference is the product-built enumeration, not the sign table.
-        # Budget t is the unbudgeted sweep: no sequence has t changes.
+        # The sweep has no budget: at every count of sign changes, its stream,
+        # classes included, is the product-built enumeration's positive half.
         full = [
             (cf.entries, classify_type(cf))
             for cf in enumerate_type_ab(t)
             if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
         ]
-        for budget in range(-1, t + 1):
-            got = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue(), budget)]
-            assert got == [(e, c) for e, c in full if sign_changes(e) <= budget]
+        got = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue())]
+        for changes in range(t):
+            want = [(e, c) for e, c in full if sign_changes(e) == changes]
+            assert [(e, c) for e, c in got if sign_changes(e) == changes] == want
         assert got == full
 
     @pytest.mark.parametrize("t", range(4, 16))
     def test_first_hits_of_the_knots_within_budget(self, t, keys_by_c_le_14):
-        hits = 0
-        for budget in (1, 2, 3):
-            keys = [key for c, ks in keys_by_c_le_14.items() if t - budget <= c < t for key in ks]
-            want = [(key, cf.entries, cls) for key, cf, cls in _sweep(t, _lookup(keys), t)]
-            got = _sweep(t, _lookup(keys), budget)
-            assert [(key, cf.entries, cls) for key, cf, cls in got] == want
-            hits += len(want)
-        assert hits > 0
+        # A knot of crossing number c first hit at t is hit with at most
+        # t - c sign changes; here c is within 3 of t.
+        keys = {key: c for c, ks in keys_by_c_le_14.items() if t - 3 <= c < t for key in ks}
+        hits = [(key, cf) for key, cf, _ in _sweep(t, _lookup(keys))]
+        assert hits
+        for key, cf in hits:
+            assert sign_changes(cf.entries) <= t - keys[key]
 
     def test_search_at_below_and_above_c(self):
-        # The per-knot search against the unbudgeted sweep's first hit.
+        # The per-knot search against the sweep's first hit.
         for c in range(3, 12):
             for k in enumerate_knots(c):
                 for t in range(c - 1, c + 5):
-                    full = _sweep(t, _lookup([(k.p, k.q)]), t)
+                    full = _sweep(t, _lookup([(k.p, k.q)]))
                     want = next((cf for _, cf, _ in full), None)
                     assert search_at(k, t) == want
                     if t < c:
@@ -335,31 +337,34 @@ class TestSignBudget:
         for c in range(12, 14):
             for k in enumerate_knots(c):
                 for t in (c + 1, c + 2):
-                    full = _sweep(t, _lookup([(k.p, k.q)]), t)
+                    full = _sweep(t, _lookup([(k.p, k.q)]))
                     want = next((cf for _, cf, _ in full), None)
                     assert search_at(k, t) == want
                     hits += want is not None
         assert hits > 0
 
     def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
-        # Raising every semi-even bound by 3 makes the Search rung decide
-        # most knots; the budgeted sweep must match the unbudgeted one, and
-        # the per-knot search in c2 must match both.
+        # Raising every semi-even bound by 3 puts the Type A distance below
+        # it, so the Search rung decides most knots; c2 and the census solve
+        # must find the unpruned oracle's value and first witness.
         import twobridge.solver as solver
 
-        real_pick, real_sweep = solver._semi_even_pick, solver._sweep
+        real_pick = solver._semi_even_pick
 
         def loose(k, slopes):
-            m, w = real_pick(k, slopes)
-            return m + 3, w
+            m, w, evens = real_pick(k, slopes)
+            return m + 3, w, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
-        budgeted = _swept(knots)
-        assert {k: c2(k) for k in knots} == budgeted
-        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: real_sweep(t, lookup, t))
-        assert _swept(knots) == budgeted
-        assert sum(r.method == METHOD_SEARCH for r in budgeted.values()) > 400
+        got = {k: c2(k) for k in knots}
+        assert _swept(knots) == got
+        oracle = global_c2_map(13)
+        for k, res in got.items():
+            assert res.value == oracle[k][0]
+            if res.method == METHOD_SEARCH:
+                assert res.witness == oracle[k][1]
+        assert sum(r.method == METHOD_SEARCH for r in got.values()) > 400
 
 
 def _move(x):
@@ -572,7 +577,7 @@ class TestC2:
             assert c2(k).value == t, f"{k}: solver disagrees with brute force"
 
     def test_batched_equals_individual(self):
-        # The census sweep and the per-knot search, witnesses included.
+        # The census solve, with no limit, and c2, witnesses included.
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
         batched = _swept(knots)
         for k in knots:
@@ -587,6 +592,27 @@ class TestC2:
         monkeypatch.setattr(solver, "_sweep", no_sweep)
         assert c2(canonicalize(65, 18)).method == METHOD_EXHAUSTED
         assert search_at(canonicalize(13, 5), 7).entries == (1, 2, -2, -2)
+
+    def test_distance_below_m_is_searched(self, monkeypatch):
+        # K(187,108) has c = 12, m = 15 and q^2 not +-1 (mod p), so c2 runs
+        # no search.  A Type A distance below m, which would make Lemma A
+        # false, sends every total from it up to m - 1 to the search.
+        import twobridge.solver as solver
+
+        real, searched = solver._least_hit, []
+
+        def recorded(fam, t, *args):
+            searched.append(t)
+            return real(fam, t, *args)
+
+        monkeypatch.setattr(solver, "_least_hit", recorded)
+        k = canonicalize(187, 108)
+        want = c2(k)
+        assert (want.base_crossing, want.value, want.method) == (12, 15, METHOD_EXHAUSTED)
+        assert searched == []
+        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 13)
+        assert c2(k) == want
+        assert searched == [13, 14]
 
     def test_search_limit(self, monkeypatch):
         import twobridge.solver as solver
@@ -731,18 +757,19 @@ class TestC2:
         assert calls == []
 
     def test_search_branch_self_corrects(self, monkeypatch):
-        # If the greedy bound ever came out loose, the census sweep must
-        # still land on the true value; simulate a looser rule.
+        # If the greedy bound ever came out loose, the Type A distance lies
+        # below it, and the census solve must still land on the true value;
+        # simulate a looser rule.
         import twobridge.solver as solver
 
         real = solver._semi_even_pick
         k13 = canonicalize(13, 5)
 
         def loose(k, slopes):
-            m, w = real(k, slopes)
+            m, w, evens = real(k, slopes)
             if k == k13:
-                return m + 2, w
-            return m, w
+                return m + 2, w, evens
+            return m, w, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         res = _swept([k13])[k13]
@@ -761,7 +788,7 @@ class TestRungsLargeP:
         # Steps 1 and 2 only: most knots this large need the search, and
         # their record is the ExhaustedToBound one at m that a hit may replace.
         res = _rungs(k)
-        m, wit = _semi_even_pick(k, _slopes(k.p, k.q))
+        m, wit, _ = _semi_even_pick(k, _slopes(k.p, k.q))
         c = crossing_number(k)
         assert fraction_to_knot(eval_cf(wit)) == k
         assert classify_type(wit) is ExpansionClass.TYPE_A
@@ -810,8 +837,9 @@ class TestRungsLargeP:
             assert classify_type(x) is ExpansionClass.NEITHER
 
     def test_search_size_of_the_readme_knot(self, monkeypatch):
-        # README: c2 of K(100003,16668), c = 3342, takes 8 sequences from
-        # the search tree, all at t = c + 1, counted off its one work list.
+        # README: c2 of K(100003,16668), c = 3342, runs no search (its Type A
+        # distance is m and q^2 is not +-1), and search_at one crossing up
+        # takes 8 sequences from the search tree, counted off its work list.
         import twobridge.solver as solver
 
         real, works = solver._least_hit, []
@@ -821,8 +849,11 @@ class TestRungsLargeP:
             return real(fam, t, m, work)
 
         monkeypatch.setattr(solver, "_least_hit", spy)
-        res = c2(canonicalize(100003, 40000))
+        k = canonicalize(100003, 40000)
+        res = c2(k)
         assert (res.base_crossing, res.value, res.method) == (3342, 3344, METHOD_EXHAUSTED)
+        assert works == []
+        assert search_at(k, 3343) is None
         assert len(works) == 1
         assert solver._SEARCH_LIMIT - works[0][0] == 8
 
@@ -836,8 +867,8 @@ class TestRungsLargeP:
         assert got == {k: c2(k) for k in knots}
 
     def test_solve_many_never_sweeps(self, monkeypatch):
-        # solve_many is c2 per knot: the census is the only caller of the
-        # sweep.  K(11047,6378) has c = 21 and m = 27.
+        # solve_many is c2 per knot: only the oracle sweeps.  K(11047,6378)
+        # has c = 21 and m = 27.
         import twobridge.solver as solver
 
         def no_sweep(*args):
@@ -850,11 +881,38 @@ class TestRungsLargeP:
         monkeypatch.setattr(solver, "_sweep", no_sweep)
         assert solve_many(knots) == want
 
+    def test_large_p_decided_without_a_search(self, monkeypatch):
+        # K(791256216780409,209614989723732), whose search from c = 105 to
+        # m = 116 passes the search limit, and the first 20 knots of the
+        # seeded draw p < 10^15: q^2 is not +-1 (mod p) and the Type A
+        # distance is m, so none is searched.
+        import twobridge.solver as solver
+
+        def no_search(fam, *args):
+            raise AssertionError(f"{fam[0]} searched")
+
+        monkeypatch.setattr(solver, "_least_hit", no_search)
+        rng, knots = random.Random(20), [canonicalize(791256216780409, 209614989723732)]
+        while len(knots) < 21:
+            p = rng.randrange(3, 10**15, 2)
+            q = rng.randrange(1, p)
+            while gcd(p, q) != 1:
+                q = rng.randrange(1, p)
+            knots.append(canonicalize(p, q))
+        for k in knots:
+            res = c2(k)
+            assert res.method == METHOD_EXHAUSTED
+            assert fraction_to_knot(eval_cf(res.witness)) == k
+            assert crossing_sum(res.witness) == res.value == res.semi_even_bound
+        res = c2(knots[0])
+        assert (res.base_crossing, res.value) == (105, 116)
+
     def test_solve_many_refuses_as_c2_does(self):
-        k = canonicalize(791256216780409, 209614989723732)
+        # q^2 = +-1 (mod p): the odd totals 23 .. 27 need a Type B search.
+        k = canonicalize(12545, 3362)
         with pytest.raises(SearchBudgetExceeded) as info:
             solve_many([k])
-        assert (info.value.knot, info.value.c, info.value.m) == (k, 105, 116)
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 22, 28)
 
 
 class TestGlobalMap:
@@ -866,7 +924,7 @@ class TestGlobalMap:
         # A sweep that never hits must end in an error, not a loop.
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_sweep", lambda t, lookup, budget: iter(()))
+        monkeypatch.setattr(solver, "_sweep", lambda t, lookup: iter(()))
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="enumeration passed every pending bound"):
             global_c2_map(5)
@@ -880,8 +938,8 @@ class TestGlobalMap:
         real = solver._semi_even_pick
 
         def low(k, slopes):
-            m, wit = real(k, slopes)
-            return (m - 1 if (k.p, k.q) == (13, 8) else m), wit
+            m, wit, evens = real(k, slopes)
+            return (m - 1 if (k.p, k.q) == (13, 8) else m), wit, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", low)
         with pytest.raises(RuntimeError) as info:

@@ -6,7 +6,7 @@ import pytest
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
 from twobridge.knot import canonicalize, crossing_number, enumerate_knots
-from twobridge.solver import METHOD_EXHAUSTED, _rungs, solve_many
+from twobridge.solver import _palindromic, solve_many
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -92,10 +92,10 @@ class TestBuildTable:
         assert exc.value.direct != exc.value.oracle
 
     def test_cross_check_names_the_least_row_first(self, monkeypatch, capsys):
-        # Results arrive last row first, so the row-7 disagreement is seen
-        # before the row-6 one; the error must still name the row-6 knot.
+        # Rows 6 and 7 both disagree, row 7 at a smaller knot; the error
+        # names the row-6 knot.
         six, seven = max(enumerate_knots(6)), min(enumerate_knots(7))
-        _corrupt(monkeypatch, {six, seven}, reverse=True)
+        _corrupt(monkeypatch, {six, seven})
         with pytest.raises(CrossCheckError) as exc:
             build_table(6, 7, cross_check=True)
         assert exc.value.knot == six
@@ -103,28 +103,25 @@ class TestBuildTable:
         assert f"cross-check failed at {six}:" in capsys.readouterr().err
 
 
-def _corrupt(monkeypatch, victims, reverse=False):
-    """Make build_table's solve stream report value + 1 for the victims,
-    optionally yielding every result in reverse order."""
+def _corrupt(monkeypatch, victims):
+    """Make build_table's per-record solve report value + 1 for the victims."""
     import twobridge.table as table
 
-    real = table._solve_stream
+    real = table._solve
 
-    def corrupt(knots):
-        results = []
-        for k, res in real(knots):
-            if k in victims:
-                res = dataclasses.replace(
-                    res, value=res.value + 1, semi_even_bound=res.semi_even_bound + 1
-                )
-            results.append((k, res))
-        yield from reversed(results) if reverse else results
+    def corrupt(fam, *args):
+        res = real(fam, *args)
+        if fam[0] in victims:
+            res = dataclasses.replace(
+                res, value=res.value + 1, semi_even_bound=res.semi_even_bound + 1
+            )
+        return res
 
-    monkeypatch.setattr(table, "_solve_stream", corrupt)
+    monkeypatch.setattr(table, "_solve", corrupt)
 
 
 class TestCache:
-    def test_write_then_read(self, tmp_path):
+    def test_write_then_read(self, tmp_path, monkeypatch):
         rows = build_table(5, 6, cache_dir=tmp_path)
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == [
@@ -134,18 +131,11 @@ class TestCache:
         # Second pass must not recompute: make recomputation explode.
         import twobridge.table as table
 
-        def boom(knots):
-            for k in knots:
-                raise AssertionError(f"cache should have been used, not {k} solved")
-            yield from ()
+        def boom(fam, *args):
+            raise AssertionError(f"cache should have been used, not {fam[0]} solved")
 
-        orig = table._solve_stream
-        table._solve_stream = boom
-        try:
-            again = build_table(5, 6, cache_dir=tmp_path)
-        finally:
-            table._solve_stream = orig
-        assert again == rows
+        monkeypatch.setattr(table, "_solve", boom)
+        assert build_table(5, 6, cache_dir=tmp_path) == rows
 
     def test_failed_replace_leaves_previous_row(self, tmp_path, monkeypatch):
         import twobridge.table as table
@@ -240,51 +230,8 @@ class TestCache:
 
 
 class TestSharedSweep:
-    """build_table streams every row it computes through one solve, so each
-    crossing total is swept once, and writes each row as it completes."""
-
-    @staticmethod
-    def _record_sweeps(monkeypatch, stop_at=None):
-        import twobridge.solver as solver
-
-        real, totals = solver._sweep, []
-
-        def recorded(t, lookup, budget):
-            if t == stop_at:
-                raise KeyboardInterrupt
-            totals.append(t)
-            return real(t, lookup, budget)
-
-        monkeypatch.setattr(solver, "_sweep", recorded)
-        return totals
-
-    def test_each_total_swept_once(self, monkeypatch):
-        spans = set()
-        for c in range(3, 15):
-            for k in enumerate_knots(c):
-                res = _rungs(k)
-                if res.method == METHOD_EXHAUSTED:
-                    spans.update(range(res.base_crossing + 1, res.semi_even_bound))
-        totals = self._record_sweeps(monkeypatch)
-        build_table(3, 14)
-        assert len(totals) == len(set(totals))
-        assert totals == sorted(spans)
-
-    def test_one_lookup_for_the_whole_build(self, monkeypatch):
-        # The stream fills one lookup from the records, every total sweeps
-        # it, and each knot has left it by the end.
-        import twobridge.solver as solver
-
-        real, seen = solver._sweep, []
-
-        def recorded(t, lookup, budget):
-            seen.append(lookup)
-            return real(t, lookup, budget)
-
-        monkeypatch.setattr(solver, "_sweep", recorded)
-        build_table(3, 14)
-        assert len(seen) > 1 and all(lookup is seen[0] for lookup in seen)
-        assert seen[0] == {}
+    """build_table solves each record once through the per-record solve that
+    c2 shares, and writes each row as it completes."""
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
         import twobridge.solver as solver
@@ -303,33 +250,37 @@ class TestSharedSweep:
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
 
-    def test_census_never_leaves_the_sweep(self, monkeypatch):
-        # The census stream sweeps every knot the rungs leave open: no knot
-        # is handed to the per-knot search.
+    def test_census_searches_only_palindromic_knots(self, monkeypatch):
+        # Lemma A leaves only Type B to search for, so only knots with
+        # q^2 = +-1 (mod p) are searched, and only at odd totals.
         import twobridge.solver as solver
 
-        def no_search(fam, *args):
-            raise AssertionError(f"{fam[0]} left the sweep")
+        real, searched = solver._least_hit, []
 
-        monkeypatch.setattr(solver, "_least_hit", no_search)
+        def recorded(fam, t, *args):
+            searched.append((fam[0], t))
+            return real(fam, t, *args)
+
+        monkeypatch.setattr(solver, "_least_hit", recorded)
         rows = build_table(3, 14)
         assert [(r.c, r.two_bridge_count, r.offsets) for r in rows] == [
             (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
         ]
+        assert searched
+        assert all(_palindromic(k) and t % 2 for k, t in searched)
 
     def test_stream_matches_solve_many(self, monkeypatch):
         # The census hands each knot's four expansions straight to the rungs;
         # its results, witnesses included, are those of solve_many.
         import twobridge.table as table
 
-        real, got = table._solve_stream, []
+        real, got = table._solve, []
 
-        def recorded(records):
-            for k, res in real(records):
-                got.append((k, res))
-                yield k, res
+        def recorded(fam, *args):
+            got.append((fam[0], real(fam, *args)))
+            return got[-1][1]
 
-        monkeypatch.setattr(table, "_solve_stream", recorded)
+        monkeypatch.setattr(table, "_solve", recorded)
         build_table(3, 13)
         assert len({k for k, _ in got}) == len(got)
         assert dict(got) == solve_many(k for c in range(3, 14) for k in enumerate_knots(c))
@@ -339,7 +290,14 @@ class TestSharedSweep:
 
         cold_dir, cut_dir = tmp_path / "cold", tmp_path / "cut"
         build_table(3, 12, cache_dir=cold_dir)
-        self._record_sweeps(monkeypatch, stop_at=14)
+        real = table._solve
+
+        def cut(fam, *args):
+            if fam[1] == 12:
+                raise KeyboardInterrupt
+            return real(fam, *args)
+
+        monkeypatch.setattr(table, "_solve", cut)
         with pytest.raises(KeyboardInterrupt):
             build_table(3, 12, cache_dir=cut_dir)
         for c in range(3, 12):
