@@ -28,8 +28,23 @@ double coset <L^2> g <U>, which :func:`_type_a_distance` reads off the
 semi-even expansion.  A Type B sequence needs an odd total and a knot with
 q^2 = +-1 (mod p): a palindrome has a symmetric continuant matrix, so its
 value num/den has den^2 = +-1 (mod num).  So ``_solve`` searches t >= d,
-the Type A distance, and, for such a knot, odd t.  Lemma A, d = m, has
-held on every knot tried, so in practice only such knots are searched.
+the Type A distance, and, for such a knot, the odd t that pass
+:func:`_type_b_reaches`.  Lemma A, d = m, has held on every knot tried.
+
+That check is exact arithmetic on a necessary condition.  A Type B
+sequence is x = w [z] rev(w) with z odd, and its continuant matrix is
+M(w) [[z, 1], [1, 0]] M(w)^T.  Let (A, B) = (K(w), K(w[:-1])), with A > 0
+(-M(w) gives the same x).  Then num = A (z A + 2 B) = sigma p, and
+den = eps + sigma (p / A) C (mod p), where C = -eps B^-1 (mod A) and
+eps = det M(w) = +-1; a class holds den iff it holds -den.  Let E(a, b) be
+the sum of the Euclid quotients of a / b: it is symmetric and moves by at
+most 1 when b moves by +-a, so cs(w) >= E(A, |B|), and A <= F(cs(w) + 1).
+So x needs, for s = cs(w) and z = t - 2 s > 0 (-x gives the same test), a
+divisor A <= F(s + 1) of p and a sigma for which B = (sigma p / A - z A) / 2
+is coprime to A with E(A, |B|) <= s and 1 - sigma (p / A) B^-1 is in the
+class.  The divisors come from one trial division per knot, skipped when it
+would take more divisions than the call may walk sequences; the census,
+with no limit, always has them.
 
 Sign changes cost crossings.  The identity [.., a, -b, tail] = [.., a - 1,
 1, b - 1, -tail] keeps the value and removes one crossing and one sign
@@ -74,6 +89,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from math import isqrt
 from typing import Iterable, Iterator
 
 from .contfrac import (
@@ -264,6 +280,46 @@ def _type_a_distance(expansions: Iterable[list[int]]) -> int:
             after = b > 0
         least.append(sum(map(abs, entries[1::2])) + min(P, M))
     return min(least)
+
+
+def _euclid_within(a: int, b: int, s: int) -> bool:
+    """gcd(a, b) = 1 and the quotients of Euclid's algorithm on a, b >= 0
+    sum to at most s."""
+    while b and s >= 0:
+        s -= a // b
+        a, b = b, a % b
+    return s >= 0 and a == 1
+
+
+def _divisors(p: int, m: int, limit: int) -> set[int] | None:
+    """The divisors of p that can be K(w) of a Type B sequence w [z] rev(w)
+    with crossing sum below m, and maybe more, or None where finding them
+    takes more than limit trial divisions.  cs(w) <= (m - 2) // 2, so
+    K(w) <= F((m - 2) // 2 + 1), and division runs up to that or isqrt(p)."""
+    root, f, g, s = isqrt(p), 1, 1, (m - 2) // 2
+    while s and f < root:
+        f, g, s = g, f + g, s - 1
+    n = min(f, root)
+    if n > limit:
+        return None
+    return {e for d in range(1, n + 1) if p % d == 0 for e in (d, p // d)}
+
+
+def _type_b_reaches(p: int, t: int, residues: tuple, divisors: set[int] | None) -> bool:
+    """False only if no Type B sequence with crossing sum t evaluates into
+    the class of the slope residues of p (see the module docstring), given
+    :func:`_divisors`; True where those are None."""
+    if divisors is None:
+        return True
+    for A in divisors:
+        for s in range((t + 1) // 2):
+            for sign in (1, -1):
+                B = (sign * (p // A) - (t - 2 * s) * A) // 2
+                if _euclid_within(A, abs(B), s) and (
+                    1 - sign * (p // A) * pow(B, -1, A)
+                ) % p in residues:
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +690,13 @@ def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
 
     The rungs of ``_rungs_of``; then, for an ExhaustedToBound result at m,
     the per-knot search at each total c < t < m that can hold a hit: t >= d,
-    the Type A distance, and, for a knot with q^2 = +-1 (mod p), odd t.
+    the Type A distance, and, for a knot with q^2 = +-1 (mod p), odd t at
+    which :func:`_type_b_reaches` holds.  That check needs, for some
+    s <= (t - 1) / 2, a divisor A <= F(s + 1) of p that is K(w) of the half
+    w of a Type B sequence w [t - 2 s] rev(w) with cs(w) = s: num = A (z A +
+    2 B) fixes B = K(w[:-1]), E(A, |B|) <= cs(w) bounds it, and the
+    determinant of M(w) fixes den up to sign.  Its trial division is skipped
+    when it would pass limit, and every odd t is searched as before.
     The first hit is the Search result.  One Type A sequence hits at d, so a
     search at d < m, which would make Lemma A false, ends there.  Raises
     SearchBudgetExceeded once the search has walked limit sequences."""
@@ -642,9 +704,12 @@ def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
     if res.method != METHOD_EXHAUSTED:
         return res
     k, c, m = fam[0], res.base_crossing, res.value
-    d, type_b, work = _type_a_distance(evens), _palindromic(k), [limit]
+    d, work = _type_a_distance(evens), [limit]
+    divisors = _divisors(k.p, m, limit) if _palindromic(k) else set()
     for t in range(c + 1, m):
-        if (t >= d or type_b and t % 2) and (hit := _least_hit(fam, t, m, work)):
+        if (t >= d or t % 2 and _type_b_reaches(k.p, t, fam[2], divisors)) and (
+            hit := _least_hit(fam, t, m, work)
+        ):
             cf = ContinuedFraction._trusted(hit[0])
             return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
     return res

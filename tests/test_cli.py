@@ -156,7 +156,9 @@ UNDECIDED = "error: c2 of K(65,18) undecided within the search limit: 10 <= c2 <
 
 
 class TestSearchLimit:
-    # K(65,18) needs the search at t = 11; 5 sequences are too few for it.
+    # K(65,18) has q^2 = -1 (mod 65).  With a limit of 5 the Type B bound,
+    # which takes 8 trial divisions, is skipped, so c2 walks t = 11 as a
+    # Type B search, and 5 sequences are too few for it.
     @pytest.fixture(autouse=True)
     def low_limit(self, monkeypatch):
         import twobridge.solver as solver

@@ -18,8 +18,15 @@ it is below the semi-even bound m, is the crossing number c, and the knot
 is decided by Step1.  Through crossing sum 15 it is c for every knot that
 a Type B sequence reaches.  The stronger form, that no Type B sequence has
 a crossing sum strictly between c and m, is false.
+
+The Type B bound of ``solver._type_b_reaches`` is computed, not proved to
+be tight: it must only never rule out a total that a Type B sequence
+reaches.  Both of its facts are checked here: every Type B sequence passes
+it, and E(|K(w)|, |K(w[:-1])|) <= crossing_sum(w) for every signed w.
 """
 
+import sys
+from itertools import product
 from math import gcd
 
 import pytest
@@ -35,9 +42,12 @@ from twobridge.contfrac import (
 from twobridge.knot import TwoBridgeKnot, _families, _knot_key, _positive_family, canonicalize
 from twobridge.solver import (
     METHOD_STEP1,
+    _divisors,
+    _euclid_within,
     _rungs,
     _semi_even_pick,
     _type_a_distance,
+    _type_b_reaches,
     c2,
     enumerate_type_ab,
 )
@@ -203,3 +213,56 @@ class TestLemmaB:
             below += t < res.semi_even_bound
         # The other 7 are K(p, p - 1), p = 3 .. 15, with c = m = p.
         assert (len(least), below) == (85, 78)
+
+
+def _first_row(w):
+    """(K(w), K(w[:-1])), the first row of w's continuant matrix."""
+    A, B = 1, 0
+    for a in w:
+        A, B = a * A + B, A
+    return A, B
+
+
+def _compositions(n):
+    """Every tuple of positive entries summing to n; () for n = 0."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+class TestTypeBBound:
+    def test_every_type_b_sequence_passes_its_own_bound(self):
+        # Its value num/den with p = |num|: its own total t is not ruled
+        # out for the class {den, -den} (mod p), with the divisors that a
+        # solve with m = t + 1 finds.
+        n = 0
+        for t, _, num, den in _values(range(1, 18, 2), ExpansionClass.TYPE_B):
+            p = abs(num)
+            if p >= 2:
+                divisors = _divisors(p, t + 1, sys.maxsize)
+                assert _type_b_reaches(p, t, (den % p, -den % p), divisors), (t, num, den)
+                n += 1
+        assert n == 17_060
+
+    def test_quotient_sum_bounds_the_crossing_sum(self):
+        # Every signed w with crossing sum <= 10; positive w meet the bound.
+        n = 0
+        for size in range(11):
+            for parts in _compositions(size):
+                for signs in product((1, -1), repeat=len(parts)):
+                    w = [s * a for s, a in zip(signs, parts)]
+                    A, B = _first_row(w)
+                    assert _euclid_within(abs(A), abs(B), size), w
+                    if size and min(signs) > 0:
+                        assert not _euclid_within(A, B, size - 1), w
+                    n += 1
+        assert n == 3**10
+
+    def test_bound_skipped_past_the_limit(self):
+        # F(6) = 8 trial divisions for p = 65 and m = 12; None rules out nothing.
+        assert _divisors(65, 12, 8) == {1, 5, 13, 65}
+        assert _divisors(65, 12, 7) is None
+        assert _type_b_reaches(65, 11, (18, 47), None)
+        assert not _type_b_reaches(65, 11, (18, 47), {1, 5, 13, 65})

@@ -615,6 +615,9 @@ class TestC2:
         assert searched == [13, 14]
 
     def test_search_limit(self, monkeypatch):
+        # K(65,18) has q^2 = -1 (mod 65).  Its Type B bound takes 8 trial
+        # divisions, more than a limit of 5, so it is skipped, t = 11 is
+        # walked, and 5 sequences are too few for it.
         import twobridge.solver as solver
 
         monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
@@ -626,6 +629,18 @@ class TestC2:
         with pytest.raises(SearchBudgetExceeded):
             search_at(k, 11)
         assert c2(canonicalize(13, 5)).method == METHOD_STEP2
+
+    def test_type_b_bound_runs_within_the_limit(self, monkeypatch):
+        # K(65,18)'s bound divides by 1 .. min(F(6), isqrt(65)) = 8: at a
+        # limit of 8 it runs and rules out t = 11, at 7 the walk runs.
+        import twobridge.solver as solver
+
+        k = canonicalize(65, 18)
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 8)
+        assert c2(k).method == METHOD_EXHAUSTED
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 7)
+        with pytest.raises(SearchBudgetExceeded):
+            c2(k)
 
     def test_search_limit_bounds_the_preimages(self, monkeypatch):
         # The stack never grows past the work left: one node's preimages
@@ -908,11 +923,27 @@ class TestRungsLargeP:
         assert (res.base_crossing, res.value) == (105, 116)
 
     def test_solve_many_refuses_as_c2_does(self):
-        # q^2 = +-1 (mod p): the odd totals 23 .. 27 need a Type B search.
-        k = canonicalize(12545, 3362)
+        # K(F(53), F(52)): q^2 = +-1 (mod p), and the trial division behind
+        # the Type B bound would run to isqrt(p) > _SEARCH_LIMIT, so it is
+        # skipped, and the walks of the odd totals from 53 up pass the limit.
+        k = canonicalize(53316291173, 20365011074)
         with pytest.raises(SearchBudgetExceeded) as info:
             solve_many([k])
-        assert (info.value.knot, info.value.c, info.value.m) == (k, 22, 28)
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 52, 68)
+
+    def test_type_b_bound_decides_a_palindromic_knot(self, monkeypatch):
+        # K(12545,3362) has q^2 = +-1 (mod p), c = 22 and m = 28: the
+        # Type B bound rules out 23, 25 and 27, whose walks take 131,772
+        # sequences, more than the search limit.
+        import twobridge.solver as solver
+
+        def no_search(fam, *args):
+            raise AssertionError(f"{fam[0]} searched")
+
+        monkeypatch.setattr(solver, "_least_hit", no_search)
+        res = c2(canonicalize(12545, 3362))
+        assert (res.base_crossing, res.value, res.method) == (22, 28, METHOD_EXHAUSTED)
+        assert res.witness.entries == (3, 2, -1, -2, 3, 2, -2, -2, 1, 2, -3, -2, 1, 2)
 
 
 class TestGlobalMap:

@@ -6,7 +6,7 @@ import pytest
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
 from twobridge.knot import canonicalize, crossing_number, enumerate_knots
-from twobridge.solver import _palindromic, solve_many
+from twobridge.solver import solve_many
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -250,24 +250,19 @@ class TestSharedSweep:
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
 
-    def test_census_searches_only_palindromic_knots(self, monkeypatch):
-        # Lemma A leaves only Type B to search for, so only knots with
-        # q^2 = +-1 (mod p) are searched, and only at odd totals.
+    def test_census_walks_no_knot(self, monkeypatch):
+        # Lemma A leaves only Type B to search for, at odd totals of knots
+        # with q^2 = +-1 (mod p), and the Type B bound rules out every one
+        # of those totals: the census walks no preimage tree.
         import twobridge.solver as solver
 
-        real, searched = solver._least_hit, []
-
-        def recorded(fam, t, *args):
-            searched.append((fam[0], t))
-            return real(fam, t, *args)
-
-        monkeypatch.setattr(solver, "_least_hit", recorded)
+        searched = []
+        monkeypatch.setattr(solver, "_least_hit", lambda fam, t, *args: searched.append(t))
         rows = build_table(3, 14)
         assert [(r.c, r.two_bridge_count, r.offsets) for r in rows] == [
             (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
         ]
-        assert searched
-        assert all(_palindromic(k) and t % 2 for k, t in searched)
+        assert searched == []
 
     def test_stream_matches_solve_many(self, monkeypatch):
         # The census hands each knot's four expansions straight to the rungs;
