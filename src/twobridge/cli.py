@@ -12,7 +12,7 @@ is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
 any work, naming that row's knot count: the rows double in size, and a cold
-build of rows 3 to 21 took 5.9 s and 16 MiB on a 2-vCPU Xeon VM (Python 3.11).
+build of rows 3 to 21 took 3.7 s and 16 MiB on a 2-vCPU Xeon VM (Python 3.11).
 """
 
 from __future__ import annotations

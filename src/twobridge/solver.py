@@ -2,8 +2,11 @@
 
 The pipeline short-circuits in order of cost:
 
-1. Step1: positive expansions (canonical and trailing-1 variant) of the four
-   slopes.  A Type A or Type B hit settles the value at the crossing number.
+1. Step1: the positive expansions of the four slopes and, only for a knot
+   with q^2 = +-1 (mod p), their trailing-1 variants [.., a - 1, 1]: a
+   variant ends in an odd entry, so it is never Type A, and only such a
+   knot has a Type B sequence.  A Type A or Type B hit settles the value
+   at the crossing number.
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
 3. Search: for t = c + 1 .. m - 1, find the first Type A / Type B sequence
@@ -60,7 +63,7 @@ with its merges, again and again: each step removes at least one crossing,
 so after at most d steps no sign change is left, and what is left is a
 positive sequence of the knot's class with crossing sum c.  The positive
 sequences of a value p/r are its Euclid expansion and the trailing-1
-variant, so it is one of the eight Step1 candidates.  ``_preimages`` undoes
+variant, so it is one of the eight of :func:`_candidates`.  ``_preimages`` undoes
 one such step exactly, at every cost: every x it yields maps back, and
 every preimage is yielded once.  So the hits at t are the Type A / Type B
 sequences among the preimages of the eight candidates that lie d crossings
@@ -171,14 +174,22 @@ def _semi_even_pick(
 ) -> tuple[int, ContinuedFraction, list[list[int]]]:
     """(m, witness, expansions): the best semi-even expansion over the (one
     or two) even denominators among k's slope denominators, ties on crossing
-    sum going to the smaller one, and the semi-even expansions of them all."""
-    picks = sorted(
-        (sum(abs(a) for a in e), d, e)
-        for d in {r for r in slopes if r % 2 == 0}
-        for e in [_semi_even_entries(k.p, d)]
-    )
-    s, _, entries = picks[0]
-    return s, ContinuedFraction._trusted(tuple(entries)), [e for *_, e in picks]
+    sum going to the smaller one, and the semi-even expansions of them all,
+    the witness's first.
+
+    A record lists its smaller even slope first and the other pair's even
+    one in slopes[2:]; they agree exactly when q^2 = +-1 (mod p)."""
+    q, r = slopes[0], slopes[2] if slopes[2] % 2 == 0 else slopes[3]
+    e = _semi_even_entries(k.p, q)
+    s, evens = sum(map(abs, e)), [e]
+    if r != q:
+        f = _semi_even_entries(k.p, r)
+        t = sum(map(abs, f))
+        if t < s:
+            s, evens = t, [f, e]
+        else:
+            evens.append(f)
+    return s, ContinuedFraction._trusted(tuple(evens[0])), evens
 
 
 def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
@@ -192,8 +203,9 @@ def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
 
 
 def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
-    """The eight Step1 candidates: each positive expansion of the four slopes
-    (last entry >= 2) and its [.., a - 1, 1] variant."""
+    """The eight positive sequences of a knot's class, the search roots:
+    each positive expansion of the four slopes (last entry >= 2) and its
+    [.., a - 1, 1] variant."""
     for entries in family:
         yield entries
         yield entries[:-1] + [entries[-1] - 1, 1]
@@ -211,7 +223,9 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
     the semi-even expansions of its even slopes."""
     k, c, slopes, family = fam
     m, wit, evens = _semi_even_pick(k, slopes)
-    for cand in _candidates(family):
+    # A [.., a - 1, 1] variant is never Type A, and only a knot with
+    # q^2 = +-1 (mod p) has a Type B one.
+    for cand in _candidates(family) if _palindromic(k) else family:
         cls = _shape(cand)
         if cls is not ExpansionClass.NEITHER:
             cf = ContinuedFraction._trusted(tuple(cand))
@@ -222,7 +236,7 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
 
 
 def step1_check(k: TwoBridgeKnot) -> C2Result | None:
-    """Try the eight positive sequences; a Type A/B hit means value = c(K)."""
+    """Try the positive sequences; a Type A/B hit means value = c(K)."""
     res = _rungs(k)
     return res if res.method == METHOD_STEP1 else None
 
@@ -252,7 +266,9 @@ def _type_a_distance(expansions: Iterable[list[int]]) -> int:
     one before.  Two states carry the least cost of the segments so far: P
     if the last e came from L^2, M if from L^-2.  Starting at P, M = 1, 0,
     k0 makes them |k0|, |k0 + 1|; the last segment is free (the right
-    coset), so the distance is 2m + min(P, M).  Three facts keep it small:
+    coset), so the distance is 2m + min(P, M).  Every step adds |k| to
+    both states, so the program keeps them less that running cost.  Three
+    facts keep it small:
 
     - No left-coset search: for 0 < r < p the semi-even expansion of p/r
       has a1 >= 1 and b1 >= 2, so k0 = a1 >= 1 and no prefix L^2j cancels.
@@ -264,22 +280,36 @@ def _type_a_distance(expansions: Iterable[list[int]]) -> int:
       equal sign(j), and the update is idempotent on them, so it runs once
       per entry.  K(100003,16668) has an entry of -3332.
     """
-    least = []
+    least = None
     for entries in expansions:
-        P, M, after = 1, 0, False  # after: the u that the last L^2 left over
+        # P and M less cost, which both pay: |k| per segment and |b| per
+        # entry.  after: the u that the last L^2 left over.
+        P, M, cost, after = 1, 0, 0, False
         it = iter(entries)
         for a, b in zip(it, it):
             k = after + a - (b < 0)  # the segment that U^a and its neighbours make
-            if not k:
+            if k > 0:  # |k - 1| = |k| - 1 and |k + 1| = |k| + 1
+                x, y = P - 1, M + 1
+                P, M, cost = x if x < M else M, P if P < y else y, cost + k
+            elif k:  # |k - 1| = |k| + 1 and |k + 1| = |k| - 1
+                x, y = P + 1, M - 1
+                P, M, cost = x if x < M else M, P if P < y else y, cost - k
+            else:
                 return 0
-            P, M = min(P + abs(k - 1), M + abs(k)), min(P + abs(k), M + abs(k + 1))
             if b > 2:  # the update at k = 1 stands for the run of u segments
-                P, M = min(P, M + 1), min(P + 1, M + 2)
+                x = M + 1
+                P = P if P < x else x
+                M = P + 1
             elif b < -2:  # and at k = -1 for the run of u^-1 segments
-                P, M = min(P + 2, M + 1), min(P + 1, M)
+                x = P + 1
+                M = M if M < x else x
+                P = M + 1
+            cost += b if b > 0 else -b
             after = b > 0
-        least.append(sum(map(abs, entries[1::2])) + min(P, M))
-    return min(least)
+        d = cost + (P if P < M else M)
+        if least is None or d < least:
+            least = d
+    return least
 
 
 def _euclid_within(a: int, b: int, s: int) -> bool:
@@ -469,7 +499,7 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Per-knot search: the preimages of the eight Step1 candidates
+# Per-knot search: the preimages of the eight positive sequences
 
 
 def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
@@ -634,7 +664,8 @@ def _least_hit(
     order at crossing sum t that evaluates into the class of fam's knot, or None.
 
     The hits are the preimages, t - c crossings up, of the eight positive
-    Step1 candidates under :func:`_preimages` (see the module docstring).
+    sequences of :func:`_candidates` under :func:`_preimages` (see the
+    module docstring).
     The tree is walked depth first; each sequence taken from it costs one
     unit of work[0].  A stack longer than the work left raises
     SearchBudgetExceeded with c <= c2 <= m, so none is built longer.
@@ -671,10 +702,18 @@ def _least_hit(
 def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     """First sequence in enumeration order at crossing sum t that evaluates
     into k's slope class, or None.  Raises SearchBudgetExceeded, naming t,
-    past the search's work ceiling."""
+    past the search's work ceiling.
+
+    A t below the Type A distance gets None with no walk when it is even or
+    :func:`_type_b_reaches` rules it out, as in ``_solve``."""
     fam = _positive_family(k)
+    m, _, evens = _semi_even_pick(k, fam[2])
+    if t < _type_a_distance(evens):
+        divisors = _divisors(k.p, m, _SEARCH_LIMIT) if _palindromic(k) else set()
+        if t % 2 == 0 or not _type_b_reaches(k.p, t, fam[2], divisors):
+            return None
     try:
-        hit = _least_hit(fam, t, _semi_even_pick(k, fam[2])[0], [_SEARCH_LIMIT])
+        hit = _least_hit(fam, t, m, [_SEARCH_LIMIT])
     except SearchBudgetExceeded as exc:
         raise SearchBudgetExceeded(exc.knot, exc.c, exc.m, t) from None
     return hit and ContinuedFraction._trusted(hit[0])

@@ -23,8 +23,17 @@ The Type B bound of ``solver._type_b_reaches`` is computed, not proved to
 be tight: it must only never rule out a total that a Type B sequence
 reaches.  Both of its facts are checked here: every Type B sequence passes
 it, and E(|K(w)|, |K(w[:-1])|) <= crossing_sum(w) for every signed w.
+
+The rungs take shortcuts that rest on facts checked here too.  Step 1
+scans the [.., a - 1, 1] variants only for a knot with q^2 = +-1 (mod p):
+no variant is Type A, and no candidate of another knot is Type B.  The
+semi-even pick and the Type A distance equal reference copies of their
+plainer forms, a sort over the set of even slopes and a min()-based
+program.  Each is checked on every knot with c <= 16 and on a seeded draw
+with p < 10^15.
 """
 
+import random
 import sys
 from itertools import product
 from math import gcd
@@ -36,15 +45,26 @@ from twobridge.contfrac import (
     ExpansionClass,
     _eval_entries,
     _semi_even_entries,
+    _shape,
     classify_type,
     crossing_sum,
 )
-from twobridge.knot import TwoBridgeKnot, _families, _knot_key, _positive_family, canonicalize
+from twobridge.knot import (
+    TwoBridgeKnot,
+    _families,
+    _knot_key,
+    _positive_family,
+    _slopes,
+    canonicalize,
+)
 from twobridge.solver import (
     METHOD_STEP1,
+    _candidates,
     _divisors,
     _euclid_within,
+    _palindromic,
     _rungs,
+    _rungs_of,
     _semi_even_pick,
     _type_a_distance,
     _type_b_reaches,
@@ -266,3 +286,120 @@ class TestTypeBBound:
         assert _divisors(65, 12, 7) is None
         assert _type_b_reaches(65, 11, (18, 47), None)
         assert not _type_b_reaches(65, 11, (18, 47), {1, 5, 13, 65})
+
+
+def _seeded_draw(n=300):
+    """n knots with p < 10^15: p = randrange(3, 10^15, 2) from
+    random.Random(20), q drawn until coprime, then canonicalized."""
+    rng, knots = random.Random(20), []
+    for _ in range(n):
+        p = rng.randrange(3, 10**15, 2)
+        q = rng.randrange(1, p)
+        while gcd(p, q) != 1:
+            q = rng.randrange(1, p)
+        knots.append(canonicalize(p, q))
+    return knots
+
+
+@pytest.fixture(scope="module")
+def records():
+    """The record of each knot with c <= 16 and of the seeded draw."""
+    fams = [fam for c in range(3, 17) for fam in _families(c)]
+    return fams + [_positive_family(k) for k in _seeded_draw()]
+
+
+class TestStep1Scan:
+    def test_no_variant_is_type_a(self, records):
+        # [.., a - 1, 1] ends in an odd entry, at an even place if its
+        # length is even.
+        for _, _, _, family in records:
+            variants = list(_candidates(family))[1::2]
+            assert len(variants) == 4
+            for v in variants:
+                assert _shape(v) is not ExpansionClass.TYPE_A, v
+        assert len(records) == 5_546 + 300
+
+    def test_no_candidate_of_a_non_palindromic_knot_is_type_b(self, records):
+        palindromic = 0
+        for k, _, _, family in records:
+            if _palindromic(k):
+                palindromic += 1
+                continue
+            for cand in _candidates(family):
+                assert _shape(cand) is not ExpansionClass.TYPE_B, (k, cand)
+        # Some knots have Type B candidates, and none of the draw does.
+        assert 0 < palindromic < 5_546
+        assert not any(_palindromic(fam[0]) for fam in records[-300:])
+
+    def test_variants_still_decide_palindromic_knots(self, records):
+        # 36 knots with c <= 16 are decided by a variant, a Type B one.
+        decided = 0
+        for fam in records:
+            hits = [x for x in _candidates(fam[3]) if _shape(x) is not ExpansionClass.NEITHER]
+            if hits and hits[0] not in fam[3]:
+                res = _rungs_of(fam)[0]
+                assert (res.method, list(res.witness.entries)) == (METHOD_STEP1, hits[0])
+                assert res.witness_class is ExpansionClass.TYPE_B
+                decided += 1
+        assert decided == 36
+
+
+def _sorted_pick(k, slopes):
+    """The semi-even pick as a sort over the set of even slopes, ties on
+    crossing sum going to the smaller slope: solver._semi_even_pick's
+    reference."""
+    picks = sorted(
+        (sum(abs(a) for a in e), d, e)
+        for d in {r for r in slopes if r % 2 == 0}
+        for e in [_semi_even_entries(k.p, d)]
+    )
+    s, _, entries = picks[0]
+    return s, tuple(entries), [e for *_, e in picks]
+
+
+def _min_distance(expansions):
+    """solver._type_a_distance's two-state program with a min() and an
+    abs() call per step: its reference."""
+    least = []
+    for entries in expansions:
+        P, M, after = 1, 0, False
+        it = iter(entries)
+        for a, b in zip(it, it):
+            k = after + a - (b < 0)
+            if not k:
+                return 0
+            P, M = min(P + abs(k - 1), M + abs(k)), min(P + abs(k), M + abs(k + 1))
+            if b > 2:
+                P, M = min(P, M + 1), min(P + 1, M + 2)
+            elif b < -2:
+                P, M = min(P + 2, M + 1), min(P + 1, M)
+            after = b > 0
+        least.append(sum(map(abs, entries[1::2])) + min(P, M))
+    return min(least)
+
+
+class TestRungsEqualTheirReferences:
+    @pytest.fixture(scope="class")
+    def knots(self, records):
+        large = [canonicalize(100003, 16668), canonicalize(6_000_000_000_005, 3_000_000_000_004)]
+        return [fam[:3] for fam in records + [_positive_family(k) for k in large]]
+
+    def test_pick(self, knots):
+        # Both slope orders: a record's, and slope_family's from k's q.
+        ties = 0
+        for k, _, slopes in knots:
+            want = _sorted_pick(k, slopes)
+            for order in (slopes, _slopes(k.p, k.q)):
+                m, wit, evens = _semi_even_pick(k, order)
+                assert (m, wit.entries, evens) == want, k
+            ties += len(evens) == 2 and len({sum(map(abs, e)) for e in evens}) == 1
+        assert ties > 0  # some knots need the tie rule
+
+    def test_distance(self, knots):
+        for k, _, slopes in knots:
+            evens = _semi_even_pick(k, slopes)[2]
+            assert _type_a_distance(evens) == _min_distance(evens), k
+            for e in evens:
+                assert _type_a_distance([e]) == _min_distance([e]), e
+        # A 0 segment reads 0 in both.
+        assert _type_a_distance([[1, -2, 1, 2]]) == _min_distance([[1, -2, 1, 2]]) == 0

@@ -853,7 +853,7 @@ class TestRungsLargeP:
 
     def test_search_size_of_the_readme_knot(self, monkeypatch):
         # README: c2 of K(100003,16668), c = 3342, runs no search (its Type A
-        # distance is m and q^2 is not +-1), and search_at one crossing up
+        # distance is m and q^2 is not +-1), and the search one crossing up
         # takes 8 sequences from the search tree, counted off its work list.
         import twobridge.solver as solver
 
@@ -868,9 +868,13 @@ class TestRungsLargeP:
         res = c2(k)
         assert (res.base_crossing, res.value, res.method) == (3342, 3344, METHOD_EXHAUSTED)
         assert works == []
+        # 3343 is odd and below the distance, so search_at walks nothing;
+        # the search tree one crossing up holds 8 sequences.
         assert search_at(k, 3343) is None
-        assert len(works) == 1
-        assert solver._SEARCH_LIMIT - works[0][0] == 8
+        assert works == []
+        work = [solver._SEARCH_LIMIT]
+        assert real(_positive_family(k), 3343, 3344, work) is None
+        assert solver._SEARCH_LIMIT - work[0] == 8
 
     def test_solve_many_hands_large_bounds_to_c2(self):
         # solve_many returns what c2 does at once, where a sweep from
@@ -944,6 +948,30 @@ class TestRungsLargeP:
         res = c2(canonicalize(12545, 3362))
         assert (res.base_crossing, res.value, res.method) == (22, 28, METHOD_EXHAUSTED)
         assert res.witness.entries == (3, 2, -1, -2, 3, 2, -2, -2, 1, 2, -3, -2, 1, 2)
+
+    def test_search_at_obeys_the_certificates(self, monkeypatch):
+        # Below the Type A distance, search_at walks no total that c2 rules
+        # out: even ones, and odd ones that the Type B bound rules out.
+        # K(12545,3362)'s walk at 27 alone passed the search limit.
+        import twobridge.solver as solver
+
+        def no_search(fam, *args):
+            raise AssertionError(f"{fam[0]} searched")
+
+        monkeypatch.setattr(solver, "_least_hit", no_search)
+        for p, q, ts in [(12545, 3362, range(23, 28)), (100003, 40000, [3343]), (65, 18, [11])]:
+            for t in ts:
+                assert search_at(canonicalize(p, q), t) is None, (p, q, t)
+        # At the distance, and where the bound is skipped, it walks.
+        for k, t in [(canonicalize(13, 5), 7), (canonicalize(65, 18), 12)]:
+            with pytest.raises(AssertionError, match="searched"):
+                search_at(k, t)
+        # With the bound skipped, an even total below the distance is
+        # still not walked.
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 7)
+        assert search_at(canonicalize(65, 18), 10) is None
+        with pytest.raises(AssertionError, match="searched"):
+            search_at(canonicalize(65, 18), 11)
 
 
 class TestGlobalMap:
