@@ -84,6 +84,8 @@ The sweep serves only :func:`global_c2_map`, the independent oracle.  It
 skips sequences with a negative first entry, whose negations come earlier
 (+ sorts before -) and name the mirror, and probes each value with one int
 lookup of a slope residue q, p - q, q^-1 or p - q^-1 (see :func:`_sweep`).
+A Type A counter step sets the signs of all but the last two entries and
+then probes the sign pairs of those two in product order, + first.
 """
 
 from __future__ import annotations
@@ -408,7 +410,8 @@ def _sign_steps(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], .
     each prefix is extended by + and then by -.  Step (i, signs, lasts) turns
     the previous head into the next one: i is the first slot that differs,
     signs are the new signs of slots i .. n - 2, and lasts are the signs that
-    the last slot takes, + first.
+    the last slot takes, + first.  The Type A sweep asks for n - 1 slots of
+    its n: lasts then sign the slot before its last.
     """
     if n == 1:  # the one entry is the first
         return ((0, (), (1,)),)
@@ -457,24 +460,35 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
     palindrome, evaluated from its half h as M(h) M(h[:-1])^T, has a
     symmetric matrix and probes r = den mod |num|.
 
-    The signs of each pattern come from :func:`_sign_steps`.  The prefix
-    continuants of the head a[:-1] are kept, so a step from slot i recomputes
-    only the prefixes from i on, and each sign of the last entry is read off
-    the head's continuants.
+    The signs of each pattern come from :func:`_sign_steps`, and the prefix
+    continuants are kept, so a step from slot i recomputes only the prefixes
+    from i on.  A Type A step covers the last two slots: its head a[:-2] comes
+    from ``_sign_steps(n - 1)``, each sign of a[-2] gives K(a[:-1]) off the
+    head's continuants, and both signs of a[-1] are probed inline, in
+    product order; a[-2:] is written only on a hit.  A Type B step reads
+    each sign of its centre off the continuants of its head a[:-1].
     """
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for mag in _type_a_magnitudes(t):
-        a, n, last = list(mag), len(mag), mag[-1]
+        a, n, y, x = list(mag), len(mag), mag[-2], mag[-1]
         P = [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
-        for i, signs, lasts in _sign_steps(n):
+        for i, signs, ys in _sign_steps(n - 1):
             for j, s in enumerate(signs, i):
-                a[j] = x = s * mag[j]
-                P[j + 2] = x * P[j + 1] + P[j]
-            p1, p0 = P[n], P[n - 1]
-            for s in lasts:
-                num = abs(s * last * p1 + p0)
-                if num in lookup and (r := p1 % num) in lookup[num]:
-                    a[-1] = s * last
+                a[j] = v = s * mag[j]
+                P[j + 2] = v * P[j + 1] + P[j]
+            p1, p0 = P[n - 1], P[n - 2]
+            for s in ys:
+                h = s * y * p1 + p0  # K(a[:-1])
+                u = x * h
+                num = abs(u + p1)
+                if num in lookup and (r := h % num) in lookup[num]:
+                    a[-2:] = s * y, x
+                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
+                    if not lookup:
+                        return
+                num = abs(u - p1)
+                if num in lookup and (r := h % num) in lookup[num]:
+                    a[-2:] = s * y, -x
                     yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
                     if not lookup:
                         return

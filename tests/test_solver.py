@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -191,7 +192,7 @@ def keys_le_14():
 
 
 class TestSweep:
-    @pytest.mark.parametrize("t", range(1, 13))
+    @pytest.mark.parametrize("t", range(1, 16))
     def test_stream_is_the_positive_half_in_order(self, t):
         # Values with |num| <= 1 (zero, the unknot, infinity) are no knot and
         # are never looked up, so they are left out on both sides.
@@ -202,7 +203,7 @@ class TestSweep:
         ]
         assert [cf.entries for _, cf, _ in _sweep(t, _EveryValue())] == want
 
-    @pytest.mark.parametrize("t", range(1, 13))
+    @pytest.mark.parametrize("t", range(1, 16))
     def test_probes_and_classes(self, t):
         # Type A probes with the continuant of its head, +-den^-1 (mod p);
         # a Type B palindrome with den itself.
@@ -230,7 +231,7 @@ class TestSweep:
             assert lookup[p][head % p] == _slopes(p, q)
         assert keyed
 
-    @pytest.mark.parametrize("t", range(1, 13))
+    @pytest.mark.parametrize("t", range(1, 16))
     def test_yields_first_hits_of_the_full_enumeration(self, t, keys_le_14):
         got = [(key, cf.entries) for key, cf, _ in _sweep(t, _lookup(keys_le_14))]
         for key, entries in got:
@@ -1014,6 +1015,17 @@ class TestGlobalMap:
             assert fraction_to_knot(eval_cf(witness)) == k
             assert crossing_sum(witness) == t
             assert classify_type(witness) is not ExpansionClass.NEITHER
+
+    def test_map_through_row_15_is_pinned(self):
+        # The benchmark's oracle pass: 2,794 knots, each with its first t and
+        # first witness, hashed in knot order.
+        found = global_c2_map(15)
+        h = hashlib.sha256()
+        for k in sorted(found):
+            t, w = found[k]
+            h.update(f"{k.p}/{k.q} {t} {','.join(map(str, w.entries))}\n".encode())
+        assert len(found) == 2794
+        assert h.hexdigest() == "8c9b5f0cb8125890ecf1f76714a8efef7bab4697a45cdc0785d2c1a817b0727e"
 
     def test_method_spread(self, solved_le_12):
         # Frozen tally: the intermediate search never fires on this range;
