@@ -189,12 +189,6 @@ def positive_expansion_variant(cf: ContinuedFraction) -> ContinuedFraction:
     return ContinuedFraction._trusted(e[:-1] + (e[-1] - 1, 1))
 
 
-def _nearest_even(p: int, q: int) -> int:
-    # The unique even integer a with |p/q - a| < 1; requires p/q not an odd
-    # integer, which the parity bookkeeping of the callers guarantees.
-    return 2 * ((p + q) // (2 * q))
-
-
 def even_expansion(r: Rational) -> ContinuedFraction:
     """All-even expansion: repeatedly take the even integer within distance 1.
 
@@ -211,8 +205,9 @@ def _semi_even_entries(p: int, q: int, all_even: bool = False) -> list[int]:
     out = []
     while q != 1:
         if p % 2 == 0 or all_even:
-            # Constrained: the entry must be even, take the nearest even.
-            a = _nearest_even(p, q)
+            # Constrained: the even a with |p/q - a| < 1, unique as the
+            # parity bookkeeping keeps p/q off the odd integers.
+            a = 2 * ((p + q) // (2 * q))
         else:
             # Unconstrained: truncate toward zero.
             a = -(-p // q) if p < 0 else p // q

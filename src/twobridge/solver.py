@@ -2,11 +2,11 @@
 
 The pipeline short-circuits in order of cost:
 
-1. Step1: the positive expansions of the four slopes and, only for a knot
-   with q^2 = +-1 (mod p), their trailing-1 variants [.., a - 1, 1]: a
-   variant ends in an odd entry, so it is never Type A, and only such a
-   knot has a Type B sequence.  A Type A or Type B hit settles the value
-   at the crossing number.
+1. Step1: a Type A or Type B positive expansion settles the value at the
+   crossing number c.  A Type A one is its even slope's semi-even
+   expansion, so it exists exactly when the Step2 bound m is c, and the
+   pick is then the first one (see ``_rungs_of``).  A Type B one needs
+   q^2 = +-1 (mod p) and may be a trailing-1 variant [.., a - 1, 1].
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
 3. Search: for t = c + 1 .. m - 1, find the first Type A / Type B sequence
@@ -195,7 +195,7 @@ def _semi_even_pick(
 
 
 def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
-    """m, checked to exceed c: m = c(K) would be a minimal diagram Step 1 missed."""
+    """m, checked to exceed c: at m = c(K) Step 1 decides the knot."""
     if m <= c:
         raise RuntimeError(
             f"semi-even bound {m} for {k} does not exceed c={c}; "
@@ -222,17 +222,24 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
     """The knot's result from the rungs below the search, from its record:
     the Step1 or Step2 result, or else ExhaustedToBound at the semi-even
     bound m with its witness, which a Search hit below m may replace; and
-    the semi-even expansions of its even slopes."""
+    the semi-even expansions of its even slopes.
+
+    Step1's Type A case is m = c, with the pick's witness:
+    1. A Type A Euclid expansion of an even slope is its semi-even one, as
+       each free step takes a_i (the tail exceeds 1) and each even step
+       keeps the even a_i.  So m = c.
+    2. At m = c the pick has no sign change (module docstring), no 0 and
+       first entry p // r >= 1: it is positive and, ending even, Euclid's.
+    3. Odd slopes are never Type A (a Type A value has an even
+       denominator), and ties go to the smaller slope, the record's first."""
     k, c, slopes, family = fam
     m, wit, evens = _semi_even_pick(k, slopes)
-    # A [.., a - 1, 1] variant is never Type A, and only a knot with
-    # q^2 = +-1 (mod p) has a Type B one.
-    for cand in _candidates(family) if _palindromic(k) else family:
-        cls = _shape(cand)
-        if cls is not ExpansionClass.NEITHER:
+    if m == c:
+        return C2Result(c, wit, ExpansionClass.TYPE_A, METHOD_STEP1, m, c), evens
+    for cand in _candidates(family) if _palindromic(k) else ():
+        if _shape(cand) is ExpansionClass.TYPE_B:
             cf = ContinuedFraction._trusted(tuple(cand))
-            return C2Result(c, cf, cls, METHOD_STEP1, m, c), evens
-    _bound_above(k, c, m)
+            return C2Result(c, cf, ExpansionClass.TYPE_B, METHOD_STEP1, m, c), evens
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
     return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
 
@@ -744,12 +751,9 @@ def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
     The rungs of ``_rungs_of``; then, for an ExhaustedToBound result at m,
     the per-knot search at each total c < t < m that can hold a hit: t >= d,
     the Type A distance, and, for a knot with q^2 = +-1 (mod p), odd t at
-    which :func:`_type_b_reaches` holds.  That check needs, for some
-    s <= (t - 1) / 2, a divisor A <= F(s + 1) of p that is K(w) of the half
-    w of a Type B sequence w [t - 2 s] rev(w) with cs(w) = s: num = A (z A +
-    2 B) fixes B = K(w[:-1]), E(A, |B|) <= cs(w) bounds it, and the
-    determinant of M(w) fixes den up to sign.  Its trial division is skipped
-    when it would pass limit, and every odd t is searched as before.
+    which :func:`_type_b_reaches` holds (see the module docstring).  Its
+    trial division is skipped when it would pass limit, and then every odd
+    t is searched.
     The first hit is the Search result.  One Type A sequence hits at d, so a
     search at d < m, which would make Lemma A false, ends there.  Raises
     SearchBudgetExceeded once the search has walked limit sequences."""

@@ -26,7 +26,10 @@ it, and E(|K(w)|, |K(w[:-1])|) <= crossing_sum(w) for every signed w.
 
 The rungs take shortcuts that rest on facts checked here too.  Step 1
 scans the [.., a - 1, 1] variants only for a knot with q^2 = +-1 (mod p):
-no variant is Type A, and no candidate of another knot is Type B.  The
+no variant is Type A, and no candidate of another knot is Type B.  Step 1's
+Type A case is the semi-even bound m = c: m = c exactly when some positive
+expansion of the four slopes is Type A, and the rungs equal a reference
+copy of the scan over the candidates' shapes, witness included.  The
 semi-even pick and the Type A distance equal reference copies of their
 plainer forms, a sort over the set of even slopes and a min()-based
 program.  Each is checked on every knot with c <= 16 and on a seeded draw
@@ -58,7 +61,10 @@ from twobridge.knot import (
     canonicalize,
 )
 from twobridge.solver import (
+    METHOD_EXHAUSTED,
     METHOD_STEP1,
+    METHOD_STEP2,
+    C2Result,
     _candidates,
     _divisors,
     _euclid_within,
@@ -342,6 +348,67 @@ class TestStep1Scan:
                 assert res.witness_class is ExpansionClass.TYPE_B
                 decided += 1
         assert decided == 36
+
+
+def _scan_rungs(fam):
+    """The rungs with Step 1 as a scan of the candidates' shapes: the first
+    Type A or Type B one of the four positive expansions, and of their
+    variants for a knot with q^2 = +-1 (mod p).  solver._rungs_of's
+    reference."""
+    k, c, slopes, family = fam
+    m, wit, evens = _semi_even_pick(k, slopes)
+    for cand in _candidates(family) if _palindromic(k) else family:
+        cls = _shape(cand)
+        if cls is not ExpansionClass.NEITHER:
+            return C2Result(c, ContinuedFraction(cand), cls, METHOD_STEP1, m, c), evens
+    method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
+    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
+
+
+def _fibonacci_knots(n_max=40):
+    """K(F(n), F(n - 1)) for 4 <= n <= n_max with F(n) odd."""
+    f = [0, 1]
+    while len(f) <= n_max:
+        f.append(f[-1] + f[-2])
+    return [canonicalize(f[n], f[n - 1]) for n in range(4, n_max + 1) if f[n] % 2]
+
+
+# The knots of the README's c2 examples.
+_README_KNOTS = [
+    (13, 5),
+    (13, 4),
+    (15, 4),
+    (100003, 40000),
+    (314573286388203, 189071533637990),
+    (791256216780409, 209614989723732),
+    (12545, 3362),
+    (53316291173, 20365011074),
+]
+
+
+class TestStep1TypeAIsMEqualsC:
+    def test_m_is_c_exactly_when_a_family_expansion_is_type_a(self, records):
+        type_a = two = 0
+        for k, c, slopes, family in records:
+            hits = {r for r, e in zip(slopes, family) if _shape(e) is ExpansionClass.TYPE_A}
+            assert (_semi_even_pick(k, slopes)[0] == c) == bool(hits), k
+            type_a += bool(hits)
+            two += len(hits) == 2
+        # Both even slopes are Type A for 56 knots with c <= 16, where the
+        # pick's tie rule must find the scan's witness.
+        assert (type_a, two) == (930, 56)
+
+    def test_rungs_equal_the_scan(self, records):
+        extra = _fibonacci_knots() + [canonicalize(p, q) for p, q in _README_KNOTS]
+        fams = records + [_positive_family(k) for k in extra]
+        for fam in fams:
+            assert _rungs_of(fam) == _scan_rungs(fam), fam[0]
+        step1 = [res for fam in fams if (res := _rungs_of(fam)[0]).method == METHOD_STEP1]
+        assert {res.witness_class for res in step1} == {
+            ExpansionClass.TYPE_A,
+            ExpansionClass.TYPE_B,
+        }
+        assert len(extra) == 25 + 8
 
 
 def _sorted_pick(k, slopes):

@@ -345,16 +345,18 @@ class TestSignBudget:
         assert hits > 0
 
     def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
-        # Raising every semi-even bound by 3 puts the Type A distance below
-        # it, so the Search rung decides most knots; c2 and the census solve
-        # must find the unpruned oracle's value and first witness.
+        # Raising the semi-even bounds by 3 puts the Type A distance below
+        # them, so the Search rung decides most knots; c2 and the census
+        # solve must find the unpruned oracle's value and first witness.
+        # A witness with no negative entry is the positive Type A expansion,
+        # whose bound m = c decides Step1, so its bound stays put.
         import twobridge.solver as solver
 
         real_pick = solver._semi_even_pick
 
         def loose(k, slopes):
             m, w, evens = real_pick(k, slopes)
-            return m + 3, w, evens
+            return (m + 3 if min(w.entries) < 0 else m), w, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
