@@ -9,9 +9,10 @@ The pipeline short-circuits in order of cost:
    q^2 = +-1 (mod p) and may be a trailing-1 variant [.., a - 1, 1].
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
-3. Search: for t = c + 1 .. m - 1, find the first Type A / Type B sequence
-   with crossing sum t, in :func:`enumerate_type_ab` order, that evaluates
-   into the knot's slope class.  Exhaustion settles the value at m.
+3. Search: for max(c + 1, d) <= t < m, d the least Type A crossing sum,
+   find the first Type A / Type B sequence with crossing sum t, in
+   :func:`enumerate_type_ab` order, that evaluates into the knot's slope
+   class.  Exhaustion settles the value at m.
 
 Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
 c, the slope residues and their positive expansions (the Step1 candidates
@@ -28,26 +29,9 @@ U and L^2 generate Gamma_0(2), which modulo +-I is the free product
 slope class fixes the matrix g up to a power of L^2 on the left and of U on
 the right, so the least Type A crossing sum into it is the distance to the
 double coset <L^2> g <U>, which :func:`_type_a_distance` reads off the
-semi-even expansion.  A Type B sequence needs an odd total and a knot with
-q^2 = +-1 (mod p): a palindrome has a symmetric continuant matrix, so its
-value num/den has den^2 = +-1 (mod num).  So ``_solve`` searches t >= d,
-the Type A distance, and, for such a knot, the odd t that pass
-:func:`_type_b_reaches`.  Lemma A, d = m, has held on every knot tried.
-
-That check is exact arithmetic on a necessary condition.  A Type B
-sequence is x = w [z] rev(w) with z odd, and its continuant matrix is
-M(w) [[z, 1], [1, 0]] M(w)^T.  Let (A, B) = (K(w), K(w[:-1])), with A > 0
-(-M(w) gives the same x).  Then num = A (z A + 2 B) = sigma p, and
-den = eps + sigma (p / A) C (mod p), where C = -eps B^-1 (mod A) and
-eps = det M(w) = +-1; a class holds den iff it holds -den.  Let E(a, b) be
-the sum of the Euclid quotients of a / b: it is symmetric and moves by at
-most 1 when b moves by +-a, so cs(w) >= E(A, |B|), and A <= F(cs(w) + 1).
-So x needs, for s = cs(w) and z = t - 2 s > 0 (-x gives the same test), a
-divisor A <= F(s + 1) of p and a sigma for which B = (sigma p / A - z A) / 2
-is coprime to A with E(A, |B|) <= s and 1 - sigma (p / A) B^-1 is in the
-class.  The divisors come from one trial division per knot, skipped when it
-would take more divisions than the call may walk sequences; the census,
-with no limit, always has them.
+semi-even expansion.  Lemma A, d = m, has held on every knot tried.  By
+Lemma B below, a knot that Step 1 leaves has no Type B sequence, so
+``_solve`` searches only t >= d.
 
 Sign changes cost crossings.  The identity [.., a, -b, tail] = [.., a - 1,
 1, b - 1, -tail] keeps the value and removes one crossing and one sign
@@ -55,6 +39,28 @@ change; the zeros it may leave merge without adding crossings ([x, 0, y] =
 [x + y], a trailing [.., y, x, 0] = [.., y], and a leading [0, x, rest]
 names the knot of [rest]).  So a sequence with crossing sum t and s sign
 changes between adjacent entries evaluates to a knot with c <= t - s.
+
+Lemma B.  If a Type B sequence evaluates into a knot's class, one of the
+knot's eight positive sequences (:func:`_candidates`) is Type B.  Write it
+as x = w [z] rev(w), z odd, with a positive first entry (-x names the
+mirror); M(x) = M(w) S_z M(w)^T, with M([a]) = S_a = [[a, 1], [1, 0]].
+
+1. Reduction.  At a sign change, w = u [a, -b] v, the identity reads
+   M(w) = M(w') D with w' = u [a - 1, 1, b - 1] (-v) and D = diag(+-1, +-1),
+   det D = -1, so D S_z D = -S_(-z): w' [-z] rev(w') has x's value up to
+   sign and 2 fewer crossings.  Zeros merge on both sides at once; one next
+   to the centre takes z to z + 2y, still odd, and a leading one drops with
+   its mirror.  A negative first entry is negated.  This ends at a base
+   w [z] rev(w) in the class, w positive or empty and z odd.
+2. Bases.  If z > 0 or w is empty, the base or its negation is positive.
+   Else z = -z', w = u [a], and moves at the centre give
+   u [a - 1, 1, z' - 2, 1, a - 1] rev(u) if z' >= 3, u [a - 2, 1, a - 2]
+   rev(u) if z' = 1, and for a = z' = 1 [u, -rev(u)], then
+   u' [a2 - 1, 1, a2 - 1] rev(u') for u = u' [a2].  Zeros merge as in 1,
+   or leave [0, 1, 0] or [1, -1, 1], no knot.  The result, 0, 2 or 4
+   crossings below the base, is a positive odd palindrome with an odd
+   centre, so one of the eight (see below).  ``tests/test_lemmas.py``
+   checks each case.
 
 The per-knot search behind ``_solve`` and :func:`search_at` turns that
 around.  Take a hit x at t = c + d with a positive first entry (its negation
@@ -94,7 +100,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
-from math import isqrt
 from typing import Iterable, Iterator
 
 from .contfrac import (
@@ -232,14 +237,13 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
        first entry p // r >= 1: it is positive and, ending even, Euclid's.
     3. Odd slopes are never Type A (a Type A value has an even
        denominator), and ties go to the smaller slope, the record's first."""
-    k, c, slopes, family = fam
+    k, c, slopes, _ = fam
     m, wit, evens = _semi_even_pick(k, slopes)
     if m == c:
         return C2Result(c, wit, ExpansionClass.TYPE_A, METHOD_STEP1, m, c), evens
-    for cand in _candidates(family) if _palindromic(k) else ():
-        if _shape(cand) is ExpansionClass.TYPE_B:
-            cf = ContinuedFraction._trusted(tuple(cand))
-            return C2Result(c, cf, ExpansionClass.TYPE_B, METHOD_STEP1, m, c), evens
+    if root := _type_b_root(fam):
+        cf = ContinuedFraction._trusted(tuple(root))
+        return C2Result(c, cf, ExpansionClass.TYPE_B, METHOD_STEP1, m, c), evens
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
     return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
 
@@ -258,8 +262,20 @@ def step2_bound(k: TwoBridgeKnot) -> int:
 
 
 def _palindromic(k: TwoBridgeKnot) -> bool:
-    """q^2 = +-1 (mod p): only such a knot has a Type B sequence."""
+    """q^2 = +-1 (mod p): only such a knot has a Type B sequence, whose
+    symmetric continuant matrix makes den^2 = +-1 (mod num)."""
     return k.q * k.q % k.p in (1, k.p - 1)
+
+
+def _type_b_root(fam: _Family) -> list[int] | None:
+    """The first Type B one of the knot's eight positive sequences, or None.
+    By Lemma B (module docstring) the knot has a Type B sequence exactly
+    when this is not None; q^2 = +-1 (mod p) is tested first."""
+    if _palindromic(fam[0]):
+        for cand in _candidates(fam[3]):
+            if _shape(cand) is ExpansionClass.TYPE_B:
+                return cand
+    return None
 
 
 def _type_a_distance(expansions: Iterable[list[int]]) -> int:
@@ -319,46 +335,6 @@ def _type_a_distance(expansions: Iterable[list[int]]) -> int:
         if least is None or d < least:
             least = d
     return least
-
-
-def _euclid_within(a: int, b: int, s: int) -> bool:
-    """gcd(a, b) = 1 and the quotients of Euclid's algorithm on a, b >= 0
-    sum to at most s."""
-    while b and s >= 0:
-        s -= a // b
-        a, b = b, a % b
-    return s >= 0 and a == 1
-
-
-def _divisors(p: int, m: int, limit: int) -> set[int] | None:
-    """The divisors of p that can be K(w) of a Type B sequence w [z] rev(w)
-    with crossing sum below m, and maybe more, or None where finding them
-    takes more than limit trial divisions.  cs(w) <= (m - 2) // 2, so
-    K(w) <= F((m - 2) // 2 + 1), and division runs up to that or isqrt(p)."""
-    root, f, g, s = isqrt(p), 1, 1, (m - 2) // 2
-    while s and f < root:
-        f, g, s = g, f + g, s - 1
-    n = min(f, root)
-    if n > limit:
-        return None
-    return {e for d in range(1, n + 1) if p % d == 0 for e in (d, p // d)}
-
-
-def _type_b_reaches(p: int, t: int, residues: tuple, divisors: set[int] | None) -> bool:
-    """False only if no Type B sequence with crossing sum t evaluates into
-    the class of the slope residues of p (see the module docstring), given
-    :func:`_divisors`; True where those are None."""
-    if divisors is None:
-        return True
-    for A in divisors:
-        for s in range((t + 1) // 2):
-            for sign in (1, -1):
-                B = (sign * (p // A) - (t - 2 * s) * A) // 2
-                if _euclid_within(A, abs(B), s) and (
-                    1 - sign * (p // A) * pow(B, -1, A)
-                ) % p in residues:
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +666,14 @@ def _least_hit(
     The tree is walked depth first; each sequence taken from it costs one
     unit of work[0].  A stack longer than the work left raises
     SearchBudgetExceeded with c <= c2 <= m, so none is built longer.
-    Type B needs an odd t and a knot with q^2 = +-1 (mod p); otherwise the
-    walk asks :func:`_preimages` for the Type A ones only.
+    Type B needs an odd t and, by Lemma B, a knot with a Type B positive
+    sequence (:func:`_type_b_root`); otherwise the walk asks
+    :func:`_preimages` for the Type A ones only.
     """
     k, c, slopes, family = fam
     if t < c:
         return None
-    a_only = t % 2 == 0 or not _palindromic(k)
+    a_only = t % 2 == 0 or not _type_b_root(fam)
     residues = set(slopes)
     todo = list({tuple(e) for e in _candidates(family)})
     best = None
@@ -726,13 +703,11 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     past the search's work ceiling.
 
     A t below the Type A distance gets None with no walk when it is even or
-    :func:`_type_b_reaches` rules it out, as in ``_solve``."""
+    the knot has no Type B sequence (:func:`_type_b_root`), as in ``_solve``."""
     fam = _positive_family(k)
     m, _, evens = _semi_even_pick(k, fam[2])
-    if t < _type_a_distance(evens):
-        divisors = _divisors(k.p, m, _SEARCH_LIMIT) if _palindromic(k) else set()
-        if t % 2 == 0 or not _type_b_reaches(k.p, t, fam[2], divisors):
-            return None
+    if t < _type_a_distance(evens) and (t % 2 == 0 or not _type_b_root(fam)):
+        return None
     try:
         hit = _least_hit(fam, t, m, [_SEARCH_LIMIT])
     except SearchBudgetExceeded as exc:
@@ -749,24 +724,19 @@ def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
     :func:`solve_many` and the census, which sets no limit.
 
     The rungs of ``_rungs_of``; then, for an ExhaustedToBound result at m,
-    the per-knot search at each total c < t < m that can hold a hit: t >= d,
-    the Type A distance, and, for a knot with q^2 = +-1 (mod p), odd t at
-    which :func:`_type_b_reaches` holds (see the module docstring).  Its
-    trial division is skipped when it would pass limit, and then every odd
-    t is searched.
-    The first hit is the Search result.  One Type A sequence hits at d, so a
-    search at d < m, which would make Lemma A false, ends there.  Raises
-    SearchBudgetExceeded once the search has walked limit sequences."""
+    the per-knot search at each total max(c + 1, d) <= t < m, d the Type A
+    distance.  Step 1 found no Type B positive sequence, so by Lemma B
+    (module docstring) no Type B sequence reaches the knot, and no t below
+    d can hold a hit.  The first hit is the Search result.  One Type A sequence
+    hits at d, so a search at d < m, which would make Lemma A false, ends
+    there.  Raises SearchBudgetExceeded once the search has walked limit
+    sequences."""
     res, evens = _rungs_of(fam)
     if res.method != METHOD_EXHAUSTED:
         return res
-    k, c, m = fam[0], res.base_crossing, res.value
-    d, work = _type_a_distance(evens), [limit]
-    divisors = _divisors(k.p, m, limit) if _palindromic(k) else set()
-    for t in range(c + 1, m):
-        if (t >= d or t % 2 and _type_b_reaches(k.p, t, fam[2], divisors)) and (
-            hit := _least_hit(fam, t, m, work)
-        ):
+    c, m, work = res.base_crossing, res.value, [limit]
+    for t in range(max(c + 1, _type_a_distance(evens)), m):
+        if hit := _least_hit(fam, t, m, work):
             cf = ContinuedFraction._trusted(hit[0])
             return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
     return res

@@ -156,14 +156,15 @@ UNDECIDED = "error: c2 of K(65,18) undecided within the search limit: 10 <= c2 <
 
 
 class TestSearchLimit:
-    # K(65,18) has q^2 = -1 (mod 65).  With a limit of 5 the Type B bound,
-    # which takes 8 trial divisions, is skipped, so c2 walks t = 11 as a
-    # Type B search, and 5 sequences are too few for it.
+    # K(65,18) has c = 10 and m = 12.  A Type A distance of 11, which
+    # would make Lemma A false, sends t = 11 to the search, and a limit of
+    # 3 sequences is too few for it.
     @pytest.fixture(autouse=True)
     def low_limit(self, monkeypatch):
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
 
     def test_c2_is_exit_5_with_the_bracket(self, capsys):
         code, out, err = run(capsys, "c2", "--p", "65", "--q", "18")

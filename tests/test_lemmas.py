@@ -13,16 +13,15 @@ the expansion's first entries keep the normal form's first segment
 positive, no inner segment is 0, and one update stands for a run of equal
 segments.
 
-Lemma B, in the form that holds: a knot's least Type B crossing sum, when
-it is below the semi-even bound m, is the crossing number c, and the knot
-is decided by Step1.  Through crossing sum 15 it is c for every knot that
-a Type B sequence reaches.  The stronger form, that no Type B sequence has
-a crossing sum strictly between c and m, is false.
-
-The Type B bound of ``solver._type_b_reaches`` is computed, not proved to
-be tight: it must only never rule out a total that a Type B sequence
-reaches.  Both of its facts are checked here: every Type B sequence passes
-it, and E(|K(w)|, |K(w[:-1])|) <= crossing_sum(w) for every signed w.
+Lemma B: if a Type B sequence evaluates into a knot's class, one of the
+knot's eight positive sequences is Type B, so Step1 decides the knot at c.
+Its proof is in ``solver``'s docstring; its finite cases are checked here:
+the move at a sign change is the identity up to a diagonal sign, every
+base w [z] rev(w) with w positive, cs(w) <= 8 and |z| <= 11 lands on a
+Type B positive sequence of its knot, and every Type B sequence with
+crossing sum <= 17 reduces to a base of its knot.  So a knot's least Type
+B crossing sum is c, where there is one.  The form that no Type B sequence
+has a crossing sum strictly between c and m is false.
 
 The rungs take shortcuts that rest on facts checked here too.  Step 1
 scans the [.., a - 1, 1] variants only for a knot with q^2 = +-1 (mod p):
@@ -37,7 +36,6 @@ with p < 10^15.
 """
 
 import random
-import sys
 from itertools import product
 from math import gcd
 
@@ -66,14 +64,13 @@ from twobridge.solver import (
     METHOD_STEP2,
     C2Result,
     _candidates,
-    _divisors,
-    _euclid_within,
     _palindromic,
     _rungs,
     _rungs_of,
     _semi_even_pick,
     _type_a_distance,
-    _type_b_reaches,
+    _type_b_halves,
+    _type_b_root,
     c2,
     enumerate_type_ab,
 )
@@ -241,14 +238,6 @@ class TestLemmaB:
         assert (len(least), below) == (85, 78)
 
 
-def _first_row(w):
-    """(K(w), K(w[:-1])), the first row of w's continuant matrix."""
-    A, B = 1, 0
-    for a in w:
-        A, B = a * A + B, A
-    return A, B
-
-
 def _compositions(n):
     """Every tuple of positive entries summing to n; () for n = 0."""
     if n == 0:
@@ -258,40 +247,151 @@ def _compositions(n):
             yield (first, *rest)
 
 
-class TestTypeBBound:
-    def test_every_type_b_sequence_passes_its_own_bound(self):
-        # Its value num/den with p = |num|: its own total t is not ruled
-        # out for the class {den, -den} (mod p), with the divisors that a
-        # solve with m = t + 1 finds.
-        n = 0
-        for t, _, num, den in _values(range(1, 18, 2), ExpansionClass.TYPE_B):
-            p = abs(num)
-            if p >= 2:
-                divisors = _divisors(p, t + 1, sys.maxsize)
-                assert _type_b_reaches(p, t, (den % p, -den % p), divisors), (t, num, den)
-                n += 1
-        assert n == 17_060
+def _matrix(entries):
+    """The continuant matrix M(entries), the product of the [[a, 1], [1, 0]],
+    as (m00, m01, m10, m11)."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in entries:
+        a, b, c, d = a * x + b, a, c * x + d, c
+    return a, b, c, d
 
-    def test_quotient_sum_bounds_the_crossing_sum(self):
-        # Every signed w with crossing sum <= 10; positive w meet the bound.
-        n = 0
-        for size in range(11):
-            for parts in _compositions(size):
-                for signs in product((1, -1), repeat=len(parts)):
-                    w = [s * a for s, a in zip(signs, parts)]
-                    A, B = _first_row(w)
-                    assert _euclid_within(abs(A), abs(B), size), w
-                    if size and min(signs) > 0:
-                        assert not _euclid_within(A, B, size - 1), w
-                    n += 1
-        assert n == 3**10
 
-    def test_bound_skipped_past_the_limit(self):
-        # F(6) = 8 trial divisions for p = 65 and m = 12; None rules out nothing.
-        assert _divisors(65, 12, 8) == {1, 5, 13, 65}
-        assert _divisors(65, 12, 7) is None
-        assert _type_b_reaches(65, 11, (18, 47), None)
-        assert not _type_b_reaches(65, 11, (18, 47), {1, 5, 13, 65})
+def _negated(w):
+    return [-a for a in w]
+
+
+def _merged(w, z):
+    """w [z] rev(w) with its zeros merged on both sides at once, as the
+    (half, centre) of a palindrome with the same knot, or None for value 0."""
+    while 0 in w:
+        i = w.index(0)
+        if i == 0:  # [0, x, rest, x, 0] names the knot of [rest]
+            if len(w) == 1:
+                return None  # [0, z, 0] = 0
+            w = w[2:]
+        elif i == len(w) - 1:  # [.., y, 0, z, 0, y, ..] = [.., 2y + z, ..]
+            w, z = w[:-2], z + 2 * w[-2]
+        else:  # [x, 0, y] = [x + y]
+            w = w[: i - 1] + [w[i - 1] + w[i + 1]] + w[i + 2 :]
+    return w, z
+
+
+def _base(w, z):
+    """Step 1 of Lemma B: the base (w, z), w positive or empty, of the knot
+    of w [z] rev(w), or None for value 0.  The move at w's first sign
+    change negates the centre (det D = -1)."""
+    while True:
+        if (merged := _merged(w, z)) is None:
+            return None
+        w, z = merged
+        if w and w[0] < 0:
+            w, z = _negated(w), -z
+        i = next((i for i in range(len(w) - 1) if w[i] > 0 > w[i + 1]), None)
+        if i is None:
+            return w, z
+        w, z = w[:i] + [w[i] - 1, 1, -w[i + 1] - 1] + _negated(w[i + 2 :]), -z
+
+
+def _positive_of_base(w, z):
+    """Step 2 of Lemma B: the (half, centre) of the positive palindrome of
+    the knot of the base w [z] rev(w), or None for [1, -1, 1] = 1/0 and
+    [0, 1, 0] = 0."""
+    if z > 0 or not w:
+        return w, abs(z)
+    u, a, z = w[:-1], w[-1], -z
+    if z >= 3:
+        return _merged(u + [a - 1, 1], z - 2)
+    if a >= 2:
+        return _merged(u + [a - 2], 1)
+    # a = z' = 1: [u, 1, -1, 1, rev(u)] = [u, -rev(u)]
+    return _merged(u[:-1] + [u[-1] - 1], 1) if u else None
+
+
+def _palindrome(half, centre):
+    return [*half, centre, *half[::-1]]
+
+
+def _type_b_sequences(t_max):
+    """(t, w, z) for each Type B sequence w [z] rev(w) with odd crossing
+    sum t <= t_max."""
+    for t in range(1, t_max + 1, 2):
+        for half in _type_b_halves(t):
+            for signs in product((1, -1), repeat=len(half)):
+                *w, z = (s * a for s, a in zip(signs, half))
+                yield t, w, z
+
+
+class TestLemmaBProof:
+    """The finite cases of the proof of Lemma B in solver's docstring."""
+
+    def test_the_move_is_the_identity_up_to_a_diagonal_sign(self):
+        # M(u [a, -b] v) = M(u [a - 1, 1, b - 1] (-v)) D with det D = -1, so
+        # in a palindrome the centre changes sign; [x, 0, y] = [x + y].
+        rng = random.Random(27)
+
+        def signed(n):
+            return [rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(n)]
+
+        for _ in range(5_000):
+            u, v = signed(rng.randint(0, 4)), signed(rng.randint(0, 4))
+            z = 2 * rng.randint(-6, 6) + 1
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            w, moved = u + [a, -b] + v, u + [a - 1, 1, b - 1] + _negated(v)
+            m, (n00, n01, n10, n11) = _matrix(w), _matrix(moved)
+            ds = [(d1, d2) for d1, d2 in product((1, -1), repeat=2)
+                  if m == (d1 * n00, d2 * n01, d1 * n10, d2 * n11)]
+            assert ds in ([(1, -1)], [(-1, 1)]), (w, moved)
+            x, y = _matrix(_palindrome(w, z)), _matrix(_palindrome(moved, -z))
+            assert x in (y, tuple(map(int.__neg__, y))), (w, z)
+            assert _matrix(u + [a, 0, -b] + v) == _matrix(u + [a - b] + v)
+
+    def test_every_base_lands_on_a_type_b_root(self):
+        # w positive with cs(w) <= 8 and odd |z| <= 11: each knot-valued
+        # base is carried to one of its knot's eight positive sequences, a
+        # Type B one, 0, 2 or 4 crossings below it.
+        drops = {}
+        for size in range(9):
+            for w in map(list, _compositions(size)):
+                for z in range(-11, 12, 2):
+                    base = _palindrome(w, z)
+                    key = _knot_key(*_eval_entries(base))
+                    got = _positive_of_base(w, z)
+                    if key is None:
+                        assert got is None or _knot_key(*_eval_entries(_palindrome(*got))) is None
+                        continue
+                    x = _palindrome(*got)
+                    assert min(x) > 0 and _shape(x) is ExpansionClass.TYPE_B, (w, z)
+                    assert _knot_key(*_eval_entries(x)) == key, (w, z)
+                    fam = _positive_family(TwoBridgeKnot(*key))
+                    assert x in list(_candidates(fam[3])) and _type_b_root(fam), (w, z)
+                    assert sum(x) == fam[1], (w, z)
+                    drop = sum(map(abs, base)) - fam[1]
+                    drops[drop] = drops.get(drop, 0) + 1
+        assert drops == {0: 1_024, 2: 840, 4: 172}
+
+    def test_every_type_b_sequence_reaches_a_type_b_root(self):
+        # Odd crossing sums to 17: step 1 carries each sequence to a base of
+        # its knot, and step 2 the base to one of the knot's eight positive
+        # sequences, which Step 1 of the solve finds.
+        fams, n = {}, 0
+        for t, w, z in _type_b_sequences(17):
+            n += 1
+            key = _knot_key(*_eval_entries(_palindrome(w, z)))
+            if key is None:
+                continue
+            bw, bz = _base(w, z)
+            assert min(bw, default=1) > 0 and bz % 2, (w, z)
+            assert _knot_key(*_eval_entries(_palindrome(bw, bz))) == key, (w, z)
+            assert 2 * sum(bw) + abs(bz) <= t
+            x = _palindrome(*_positive_of_base(bw, bz))
+            if key not in fams:
+                fams[key] = _positive_family(TwoBridgeKnot(*key))
+            assert x in list(_candidates(fams[key][3])), (w, z)
+        assert n == 19_682
+        for fam in fams.values():
+            res = _rungs_of(fam)[0]
+            assert _type_b_root(fam) and (res.value, res.method) == (fam[1], METHOD_STEP1)
+        assert len(fams) == 170
 
 
 def _seeded_draw(n=300):

@@ -618,12 +618,13 @@ class TestC2:
         assert searched == [13, 14]
 
     def test_search_limit(self, monkeypatch):
-        # K(65,18) has q^2 = -1 (mod 65).  Its Type B bound takes 8 trial
-        # divisions, more than a limit of 5, so it is skipped, t = 11 is
-        # walked, and 5 sequences are too few for it.
+        # K(65,18) has c = 10 and m = 12.  A Type A distance of 11, which
+        # would make Lemma A false, sends t = 11 to the search, and 3
+        # sequences are too few for it.
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
         k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
             c2(k)
@@ -632,18 +633,6 @@ class TestC2:
         with pytest.raises(SearchBudgetExceeded):
             search_at(k, 11)
         assert c2(canonicalize(13, 5)).method == METHOD_STEP2
-
-    def test_type_b_bound_runs_within_the_limit(self, monkeypatch):
-        # K(65,18)'s bound divides by 1 .. min(F(6), isqrt(65)) = 8: at a
-        # limit of 8 it runs and rules out t = 11, at 7 the walk runs.
-        import twobridge.solver as solver
-
-        k = canonicalize(65, 18)
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 8)
-        assert c2(k).method == METHOD_EXHAUSTED
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 7)
-        with pytest.raises(SearchBudgetExceeded):
-            c2(k)
 
     def test_search_limit_bounds_the_preimages(self, monkeypatch):
         # The stack never grows past the work left: one node's preimages
@@ -685,7 +674,8 @@ class TestC2:
         assert info.value.t == 80
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 5)
+        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
         with pytest.raises(SearchBudgetExceeded) as info:
             c2(canonicalize(65, 18))
         assert info.value.t is None
@@ -929,19 +919,54 @@ class TestRungsLargeP:
         res = c2(knots[0])
         assert (res.base_crossing, res.value) == (105, 116)
 
-    def test_solve_many_refuses_as_c2_does(self):
-        # K(F(53), F(52)): q^2 = +-1 (mod p), and the trial division behind
-        # the Type B bound would run to isqrt(p) > _SEARCH_LIMIT, so it is
-        # skipped, and the walks of the odd totals from 53 up pass the limit.
-        k = canonicalize(53316291173, 20365011074)
+    def test_solve_many_refuses_as_c2_does(self, monkeypatch):
+        # K(65,18), c = 10 and m = 12, with a Type A distance of 11 and a
+        # limit of 3, as in TestC2::test_search_limit.
+        import twobridge.solver as solver
+
+        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
+        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
+        k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
-            solve_many([k])
-        assert (info.value.knot, info.value.c, info.value.m) == (k, 52, 68)
+            solve_many([canonicalize(13, 5), k])
+        assert (info.value.knot, info.value.c, info.value.m) == (k, 10, 12)
+
+    def test_fibonacci_knots_decided_without_a_search(self, monkeypatch):
+        # K(F(n), F(n - 1)) has q^2 = +-1 (mod p) by Cassini's identity.
+        # For odd n and odd F(n), up to n = 301, the rungs decide n = 5 and
+        # 7; from n = 11 on Step 1 finds no Type B positive sequence, so by
+        # Lemma B no Type B sequence reaches the knot, and the Type A
+        # distance is m: none is searched.
+        import twobridge.solver as solver
+
+        def no_search(fam, *args):
+            raise AssertionError(f"{fam[0]} searched")
+
+        monkeypatch.setattr(solver, "_least_hit", no_search)
+        f = [0, 1]
+        while len(f) <= 301:
+            f.append(f[-1] + f[-2])
+        ns = [n for n in range(5, 302, 2) if f[n] % 2]
+        methods = []
+        start = time.perf_counter()
+        for n in ns:
+            k = canonicalize(f[n], f[n - 1])
+            res = c2(k)
+            assert res.base_crossing == n - 1, k
+            assert fraction_to_knot(eval_cf(res.witness)) == k
+            assert crossing_sum(res.witness) == res.value
+            methods.append(res.method)
+        assert time.perf_counter() - start < 10
+        assert len(ns) == 100
+        assert methods[:2] == [METHOD_STEP1, METHOD_STEP2]
+        assert set(methods[2:]) == {METHOD_EXHAUSTED}
+        assert (res.base_crossing, res.value) == (300, 399)
 
     def test_type_b_bound_decides_a_palindromic_knot(self, monkeypatch):
-        # K(12545,3362) has q^2 = +-1 (mod p), c = 22 and m = 28: the
-        # Type B bound rules out 23, 25 and 27, whose walks take 131,772
-        # sequences, more than the search limit.
+        # K(12545,3362) has q^2 = +-1 (mod p), c = 22 and m = 28, and no
+        # Type B positive sequence, so by Lemma B no Type B sequence reaches
+        # it: 23, 25 and 27, whose walks for Type A and Type B sequences
+        # take 131,772 sequences, more than the search limit, are ruled out.
         import twobridge.solver as solver
 
         def no_search(fam, *args):
@@ -954,8 +979,9 @@ class TestRungsLargeP:
 
     def test_search_at_obeys_the_certificates(self, monkeypatch):
         # Below the Type A distance, search_at walks no total that c2 rules
-        # out: even ones, and odd ones that the Type B bound rules out.
-        # K(12545,3362)'s walk at 27 alone passed the search limit.
+        # out: even ones, and every one of a knot with no Type B positive
+        # sequence (Lemma B).  K(12545,3362)'s walk at 27 for Type A and
+        # Type B sequences alone passes the search limit.
         import twobridge.solver as solver
 
         def no_search(fam, *args):
@@ -965,16 +991,11 @@ class TestRungsLargeP:
         for p, q, ts in [(12545, 3362, range(23, 28)), (100003, 40000, [3343]), (65, 18, [11])]:
             for t in ts:
                 assert search_at(canonicalize(p, q), t) is None, (p, q, t)
-        # At the distance, and where the bound is skipped, it walks.
-        for k, t in [(canonicalize(13, 5), 7), (canonicalize(65, 18), 12)]:
+        # At the distance it walks, and below it at an odd total of a knot
+        # that Step 1 decides by a Type B sequence: K(15,4), c = 7, m = 8.
+        for p, q, t in [(13, 5, 7), (65, 18, 12), (15, 4, 7)]:
             with pytest.raises(AssertionError, match="searched"):
-                search_at(k, t)
-        # With the bound skipped, an even total below the distance is
-        # still not walked.
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 7)
-        assert search_at(canonicalize(65, 18), 10) is None
-        with pytest.raises(AssertionError, match="searched"):
-            search_at(canonicalize(65, 18), 11)
+                search_at(canonicalize(p, q), t)
 
 
 class TestGlobalMap:

@@ -251,9 +251,9 @@ class TestSharedSweep:
         assert sorted(solved) == sorted(want)
 
     def test_census_walks_no_knot(self, monkeypatch):
-        # Lemma A leaves only Type B to search for, at odd totals of knots
-        # with q^2 = +-1 (mod p), and the Type B bound rules out every one
-        # of those totals: the census walks no preimage tree.
+        # Lemma A leaves only Type B to search for, and by Lemma B a knot
+        # that Step 1 leaves has no Type B sequence: the census walks no
+        # preimage tree.
         import twobridge.solver as solver
 
         searched = []
