@@ -198,26 +198,57 @@ def even_expansion(r: Rational) -> ContinuedFraction:
     """
     _require_slope(r, "even_expansion")
     _require_mixed_parity(r, "even_expansion")
-    return ContinuedFraction._trusted(tuple(_semi_even_entries(r.num, r.den, all_even=True)))
-
-
-def _semi_even_entries(p: int, q: int, all_even: bool = False) -> list[int]:
-    out = []
+    p, q, out = r.num, r.den, []
     while q != 1:
-        if p % 2 == 0 or all_even:
-            # Constrained: the even a with |p/q - a| < 1, unique as the
-            # parity bookkeeping keeps p/q off the odd integers.
-            a = 2 * ((p + q) // (2 * q))
-        else:
-            # Unconstrained: truncate toward zero.
-            a = -(-p // q) if p < 0 else p // q
+        a = 2 * ((p + q) // (2 * q))  # parity keeps p/q off the odd integers
         out.append(a)
         p, q = q, p - a * q
         if q < 0:
             p, q = -p, -q
-    assert p % 2 == 0 or not all_even, "even expansion must terminate on an even integer"
-    out.append(p)
-    return out
+    assert p % 2 == 0, "even expansion must terminate on an even integer"
+    return ContinuedFraction._trusted((*out, p))
+
+
+def _semi_even_of(b: list[int], free: bool = True) -> tuple[list[int], int]:
+    """(entries, carries): the semi-even expansion of the value of b, a
+    positive expansion ending above 1 (or of one entry), read off b in one
+    pass with no division, and its number of carries.  free: the first slot
+    is free, as for an odd numerator.
+
+    Semi-even slots alternate: a free one (odd numerator) truncates v
+    toward zero, a constrained one takes the even integer within distance
+    1, and v becomes 1/(v - a).  Both rules commute with negation, so a
+    sign s, from +1, rides along and the rule reads |v| = [a, T], T > 1 or
+    empty.  A free slot, or a constrained one with a even, emits s * a.  A
+    constrained one with a odd, a carry, emits s * (a + 1), and
+    a + 1/T - (a + 1) = -(T - 1)/T makes the next value -s (1 + 1/(T - 1)):
+    s flips, and for T = [x, ..] the free slot emits s * 1 and the next
+    constrained one reads [x - 1, ..] if x > 1; if x = 1, T - 1 = 1/[y, ..]
+    and the free slot emits s * (y + 1).  Each carry turns (a, x) into
+    (a + 1, 1, x - 1), or (a, 1, y) into (a + 1, y + 1): one more crossing,
+    so the crossing sum is sum(b) + carries.  b never runs out in a carry:
+    a constrained slot that ends reads an even integer, and b ends above 1.
+    """
+    out, carries, s = [], 0, 1
+    it = iter(b)
+    for a in it:
+        if free or a % 2 == 0:
+            out.append(s * a)
+            free = not free
+            continue
+        while a % 2:  # a carry
+            out.append(s * (a + 1))
+            s, carries = -s, carries + 1
+            x = next(it)
+            if x == 1:  # the next slot is constrained again
+                out.append(s * (next(it) + 1))
+                break
+            out.append(s)
+            a = x - 1
+        else:
+            out.append(s * a)
+            free = True
+    return out, carries
 
 
 def semi_even_expansion(r: Rational) -> ContinuedFraction:
@@ -228,10 +259,12 @@ def semi_even_expansion(r: Rational) -> ContinuedFraction:
     truncates toward zero.  For p odd / q even the constrained positions are
     the even-indexed ones, the length comes out even, and the result is a
     Type A sequence whose crossing sum never exceeds the all-even expansion's.
+    It is read off the positive expansion by :func:`_semi_even_of`.
     """
     _require_slope(r, "semi_even_expansion")
     _require_mixed_parity(r, "semi_even_expansion")
-    return ContinuedFraction._trusted(tuple(_semi_even_entries(r.num, r.den)))
+    entries = _semi_even_of(_positive_entries(r.num, r.den), r.num % 2 == 1)[0]
+    return ContinuedFraction._trusted(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The pipeline short-circuits in order of cost:
 
 1. Step1: a Type A or Type B positive expansion settles the value at the
-   crossing number c.  A Type A one is its even slope's semi-even
-   expansion, so it exists exactly when the Step2 bound m is c, and the
-   pick is then the first one (see ``_rungs_of``).  A Type B one needs
-   q^2 = +-1 (mod p) and may be a trailing-1 variant [.., a - 1, 1].
+   crossing number c.  The Step2 bound m is c plus the fewer carries of
+   the even slopes' positive expansions (``contfrac._semi_even_of``).  A
+   Type A one is an even slope's that takes no carry, so it exists exactly
+   when m = c, and the pick is then the first one (see ``_rungs_of``).  A
+   Type B one needs q^2 = +-1 (mod p) and may be a trailing-1 variant
+   [.., a - 1, 1].
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
 3. Search: for max(c + 1, d) <= t < m, d the least Type A crossing sum,
@@ -106,7 +108,7 @@ from .contfrac import (
     ContinuedFraction,
     ExpansionClass,
     _eval_entries,
-    _semi_even_entries,
+    _semi_even_of,
     _shape,
 )
 from .knot import TwoBridgeKnot, _Family, _families, _fills, _positive_family
@@ -176,27 +178,27 @@ class SearchBudgetExceeded(RuntimeError):
 # Steps 1 and 2
 
 
-def _semi_even_pick(
-    k: TwoBridgeKnot, slopes: tuple[int, int, int, int]
-) -> tuple[int, ContinuedFraction, list[list[int]]]:
+def _semi_even_pick(fam: _Family) -> tuple[int, ContinuedFraction, list[list[int]]]:
     """(m, witness, expansions): the best semi-even expansion over the (one
-    or two) even denominators among k's slope denominators, ties on crossing
-    sum going to the smaller one, and the semi-even expansions of them all,
-    the witness's first.
+    or two) even slopes of the knot's record, ties on crossing sum going to
+    the smaller one, and the semi-even expansions of them all, the
+    witness's first.
 
     A record lists its smaller even slope first and the other pair's even
-    one in slopes[2:]; they agree exactly when q^2 = +-1 (mod p)."""
-    q, r = slopes[0], slopes[2] if slopes[2] % 2 == 0 else slopes[3]
-    e = _semi_even_entries(k.p, q)
-    s, evens = sum(map(abs, e)), [e]
-    if r != q:
-        f = _semi_even_entries(k.p, r)
-        t = sum(map(abs, f))
+    one in slopes[2:]; they agree exactly when q^2 = +-1 (mod p).  Each
+    expansion is read off the slope's positive expansion by the carry rule
+    of ``contfrac._semi_even_of``, so m = c + the fewer carries."""
+    _, c, slopes, family = fam
+    j = 2 if slopes[2] % 2 == 0 else 3
+    e, s = _semi_even_of(family[0])
+    evens = [e]
+    if slopes[j] != slopes[0]:
+        f, t = _semi_even_of(family[j])
         if t < s:
             s, evens = t, [f, e]
         else:
             evens.append(f)
-    return s, ContinuedFraction._trusted(tuple(evens[0])), evens
+    return c + s, ContinuedFraction._trusted(tuple(evens[0])), evens
 
 
 def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
@@ -229,16 +231,15 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
     bound m with its witness, which a Search hit below m may replace; and
     the semi-even expansions of its even slopes.
 
-    Step1's Type A case is m = c, with the pick's witness:
-    1. A Type A Euclid expansion of an even slope is its semi-even one, as
-       each free step takes a_i (the tail exceeds 1) and each even step
-       keeps the even a_i.  So m = c.
-    2. At m = c the pick has no sign change (module docstring), no 0 and
-       first entry p // r >= 1: it is positive and, ending even, Euclid's.
-    3. Odd slopes are never Type A (a Type A value has an even
-       denominator), and ties go to the smaller slope, the record's first."""
-    k, c, slopes, _ = fam
-    m, wit, evens = _semi_even_pick(k, slopes)
+    Step1's Type A case is m = c, with the pick's witness.  m is c plus the
+    fewer carries, and an even slope's positive expansion b takes no carry
+    exactly when it is Type A: up to its first carry the rule copies b,
+    whose even places are the constrained slots, so a Type A b takes none,
+    and with none b is the semi-even expansion, which is Type A for an even
+    denominator.  Odd slopes are never Type A (a Type A value has an even
+    denominator), and ties go to the smaller slope, the record's first."""
+    k, c, _, _ = fam
+    m, wit, evens = _semi_even_pick(fam)
     if m == c:
         return C2Result(c, wit, ExpansionClass.TYPE_A, METHOD_STEP1, m, c), evens
     if root := _type_b_root(fam):
@@ -705,7 +706,7 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     A t below the Type A distance gets None with no walk when it is even or
     the knot has no Type B sequence (:func:`_type_b_root`), as in ``_solve``."""
     fam = _positive_family(k)
-    m, _, evens = _semi_even_pick(k, fam[2])
+    m, _, evens = _semi_even_pick(fam)
     if t < _type_a_distance(evens) and (t % 2 == 0 or not _type_b_root(fam)):
         return None
     try:
@@ -775,8 +776,9 @@ def global_c2_map(
         raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
     targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int, tuple]] = {}
     for c in range(3, max_crossing + 1):
-        for k, _, slopes, _ in _families(c):
-            targets[(k.p, k.q)] = (k, _semi_even_pick(k, slopes)[0], slopes)
+        for fam in _families(c):
+            k, slopes = fam[0], fam[2]
+            targets[(k.p, k.q)] = (k, _semi_even_pick(fam)[0], slopes)
 
     lookup = _residue_lookup(slopes for *_, slopes in targets.values())
     found: dict[TwoBridgeKnot, tuple[int, ContinuedFraction]] = {}

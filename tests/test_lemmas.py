@@ -33,6 +33,12 @@ semi-even pick and the Type A distance equal reference copies of their
 plainer forms, a sort over the set of even slopes and a min()-based
 program.  Each is checked on every knot with c <= 16 and on a seeded draw
 with p < 10^15.
+
+The semi-even expansions behind m are read off the positive expansions by
+the carry rule of ``contfrac._semi_even_of``, with no division.  It equals
+the nearest-even Euclid that it replaced, kept here as its reference, and
+its crossing sum is c plus its carries, on every even slope of every knot
+with c <= 16 and on a seeded draw of slopes of both numerator parities.
 """
 
 import random
@@ -45,7 +51,8 @@ from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
     _eval_entries,
-    _semi_even_entries,
+    _positive_entries,
+    _semi_even_of,
     _shape,
     classify_type,
     crossing_sum,
@@ -55,7 +62,6 @@ from twobridge.knot import (
     _families,
     _knot_key,
     _positive_family,
-    _slopes,
     canonicalize,
 )
 from twobridge.solver import (
@@ -76,8 +82,26 @@ from twobridge.solver import (
 )
 
 
+def _nearest_even_entries(p, q):
+    """The semi-even expansion of p/q by Euclid: the even integer within
+    distance 1 where the numerator is even, else truncation toward zero.
+    contfrac._semi_even_of's reference."""
+    out = []
+    while q != 1:
+        if p % 2 == 0:
+            a = 2 * ((p + q) // (2 * q))
+        else:
+            a = -(-p // q) if p < 0 else p // q
+        out.append(a)
+        p, q = q, p - a * q
+        if q < 0:
+            p, q = -p, -q
+    out.append(p)
+    return out
+
+
 def _semi_even_sum(p, r):
-    return sum(map(abs, _semi_even_entries(p, r)))
+    return sum(map(abs, _nearest_even_entries(p, r)))
 
 
 def _even_slope(num, den):
@@ -154,9 +178,9 @@ def _even_slopes(c_max):
     """(k, m, semi-even expansions of its even slopes) for each knot with
     crossing number up to c_max."""
     for c in range(3, c_max + 1):
-        for k, _, slopes, _ in _families(c):
-            m, _, evens = _semi_even_pick(k, slopes)
-            yield k, m, evens
+        for fam in _families(c):
+            m, _, evens = _semi_even_pick(fam)
+            yield fam[0], m, evens
 
 
 class TestTypeADistance:
@@ -165,7 +189,7 @@ class TestTypeADistance:
         for t, _, p, r in type_a_slopes_to_14:
             least.setdefault((p, r), t)
         for (p, r), t in least.items():
-            assert _type_a_distance([_semi_even_entries(p, r)]) == t, (p, r)
+            assert _type_a_distance([_nearest_even_entries(p, r)]) == t, (p, r)
         # A Type A sequence with crossing sum t evaluates to a knot with
         # c <= t, and a knot with c <= 14 has p <= F(15) = 610.  Every slope
         # there within distance 14 is reached.
@@ -173,7 +197,7 @@ class TestTypeADistance:
             (p, r)
             for p in range(3, 611, 2)
             for r in range(2, p, 2)
-            if gcd(p, r) == 1 and _type_a_distance([_semi_even_entries(p, r)]) <= 14
+            if gcd(p, r) == 1 and _type_a_distance([_nearest_even_entries(p, r)]) <= 14
         }
         assert within == set(least)
 
@@ -201,12 +225,12 @@ class TestTypeADistance:
         # carry 10^12 once as a U exponent and once as an L one, which no
         # letter-by-letter program could spell.
         k = canonicalize(100003, 16668)
-        evens = _semi_even_pick(k, _positive_family(k)[2])[2]
+        evens = _semi_even_pick(_positive_family(k))[2]
         assert sorted(map(len, map(_normal_form, evens))) == [5, 1_669]
         for e in evens:
             assert _type_a_distance([e]) == _letter_distance(e) == sum(map(abs, e))
         k = canonicalize(6_000_000_000_005, 3_000_000_000_004)
-        evens = _semi_even_pick(k, _positive_family(k)[2])[2]
+        evens = _semi_even_pick(_positive_family(k))[2]
         assert sorted(evens) == [[1, 2, -1, -10**12, 1, 2], [1, 2, 10**12, 2]]
         assert _type_a_distance([[1, 2, 10**12, 2]]) == _letter_distance([1, 2, 10**12, 2])
         assert _type_a_distance(evens) == 10**12 + 5 == c2(k).value
@@ -456,7 +480,7 @@ def _scan_rungs(fam):
     variants for a knot with q^2 = +-1 (mod p).  solver._rungs_of's
     reference."""
     k, c, slopes, family = fam
-    m, wit, evens = _semi_even_pick(k, slopes)
+    m, wit, evens = _semi_even_pick(fam)
     for cand in _candidates(family) if _palindromic(k) else family:
         cls = _shape(cand)
         if cls is not ExpansionClass.NEITHER:
@@ -489,9 +513,10 @@ _README_KNOTS = [
 class TestStep1TypeAIsMEqualsC:
     def test_m_is_c_exactly_when_a_family_expansion_is_type_a(self, records):
         type_a = two = 0
-        for k, c, slopes, family in records:
+        for fam in records:
+            k, c, slopes, family = fam
             hits = {r for r, e in zip(slopes, family) if _shape(e) is ExpansionClass.TYPE_A}
-            assert (_semi_even_pick(k, slopes)[0] == c) == bool(hits), k
+            assert (_semi_even_pick(fam)[0] == c) == bool(hits), k
             type_a += bool(hits)
             two += len(hits) == 2
         # Both even slopes are Type A for 56 knots with c <= 16, where the
@@ -518,7 +543,7 @@ def _sorted_pick(k, slopes):
     picks = sorted(
         (sum(abs(a) for a in e), d, e)
         for d in {r for r in slopes if r % 2 == 0}
-        for e in [_semi_even_entries(k.p, d)]
+        for e in [_nearest_even_entries(k.p, d)]
     )
     s, _, entries = picks[0]
     return s, tuple(entries), [e for *_, e in picks]
@@ -549,24 +574,60 @@ class TestRungsEqualTheirReferences:
     @pytest.fixture(scope="class")
     def knots(self, records):
         large = [canonicalize(100003, 16668), canonicalize(6_000_000_000_005, 3_000_000_000_004)]
-        return [fam[:3] for fam in records + [_positive_family(k) for k in large]]
+        return records + [_positive_family(k) for k in large]
 
     def test_pick(self, knots):
-        # Both slope orders: a record's, and slope_family's from k's q.
         ties = 0
-        for k, _, slopes in knots:
-            want = _sorted_pick(k, slopes)
-            for order in (slopes, _slopes(k.p, k.q)):
-                m, wit, evens = _semi_even_pick(k, order)
-                assert (m, wit.entries, evens) == want, k
+        for fam in knots:
+            k, _, slopes, _ = fam
+            m, wit, evens = _semi_even_pick(fam)
+            assert (m, wit.entries, evens) == _sorted_pick(k, slopes), k
             ties += len(evens) == 2 and len({sum(map(abs, e)) for e in evens}) == 1
         assert ties > 0  # some knots need the tie rule
 
     def test_distance(self, knots):
-        for k, _, slopes in knots:
-            evens = _semi_even_pick(k, slopes)[2]
+        for fam in knots:
+            k = fam[0]
+            evens = _semi_even_pick(fam)[2]
             assert _type_a_distance(evens) == _min_distance(evens), k
             for e in evens:
                 assert _type_a_distance([e]) == _min_distance([e]), e
         # A 0 segment reads 0 in both.
         assert _type_a_distance([[1, -2, 1, 2]]) == _min_distance([[1, -2, 1, 2]]) == 0
+
+
+def _seeded_slopes(n=2_000):
+    """n slopes p/q with p < 10^30 and one of p, q even, both numerator
+    parities: p = randrange(3, 10^randrange(2, 31)) and q = randrange(1, p)
+    from random.Random(28), skipping gcd > 1 and odd/odd pairs."""
+    rng, slopes = random.Random(28), []
+    while len(slopes) < n:
+        p = rng.randrange(3, 10 ** rng.randrange(2, 31))
+        q = rng.randrange(1, p)
+        if gcd(p, q) == 1 and (p - q) % 2:
+            slopes.append((p, q))
+    return slopes
+
+
+class TestCarryRule:
+    def _check(self, b, p, q):
+        entries, carries = _semi_even_of(b, p % 2 == 1)
+        assert entries == _nearest_even_entries(p, q), (p, q)
+        assert sum(map(abs, entries)) == sum(b) + carries, (p, q)
+        return carries
+
+    def test_every_even_slope_to_16(self, records):
+        n = carried = 0
+        for k, _, slopes, family in records[:-300]:
+            for j in (0, 2 if slopes[2] % 2 == 0 else 3):
+                carried += self._check(family[j], k.p, slopes[j]) > 0
+                n += 1
+        assert n == 11_092
+        assert 0 < carried < n
+
+    def test_seeded_slopes_of_both_parities(self):
+        slopes = _seeded_slopes()
+        for p, q in slopes:
+            self._check(_positive_entries(p, q), p, q)
+        even = sum(p % 2 == 0 for p, _ in slopes)
+        assert 0 < even < len(slopes)

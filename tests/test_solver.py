@@ -354,8 +354,8 @@ class TestSignBudget:
 
         real_pick = solver._semi_even_pick
 
-        def loose(k, slopes):
-            m, w, evens = real_pick(k, slopes)
+        def loose(fam):
+            m, w, evens = real_pick(fam)
             return (m + 3 if min(w.entries) < 0 else m), w, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", loose)
@@ -773,9 +773,9 @@ class TestC2:
         real = solver._semi_even_pick
         k13 = canonicalize(13, 5)
 
-        def loose(k, slopes):
-            m, w, evens = real(k, slopes)
-            if k == k13:
+        def loose(fam):
+            m, w, evens = real(fam)
+            if fam[0] == k13:
                 return m + 2, w, evens
             return m, w, evens
 
@@ -796,7 +796,7 @@ class TestRungsLargeP:
         # Steps 1 and 2 only: most knots this large need the search, and
         # their record is the ExhaustedToBound one at m that a hit may replace.
         res = _rungs(k)
-        m, wit, _ = _semi_even_pick(k, _slopes(k.p, k.q))
+        m, wit, _ = _semi_even_pick(_positive_family(k))
         c = crossing_number(k)
         assert fraction_to_knot(eval_cf(wit)) == k
         assert classify_type(wit) is ExpansionClass.TYPE_A
@@ -1020,9 +1020,9 @@ class TestGlobalMap:
 
         real = solver._semi_even_pick
 
-        def low(k, slopes):
-            m, wit, evens = real(k, slopes)
-            return (m - 1 if (k.p, k.q) == (13, 8) else m), wit, evens
+        def low(fam):
+            m, wit, evens = real(fam)
+            return (m - 1 if (fam[0].p, fam[0].q) == (13, 8) else m), wit, evens
 
         monkeypatch.setattr(solver, "_semi_even_pick", low)
         with pytest.raises(RuntimeError) as info:
