@@ -6,13 +6,11 @@ range, with CSV/JSON export and caching), render (SVG diagram of a Type A
 or B sequence), names (validate a name,p,q CSV and look names up).
 
 Exit codes: 0 success, 2 bad arguments or invalid input, 3 failed name
-lookup, 4 cross-check disagreement, 5 c2 undecided within the search limit
-(c2 and render --p/--q; stderr names the bracket c <= c2 <= m).  All output
-is deterministic.
+lookup, 4 cross-check disagreement.  All output is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
 any work, naming that row's knot count: the rows double in size, and a cold
-build of rows 3 to 21 took 3.7 s and 16 MiB on a 2-vCPU Xeon VM (Python 3.11).
+build of rows 3 to 21 took 1.8 s and 16 MiB on a 2-vCPU Xeon VM (Python 3.11).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .contfrac import (
 )
 from .knot import TwoBridgeKnot, _knot_count, canonicalize
 from .render import layout, to_svg
-from .solver import SearchBudgetExceeded, c2
+from .solver import c2
 from .table import CrossCheckError, build_table
 
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
@@ -321,9 +319,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 4
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

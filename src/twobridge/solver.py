@@ -1,39 +1,69 @@
 """Least crossing count over symmetric-diagram expansions of a two-bridge knot.
 
-The pipeline short-circuits in order of cost:
+Two rungs decide c2, by Lemmas A and B below:
 
 1. Step1: a Type A or Type B positive expansion settles the value at the
    crossing number c.  The Step2 bound m is c plus the fewer carries of
    the even slopes' positive expansions (``contfrac._semi_even_of``).  A
    Type A one is an even slope's that takes no carry, so it exists exactly
-   when m = c, and the pick is then the first one (see ``_rungs_of``).  A
+   when m = c, and the pick is then the first one (see ``_solve``).  A
    Type B one needs q^2 = +-1 (mod p) and may be a trailing-1 variant
    [.., a - 1, 1].
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
    upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
-3. Search: for max(c + 1, d) <= t < m, d the least Type A crossing sum,
-   find the first Type A / Type B sequence with crossing sum t, in
-   :func:`enumerate_type_ab` order, that evaluates into the knot's slope
-   class.  Exhaustion settles the value at m.
+   Otherwise the value is m, ExhaustedToBound: by Lemma A no Type A
+   sequence into the knot's class has a crossing sum below m, and by
+   Lemma B no Type B sequence reaches a knot that Step 1 leaves.
 
-Each knot travels as one record, ``knot._Family`` = (k, c, slopes, family):
-c, the slope residues and their positive expansions (the Step1 candidates
-and search roots), read off one Euclid run or, in the census, one
-composition.  One solve, ``_solve``, serves :func:`c2`, :func:`solve_many`
-and the census: ``_rungs_of`` runs Steps 1 and 2 on the record once, and
-Step 3 searches only the totals where a hit is still possible.
+The paper's Step 3, a search of the totals between c and m, survives as
+:func:`search_at`, the search at one total t; no :func:`c2` result carries
+METHOD_SEARCH.  Each knot travels as one record, ``knot._Family`` = (k, c,
+slopes, family): c, the slope residues and their positive expansions (the
+Step1 candidates and search roots), read off one Euclid run or, in the
+census, one composition.  One solve, ``_solve``, serves :func:`c2`,
+:func:`solve_many` and the census.
 
-The continuant matrix of a Type A sequence [a1, b1, .., an, bn] is
-U^a1 L^b1 .. U^an L^bn, with U = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]],
-and its crossing sum is a word length: U^+-1 costs 1 and L^+-2 costs 2.
-U and L^2 generate Gamma_0(2), which modulo +-I is the free product
-<u> * <e> of u = U and e = L^2 U^-1 = [[1, -1], [2, -1]], e^2 = -I.  A
-slope class fixes the matrix g up to a power of L^2 on the left and of U on
-the right, so the least Type A crossing sum into it is the distance to the
-double coset <L^2> g <U>, which :func:`_type_a_distance` reads off the
-semi-even expansion.  Lemma A, d = m, has held on every knot tried.  By
-Lemma B below, a knot that Step 1 leaves has no Type B sequence, so
-``_solve`` searches only t >= d.
+Lemma A.  No Type A sequence into the class of an even slope p/r has a
+smaller crossing sum than the semi-even expansion [a1, b1, .., an, bn] of
+p/r.  Its continuant matrix g is U^a1 L^b1 .. U^an L^bn, with
+U = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]], and a crossing sum is a word
+length: U^+-1 costs 1 and L^+-2 costs 2.  U and L^2 generate Gamma_0(2),
+which modulo +-I is the free product <u> * <e> of u = U and
+e = L^2 U^-1 = [[1, -1], [2, -1]], e^2 = -I.  The class fixes the first
+column of the matrix up to sign, so the Type A words into it are those of
+the double coset <L^2> g <U> (of the mirror's, -p/r, the negated words).
+With L^2 = e u and L^-2 = u^-1 e a word spells u^k0 e u^k1 .. e u^kr, one
+e per L^+-2.
+
+1. No e cancels.  An inner k_i = 0 is a subword L^2 U^-1 L^2, L^-2 U L^-2,
+   L^2 L^-2 or L^-2 L^2, which is +-U, +-U^-1 or I: the shorter word saves
+   4 crossings.  So a shortest word spells the reduced normal form of its
+   matrix, which is unique, and only the source of each e is free:
+   pi_j = 1 if e_j comes from L^2, which adds 1 to the segment after it,
+   pi_j = 0 if from L^-2, which adds -1 to the one before it.
+2. The choices decouple.  Segment i then holds U^(k_i - pi_i + 1 -
+   pi_(i+1)), pi_0 = 0, and the last segment is free (the right coset).
+   For k_i != 0, s_i = sign k_i, that costs |k_i| + s_i (1 - pi_i -
+   pi_(i+1)), so a word costs a constant - sum_j pi_j (s_(j-1) + s_j),
+   s_r = 0: pi_j = 1 is best where s_(j-1) + s_j >= 0, 0 where it is <= 0.
+3. The expansion is optimal.  ``_semi_even_of`` flips its sign only between
+   a constrained entry and the free one after it, so a_i has the sign of
+   b_i, and a1 >= 1, b1 >= 2.  The segment around U^a_i is [b_(i-1) > 0] +
+   a_i - [b_i < 0], with [b_0 > 0] = 0: nonzero, with the sign of b_i.
+   The inner segments of L^2j are sign(j).  So the expansion spells the
+   normal form of g, with k0 = a1 >= 1, and every e of L^b_i has a left
+   neighbour of sign b_i: by 2 its choice pi = [b_i > 0] is best, and its
+   crossing sum is the least over g <U>.
+4. The left coset.  For j != 0, L^2j g spells the normal form of g with
+   |j| more e's in front, kept reduced by k0 >= 1, and only the cost of
+   k0's segment changes, by at most 1.  So each word of L^2j g <U> costs
+   at least 2|j| - 1 more than the word of g with the same choices for
+   g's e's.
+
+So the least Type A crossing sum over the knot's even slopes is m.
+``tests/test_lemmas.py`` checks the sign pattern and the segments on every
+even slope with c <= 16 and on a seeded draw, and compares the least sum
+with enumeration up to crossing sum 14.
 
 Sign changes cost crossings.  The identity [.., a, -b, tail] = [.., a - 1,
 1, b - 1, -tail] keeps the value and removes one crossing and one sign
@@ -64,9 +94,9 @@ mirror); M(x) = M(w) S_z M(w)^T, with M([a]) = S_a = [[a, 1], [1, 0]].
    centre, so one of the eight (see below).  ``tests/test_lemmas.py``
    checks each case.
 
-The per-knot search behind ``_solve`` and :func:`search_at` turns that
-around.  Take a hit x at t = c + d with a positive first entry (its negation
-names the mirror, the same knot).  Apply the move at its first sign change,
+The per-knot search of :func:`search_at` turns that around.  Take a hit x
+at t = c + d with a positive first entry (its negation names the mirror,
+the same knot).  Apply the move at its first sign change,
 with its merges, again and again: each step removes at least one crossing,
 so after at most d steps no sign change is left, and what is left is a
 positive sequence of the knot's class with crossing sum c.  The positive
@@ -83,10 +113,9 @@ entries after the first sign change in place counted from the right, and
 Type A fixes the parity of every other one of them.  Where Type B cannot
 hit, a preimage that spends all the crossings left is a leaf, and it is
 built only if it is Type A, which a few parities of its node decide.  One
-:func:`c2` or :func:`search_at` call walks at most ``_SEARCH_LIMIT``
-sequences: once it holds more than it may still walk, it raises
-SearchBudgetExceeded with the proven bracket c <= c2 <= m.  The census
-searches with no limit.
+:func:`search_at` call walks at most ``_SEARCH_LIMIT`` sequences: once it
+holds more than it may still walk, it raises SearchBudgetExceeded with its
+total and the proven bracket c <= c2 <= m.
 
 The sweep serves only :func:`global_c2_map`, the independent oracle.  It
 skips sequences with a negative first entry, whose negations come earlier
@@ -98,7 +127,6 @@ then probes the sign pairs of those two in product order, + first.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -134,8 +162,7 @@ METHOD_STEP2 = "Step2"
 METHOD_SEARCH = "Search"
 METHOD_EXHAUSTED = "ExhaustedToBound"
 
-# Work ceiling of one c2 or search_at call: sequences built by the per-knot
-# search, over all the totals it tries.
+# Work ceiling of one search_at call: sequences built by the per-knot search.
 _SEARCH_LIMIT = 100_000
 
 
@@ -164,13 +191,11 @@ class C2Result:
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The per-knot search reached its work ceiling before deciding c2(knot);
-    only the proven bracket c <= c2 <= m is known.  t, when given, is the
-    one crossing total that :func:`search_at` was searching."""
+    """:func:`search_at` reached its work ceiling at the crossing total t;
+    the message names t and the proven bracket c <= c2 <= m."""
 
-    def __init__(self, knot: TwoBridgeKnot, c: int, m: int, t: int | None = None):
-        what = f"search of {knot} at t={t} passed" if t else f"c2 of {knot} undecided within"
-        super().__init__(f"{what} the search limit: {c} <= c2 <= {m}")
+    def __init__(self, knot: TwoBridgeKnot, c: int, m: int, t: int):
+        super().__init__(f"search of {knot} at t={t} passed the search limit: {c} <= c2 <= {m}")
         self.knot, self.c, self.m, self.t = knot, c, m, t
 
 
@@ -178,11 +203,10 @@ class SearchBudgetExceeded(RuntimeError):
 # Steps 1 and 2
 
 
-def _semi_even_pick(fam: _Family) -> tuple[int, ContinuedFraction, list[list[int]]]:
-    """(m, witness, expansions): the best semi-even expansion over the (one
-    or two) even slopes of the knot's record, ties on crossing sum going to
-    the smaller one, and the semi-even expansions of them all, the
-    witness's first.
+def _semi_even_pick(fam: _Family) -> tuple[int, ContinuedFraction]:
+    """(m, witness): the best semi-even expansion over the (one or two) even
+    slopes of the knot's record, ties on crossing sum going to the smaller
+    one.
 
     A record lists its smaller even slope first and the other pair's even
     one in slopes[2:]; they agree exactly when q^2 = +-1 (mod p).  Each
@@ -191,14 +215,11 @@ def _semi_even_pick(fam: _Family) -> tuple[int, ContinuedFraction, list[list[int
     _, c, slopes, family = fam
     j = 2 if slopes[2] % 2 == 0 else 3
     e, s = _semi_even_of(family[0])
-    evens = [e]
     if slopes[j] != slopes[0]:
         f, t = _semi_even_of(family[j])
         if t < s:
-            s, evens = t, [f, e]
-        else:
-            evens.append(f)
-    return c + s, ContinuedFraction._trusted(tuple(evens[0])), evens
+            e, s = f, t
+    return c + s, ContinuedFraction._trusted(tuple(e))
 
 
 def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
@@ -220,16 +241,11 @@ def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
         yield entries[:-1] + [entries[-1] - 1, 1]
 
 
-def _rungs(k: TwoBridgeKnot) -> C2Result:
-    """The result of :func:`_rungs_of` on k's record from ``_positive_family``."""
-    return _rungs_of(_positive_family(k))[0]
-
-
-def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
-    """The knot's result from the rungs below the search, from its record:
-    the Step1 or Step2 result, or else ExhaustedToBound at the semi-even
-    bound m with its witness, which a Search hit below m may replace; and
-    the semi-even expansions of its even slopes.
+def _solve(fam: _Family) -> C2Result:
+    """The knot's result from its record, the one solve behind :func:`c2`,
+    :func:`solve_many` and the census: the Step1 or Step2 result, or else
+    ExhaustedToBound at the semi-even bound m with its witness, which by
+    Lemmas A and B (module docstring) no sequence below m beats.
 
     Step1's Type A case is m = c, with the pick's witness.  m is c plus the
     fewer carries, and an even slope's positive expansion b takes no carry
@@ -238,27 +254,27 @@ def _rungs_of(fam: _Family) -> tuple[C2Result, list[list[int]]]:
     and with none b is the semi-even expansion, which is Type A for an even
     denominator.  Odd slopes are never Type A (a Type A value has an even
     denominator), and ties go to the smaller slope, the record's first."""
-    k, c, _, _ = fam
-    m, wit, evens = _semi_even_pick(fam)
+    c = fam[1]
+    m, wit = _semi_even_pick(fam)
     if m == c:
-        return C2Result(c, wit, ExpansionClass.TYPE_A, METHOD_STEP1, m, c), evens
+        return C2Result(c, wit, ExpansionClass.TYPE_A, METHOD_STEP1, m, c)
     if root := _type_b_root(fam):
         cf = ContinuedFraction._trusted(tuple(root))
-        return C2Result(c, cf, ExpansionClass.TYPE_B, METHOD_STEP1, m, c), evens
+        return C2Result(c, cf, ExpansionClass.TYPE_B, METHOD_STEP1, m, c)
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
-    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
+    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c)
 
 
 def step1_check(k: TwoBridgeKnot) -> C2Result | None:
     """Try the positive sequences; a Type A/B hit means value = c(K)."""
-    res = _rungs(k)
+    res = c2(k)
     return res if res.method == METHOD_STEP1 else None
 
 
 def step2_bound(k: TwoBridgeKnot) -> int:
     """Semi-even upper bound m; meaningful once step1_check has failed.
     Raises RuntimeError when m <= c(K)."""
-    res = _rungs(k)
+    res = c2(k)
     return _bound_above(k, res.base_crossing, res.semi_even_bound)
 
 
@@ -277,65 +293,6 @@ def _type_b_root(fam: _Family) -> list[int] | None:
             if _shape(cand) is ExpansionClass.TYPE_B:
                 return cand
     return None
-
-
-def _type_a_distance(expansions: Iterable[list[int]]) -> int:
-    """The least crossing sum of a Type A sequence into the class of one of
-    the slopes whose semi-even expansions are given, or 0, which bounds
-    nothing, where the reading is not known to be exact.
-
-    With L^2 = e u and L^-2 = u^-1 e an expansion [a1, b1, .., an, bn]
-    spells the normal form u^k0 e u^k1 .. e u^km of its matrix, with
-    m = sum |b_i| / 2.  A shortest word cancels no e (a cancelling pair
-    costs at least 4 and can be replaced by u^+-1 or by nothing), so each e
-    comes from one L^+-2, which adds 1 to the segment after it or -1 to the
-    one before.  Two states carry the least cost of the segments so far: P
-    if the last e came from L^2, M if from L^-2.  Starting at P, M = 1, 0,
-    k0 makes them |k0|, |k0 + 1|; the last segment is free (the right
-    coset), so the distance is 2m + min(P, M).  Every step adds |k| to
-    both states, so the program keeps them less that running cost.  Three
-    facts keep it small:
-
-    - No left-coset search: for 0 < r < p the semi-even expansion of p/r
-      has a1 >= 1 and b1 >= 2, so k0 = a1 >= 1 and no prefix L^2j cancels.
-      One that does not cancel adds 2|j| e's and changes one gap's cost by
-      at most 1.
-    - No reduction stack: no inner segment was 0 for any even slope with
-      c <= 18, so the form is reduced.  A 0 returns 0.
-    - Linear time: an entry b = 2j gives |j| e's whose inner segments all
-      equal sign(j), and the update is idempotent on them, so it runs once
-      per entry.  K(100003,16668) has an entry of -3332.
-    """
-    least = None
-    for entries in expansions:
-        # P and M less cost, which both pay: |k| per segment and |b| per
-        # entry.  after: the u that the last L^2 left over.
-        P, M, cost, after = 1, 0, 0, False
-        it = iter(entries)
-        for a, b in zip(it, it):
-            k = after + a - (b < 0)  # the segment that U^a and its neighbours make
-            if k > 0:  # |k - 1| = |k| - 1 and |k + 1| = |k| + 1
-                x, y = P - 1, M + 1
-                P, M, cost = x if x < M else M, P if P < y else y, cost + k
-            elif k:  # |k - 1| = |k| + 1 and |k + 1| = |k| - 1
-                x, y = P + 1, M - 1
-                P, M, cost = x if x < M else M, P if P < y else y, cost - k
-            else:
-                return 0
-            if b > 2:  # the update at k = 1 stands for the run of u segments
-                x = M + 1
-                P = P if P < x else x
-                M = P + 1
-            elif b < -2:  # and at k = -1 for the run of u^-1 segments
-                x = P + 1
-                M = M if M < x else x
-                P = M + 1
-            cost += b if b > 0 else -b
-            after = b > 0
-        d = cost + (P if P < M else M)
-        if least is None or d < least:
-            least = d
-    return least
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +623,7 @@ def _least_hit(
     module docstring).
     The tree is walked depth first; each sequence taken from it costs one
     unit of work[0].  A stack longer than the work left raises
-    SearchBudgetExceeded with c <= c2 <= m, so none is built longer.
+    SearchBudgetExceeded with t and c <= c2 <= m, so none is built longer.
     Type B needs an odd t and, by Lemma B, a knot with a Type B positive
     sequence (:func:`_type_b_root`); otherwise the walk asks
     :func:`_preimages` for the Type A ones only.
@@ -680,7 +637,7 @@ def _least_hit(
     best = None
     while todo:
         if len(todo) > work[0]:
-            raise SearchBudgetExceeded(k, c, m)
+            raise SearchBudgetExceeded(k, c, m, t)
         work[0] -= 1
         y = todo.pop()
         room = t - sum(map(abs, y))
@@ -703,16 +660,14 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
     into k's slope class, or None.  Raises SearchBudgetExceeded, naming t,
     past the search's work ceiling.
 
-    A t below the Type A distance gets None with no walk when it is even or
-    the knot has no Type B sequence (:func:`_type_b_root`), as in ``_solve``."""
+    A t below m gets None with no walk when it is even or the knot has no
+    Type B sequence (:func:`_type_b_root`): by Lemma A no Type A sequence
+    and by Lemma B no Type B one can hit there."""
     fam = _positive_family(k)
-    m, _, evens = _semi_even_pick(fam)
-    if t < _type_a_distance(evens) and (t % 2 == 0 or not _type_b_root(fam)):
+    m = _semi_even_pick(fam)[0]
+    if t < m and (t % 2 == 0 or not _type_b_root(fam)):
         return None
-    try:
-        hit = _least_hit(fam, t, m, [_SEARCH_LIMIT])
-    except SearchBudgetExceeded as exc:
-        raise SearchBudgetExceeded(exc.knot, exc.c, exc.m, t) from None
+    hit = _least_hit(fam, t, m, [_SEARCH_LIMIT])
     return hit and ContinuedFraction._trusted(hit[0])
 
 
@@ -720,42 +675,15 @@ def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
 # Full solves
 
 
-def _solve(fam: _Family, limit: int = sys.maxsize) -> C2Result:
-    """The knot's result from its record: the one solve behind :func:`c2`,
-    :func:`solve_many` and the census, which sets no limit.
-
-    The rungs of ``_rungs_of``; then, for an ExhaustedToBound result at m,
-    the per-knot search at each total max(c + 1, d) <= t < m, d the Type A
-    distance.  Step 1 found no Type B positive sequence, so by Lemma B
-    (module docstring) no Type B sequence reaches the knot, and no t below
-    d can hold a hit.  The first hit is the Search result.  One Type A sequence
-    hits at d, so a search at d < m, which would make Lemma A false, ends
-    there.  Raises SearchBudgetExceeded once the search has walked limit
-    sequences."""
-    res, evens = _rungs_of(fam)
-    if res.method != METHOD_EXHAUSTED:
-        return res
-    c, m, work = res.base_crossing, res.value, [limit]
-    for t in range(max(c + 1, _type_a_distance(evens)), m):
-        if hit := _least_hit(fam, t, m, work):
-            cf = ContinuedFraction._trusted(hit[0])
-            return C2Result(t, cf, hit[1], METHOD_SEARCH, m, c)
-    return res
-
-
 def solve_many(knots: Iterable[TwoBridgeKnot]) -> dict[TwoBridgeKnot, C2Result]:
-    """{k: c2(k)} for each distinct knot, in input order; raises
-    SearchBudgetExceeded where :func:`c2` does."""
+    """{k: c2(k)} for each distinct knot, in input order."""
     return {k: c2(k) for k in dict.fromkeys(knots)}
 
 
 def c2(k: TwoBridgeKnot) -> C2Result:
-    """Least crossing sum over Type A / Type B sequences representing k.
-
-    The one solve, ``_solve``, on k's record, with the work ceiling
-    ``_SEARCH_LIMIT``; no sweep.  Raises SearchBudgetExceeded, carrying c
-    and m, when the search passes it."""
-    return _solve(_positive_family(k), _SEARCH_LIMIT)
+    """Least crossing sum over Type A / Type B sequences representing k:
+    the one solve, ``_solve``, on k's record, with no search."""
+    return _solve(_positive_family(k))
 
 
 def global_c2_map(

@@ -4,11 +4,11 @@ crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 :func:`build_table` solves each row it has to compute one record (k, c,
 slopes, family) at a time, as ``knot._families`` reads them off one
 composition per knot, through ``solver._solve``, the solve behind
-:func:`twobridge.solver.c2`, with no search limit.  So no knot is
-canonicalized, expanded by Euclid or sorted, and no result is held past its
-tally.  Each row's size is known before its first knot: the closed form of
-Ernst and Sumners, ``knot._knot_count``.  A row is written once that many
-of its knots are tallied, and a cached row is served only with that count.
+:func:`twobridge.solver.c2`.  So no knot is canonicalized, expanded by
+Euclid or sorted, and no result is held past its tally.  Each row's size is
+known before its first knot: the closed form of Ernst and Sumners,
+``knot._knot_count``.  A row is written once that many of its knots are
+tallied, and a cached row is served only with that count.
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON

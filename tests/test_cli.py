@@ -132,7 +132,7 @@ class TestC2:
         assert code == 2
 
     def test_large_p_decides(self, capsys):
-        # c = 3342, and the per-knot search builds 8 sequences to decide it.
+        # c = 3342 and m = 3344: the rungs decide it, with no search.
         code, out, _ = run(capsys, "c2", "--p", "100003", "--q", "40000")
         assert code == 0
         assert out.strip() == (
@@ -141,8 +141,8 @@ class TestC2:
         )
 
     def test_large_p_decided_within_the_search_limit(self, capsys):
-        # The search builds only Type A leaves, so this one, c = 139 and
-        # m = 147, is decided within _SEARCH_LIMIT; it is in README.
+        # c = 139 and m = 147: by Lemma A the rungs decide it, with no
+        # search; it is in README.
         code, out, _ = run(capsys, "c2", "--p", "314573286388203", "--q", "189071533637990")
         assert code == 0
         assert out.strip() == (
@@ -152,30 +152,8 @@ class TestC2:
         )
 
 
-UNDECIDED = "error: c2 of K(65,18) undecided within the search limit: 10 <= c2 <= 12\n"
-
-
 class TestSearchLimit:
-    # K(65,18) has c = 10 and m = 12.  A Type A distance of 11, which
-    # would make Lemma A false, sends t = 11 to the search, and a limit of
-    # 3 sequences is too few for it.
-    @pytest.fixture(autouse=True)
-    def low_limit(self, monkeypatch):
-        import twobridge.solver as solver
-
-        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
-
-    def test_c2_is_exit_5_with_the_bracket(self, capsys):
-        code, out, err = run(capsys, "c2", "--p", "65", "--q", "18")
-        assert (code, out, err) == (5, "", UNDECIDED)
-
-    def test_render_pq_is_exit_5(self, capsys, tmp_path):
-        out_path = tmp_path / "x.svg"
-        code, out, err = run(capsys, "render", "--p", "65", "--q", "18", "--out", str(out_path))
-        assert (code, out, err) == (5, "", UNDECIDED)
-        assert not out_path.exists()
-
+    # No CLI command runs the per-knot search: c2 is decided by its rungs.
     def test_rungs_need_no_search(self, capsys):
         code, out, _ = run(capsys, "c2", "--p", "13", "--q", "5")
         assert code == 0

@@ -4,14 +4,17 @@ Lemma A: for p odd and r even, no Type A sequence whose value has numerator
 +-p and denominator +-r (mod p) has a smaller crossing sum than the
 semi-even expansion of p/r.  A Type A value always has an even denominator
 (mod 2 each pair of continuant matrices multiplies to [[1, a], [0, 1]]), so
-r is den mod p, or p minus it when that is odd.
-
-The Type A distance of ``solver._type_a_distance``, read off a slope's
-semi-even expansion in Gamma_0(2), is the least Type A crossing sum into
-the slope, so Lemma A says that it is m.  Its three facts are checked here:
-the expansion's first entries keep the normal form's first segment
-positive, no inner segment is 0, and one update stands for a run of equal
-segments.
+r is den mod p, or p minus it when that is odd.  Its proof is in
+``solver``'s docstring; its finite cases are checked here: each free entry
+of the semi-even expansion has the sign of the constrained entry after it,
+and each segment of its normal form in Gamma_0(2) is nonzero with the sign
+of its L-power.  The reference :func:`_type_a_distance`, the two-state
+program over that normal form that the solve ran before the proof, is the
+least Type A crossing sum into the slope by enumeration up to 14, and it
+equals each slope's semi-even crossing sum, so m, on every even slope with
+c <= 16 and on seeded draws.  Its three facts are checked here too: the
+expansion's first entries keep the normal form's first segment positive,
+no inner segment is 0, and one update stands for a run of equal segments.
 
 Lemma B: if a Type B sequence evaluates into a knot's class, one of the
 knot's eight positive sequences is Type B, so Step1 decides the knot at c.
@@ -71,10 +74,8 @@ from twobridge.solver import (
     C2Result,
     _candidates,
     _palindromic,
-    _rungs,
-    _rungs_of,
     _semi_even_pick,
-    _type_a_distance,
+    _solve,
     _type_b_halves,
     _type_b_root,
     c2,
@@ -174,13 +175,74 @@ def _letter_distance(entries):
     return 2 * (len(ks) - 1) + min(P, M)
 
 
+def _type_a_distance(expansions):
+    """The least crossing sum of a Type A sequence into the class of one of
+    the slopes whose semi-even expansions are given, or 0 where a segment of
+    the normal form is 0, which by Lemma A no semi-even expansion has.
+
+    With L^2 = e u and L^-2 = u^-1 e an expansion [a1, b1, .., an, bn]
+    spells the normal form u^k0 e u^k1 .. e u^km of its matrix, with
+    m = sum |b_i| / 2.  A shortest word cancels no e, so each e comes from
+    one L^+-2, which adds 1 to the segment after it or -1 to the one
+    before.  Two states carry the least cost of the segments so far: P if
+    the last e came from L^2, M if from L^-2.  Starting at P, M = 1, 0, k0
+    makes them |k0|, |k0 + 1|; the last segment is free (the right coset),
+    so the distance is 2m + min(P, M).  Every step adds |k| to both states,
+    so the program keeps them less that running cost.  The semi-even
+    expansion has a1 >= 1 and b1 >= 2, so no power of L^2 on the left
+    helps, and an entry b = 2j gives |j| e's whose inner segments all equal
+    sign(j), on which the update is idempotent, so it runs once per entry.
+    """
+    least = None
+    for entries in expansions:
+        # P and M less cost, which both pay: |k| per segment and |b| per
+        # entry.  after: the u that the last L^2 left over.
+        P, M, cost, after = 1, 0, 0, False
+        it = iter(entries)
+        for a, b in zip(it, it):
+            k = after + a - (b < 0)  # the segment that U^a and its neighbours make
+            if k > 0:  # |k - 1| = |k| - 1 and |k + 1| = |k| + 1
+                x, y = P - 1, M + 1
+                P, M, cost = x if x < M else M, P if P < y else y, cost + k
+            elif k:  # |k - 1| = |k| + 1 and |k + 1| = |k| - 1
+                x, y = P + 1, M - 1
+                P, M, cost = x if x < M else M, P if P < y else y, cost - k
+            else:
+                return 0
+            if b > 2:  # the update at k = 1 stands for the run of u segments
+                x = M + 1
+                P = P if P < x else x
+                M = P + 1
+            elif b < -2:  # and at k = -1 for the run of u^-1 segments
+                x = P + 1
+                M = M if M < x else x
+                P = M + 1
+            cost += b if b > 0 else -b
+            after = b > 0
+        d = cost + (P if P < M else M)
+        if least is None or d < least:
+            least = d
+    return least
+
+
+def _evens(fam):
+    """The semi-even expansions of the (one or two) even slopes of a knot's
+    record, read by the carry rule, the pick's witness first."""
+    _, _, slopes, family = fam
+    j = 2 if slopes[2] % 2 == 0 else 3
+    evens = [_semi_even_of(family[0])[0]]
+    if slopes[j] != slopes[0]:
+        evens.append(_semi_even_of(family[j])[0])
+    wit = list(_semi_even_pick(fam)[1].entries)
+    return sorted(evens, key=lambda e: e != wit)
+
+
 def _even_slopes(c_max):
     """(k, m, semi-even expansions of its even slopes) for each knot with
     crossing number up to c_max."""
     for c in range(3, c_max + 1):
         for fam in _families(c):
-            m, _, evens = _semi_even_pick(fam)
-            yield fam[0], m, evens
+            yield fam[0], _semi_even_pick(fam)[0], _evens(fam)
 
 
 class TestTypeADistance:
@@ -225,15 +287,107 @@ class TestTypeADistance:
         # carry 10^12 once as a U exponent and once as an L one, which no
         # letter-by-letter program could spell.
         k = canonicalize(100003, 16668)
-        evens = _semi_even_pick(_positive_family(k))[2]
+        evens = _evens(_positive_family(k))
         assert sorted(map(len, map(_normal_form, evens))) == [5, 1_669]
         for e in evens:
             assert _type_a_distance([e]) == _letter_distance(e) == sum(map(abs, e))
         k = canonicalize(6_000_000_000_005, 3_000_000_000_004)
-        evens = _semi_even_pick(_positive_family(k))[2]
+        evens = _evens(_positive_family(k))
         assert sorted(evens) == [[1, 2, -1, -10**12, 1, 2], [1, 2, 10**12, 2]]
         assert _type_a_distance([[1, 2, 10**12, 2]]) == _letter_distance([1, 2, 10**12, 2])
         assert _type_a_distance(evens) == 10**12 + 5 == c2(k).value
+
+
+def _segments(entries):
+    """(k, b) for each pair (a, b) of a Type A sequence: k = [b' > 0] + a -
+    [b < 0], b' the entry before a, the segment of the normal form around
+    U^a in the proof of Lemma A."""
+    out, after = [], False
+    it = iter(entries)
+    for a, b in zip(it, it):
+        out.append((after + a - (b < 0), b))
+        after = b > 0
+    return out
+
+
+def _spelled(entries):
+    """:func:`_normal_form` as the proof of Lemma A reads it: the segment
+    around each U^a, the |j| - 1 inner segments sign(j) of each L^2j, and
+    the free last segment [b_n > 0]."""
+    ks = []
+    for k, b in _segments(entries):
+        ks += [k] + [1 if b > 0 else -1] * (abs(b) // 2 - 1)
+    return ks + [int(entries[-1] > 0)]
+
+
+def _odd_even_slopes(n=2_000):
+    """n slopes p/r with p odd below 10^30 and r even, coprime:
+    p = randrange(3, 10^randrange(2, 31), 2) and r = randrange(2, p, 2) from
+    random.Random(29), skipping gcd > 1."""
+    rng, slopes = random.Random(29), []
+    while len(slopes) < n:
+        p = rng.randrange(3, 10 ** rng.randrange(2, 31), 2)
+        r = rng.randrange(2, p, 2)
+        if gcd(p, r) == 1:
+            slopes.append((p, r))
+    return slopes
+
+
+class TestLemmaAProof:
+    """The finite cases of the proof of Lemma A in solver's docstring, on
+    the semi-even expansion of every even slope of the records (c <= 16 and
+    the draw below 10^15) and of 2,000 seeded slopes below 10^30."""
+
+    @pytest.fixture(scope="class")
+    def expansions(self, records):
+        small = [e for fam in records[:-300] for e in _evens(fam)]
+        large = [e for fam in records[-300:] for e in _evens(fam)]
+        large += [_semi_even_of(_positive_entries(p, r))[0] for p, r in _odd_even_slopes()]
+        assert (len(small), len(large)) == (10_922, 2_600)
+        return small, large
+
+    def test_the_group_and_the_cancelling_subwords(self):
+        # e = L^2 U^-1 has e^2 = -I, L^2 = e u and L^-2 = -u^-1 e.  An inner
+        # segment 0 is one of four subwords, each 4 crossings longer than
+        # the +-U, +-U^-1 or I that it equals (step 1).
+        def mul(*ms):
+            (a, b), (c, d) = ((1, 0), (0, 1))
+            for (x, y), (z, w) in ms:
+                a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
+            return (a, b), (c, d)
+
+        def neg(m):
+            return tuple(tuple(-x for x in row) for row in m)
+
+        I, U, Ui = ((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1))
+        L2, L2i = ((1, 0), (2, 1)), ((1, 0), (-2, 1))
+        e = mul(L2, Ui)
+        assert e == ((1, -1), (2, -1)) and mul(e, e) == neg(I)
+        assert mul(e, U) == L2 and mul(Ui, e) == neg(L2i)
+        assert mul(L2, Ui, L2) == neg(U) and mul(L2i, U, L2i) == neg(Ui)
+        assert mul(L2, L2i) == mul(L2i, L2) == I
+
+    def test_each_free_entry_has_the_sign_of_the_next_constrained_one(self, expansions):
+        small, large = expansions
+        for e in small + large:
+            assert len(e) % 2 == 0 and e[0] >= 1 and e[1] >= 2, e
+            for a, b in zip(e[::2], e[1::2]):
+                assert a * b > 0 and b % 2 == 0, e
+        assert any(min(e) < 0 for e in small) and any(min(e) < 0 for e in large)
+
+    def test_every_segment_is_nonzero_with_the_sign_of_its_b(self, expansions):
+        small, large = expansions
+        for e in small + large:
+            for k, b in _segments(e):
+                assert k * b > 0, e
+        # The segments are those of the letter-by-letter normal form.
+        for e in small:
+            assert _spelled(e) == _normal_form(e), e
+
+    def test_each_slopes_least_type_a_sum_is_its_expansions(self, expansions):
+        small, large = expansions
+        for e in small + large:
+            assert _type_a_distance([e]) == sum(map(abs, e)), e
 
 
 class TestLemmaB:
@@ -255,7 +409,7 @@ class TestLemmaB:
                 least.setdefault(key, t)
         below = 0
         for key, t in least.items():
-            res = _rungs(TwoBridgeKnot(*key))
+            res = c2(TwoBridgeKnot(*key))
             assert (t, res.method) == (res.base_crossing, METHOD_STEP1), key
             below += t < res.semi_even_bound
         # The other 7 are K(p, p - 1), p = 3 .. 15, with c = m = p.
@@ -413,7 +567,7 @@ class TestLemmaBProof:
             assert x in list(_candidates(fams[key][3])), (w, z)
         assert n == 19_682
         for fam in fams.values():
-            res = _rungs_of(fam)[0]
+            res = _solve(fam)
             assert _type_b_root(fam) and (res.value, res.method) == (fam[1], METHOD_STEP1)
         assert len(fams) == 170
 
@@ -467,7 +621,7 @@ class TestStep1Scan:
         for fam in records:
             hits = [x for x in _candidates(fam[3]) if _shape(x) is not ExpansionClass.NEITHER]
             if hits and hits[0] not in fam[3]:
-                res = _rungs_of(fam)[0]
+                res = _solve(fam)
                 assert (res.method, list(res.witness.entries)) == (METHOD_STEP1, hits[0])
                 assert res.witness_class is ExpansionClass.TYPE_B
                 decided += 1
@@ -477,16 +631,16 @@ class TestStep1Scan:
 def _scan_rungs(fam):
     """The rungs with Step 1 as a scan of the candidates' shapes: the first
     Type A or Type B one of the four positive expansions, and of their
-    variants for a knot with q^2 = +-1 (mod p).  solver._rungs_of's
+    variants for a knot with q^2 = +-1 (mod p).  solver._solve's
     reference."""
     k, c, slopes, family = fam
-    m, wit, evens = _semi_even_pick(fam)
+    m, wit = _semi_even_pick(fam)
     for cand in _candidates(family) if _palindromic(k) else family:
         cls = _shape(cand)
         if cls is not ExpansionClass.NEITHER:
-            return C2Result(c, ContinuedFraction(cand), cls, METHOD_STEP1, m, c), evens
+            return C2Result(c, ContinuedFraction(cand), cls, METHOD_STEP1, m, c)
     method = METHOD_STEP2 if m == c + 1 else METHOD_EXHAUSTED
-    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c), evens
+    return C2Result(m, wit, ExpansionClass.TYPE_A, method, m, c)
 
 
 def _fibonacci_knots(n_max=40):
@@ -527,8 +681,8 @@ class TestStep1TypeAIsMEqualsC:
         extra = _fibonacci_knots() + [canonicalize(p, q) for p, q in _README_KNOTS]
         fams = records + [_positive_family(k) for k in extra]
         for fam in fams:
-            assert _rungs_of(fam) == _scan_rungs(fam), fam[0]
-        step1 = [res for fam in fams if (res := _rungs_of(fam)[0]).method == METHOD_STEP1]
+            assert _solve(fam) == _scan_rungs(fam), fam[0]
+        step1 = [res for fam in fams if (res := _solve(fam)).method == METHOD_STEP1]
         assert {res.witness_class for res in step1} == {
             ExpansionClass.TYPE_A,
             ExpansionClass.TYPE_B,
@@ -550,7 +704,7 @@ def _sorted_pick(k, slopes):
 
 
 def _min_distance(expansions):
-    """solver._type_a_distance's two-state program with a min() and an
+    """:func:`_type_a_distance`'s two-state program with a min() and an
     abs() call per step: its reference."""
     least = []
     for entries in expansions:
@@ -580,7 +734,8 @@ class TestRungsEqualTheirReferences:
         ties = 0
         for fam in knots:
             k, _, slopes, _ = fam
-            m, wit, evens = _semi_even_pick(fam)
+            m, wit = _semi_even_pick(fam)
+            evens = _evens(fam)
             assert (m, wit.entries, evens) == _sorted_pick(k, slopes), k
             ties += len(evens) == 2 and len({sum(map(abs, e)) for e in evens}) == 1
         assert ties > 0  # some knots need the tie rule
@@ -588,7 +743,7 @@ class TestRungsEqualTheirReferences:
     def test_distance(self, knots):
         for fam in knots:
             k = fam[0]
-            evens = _semi_even_pick(fam)[2]
+            evens = _evens(fam)
             assert _type_a_distance(evens) == _min_distance(evens), k
             for e in evens:
                 assert _type_a_distance([e]) == _min_distance([e]), e

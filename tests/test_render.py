@@ -66,7 +66,7 @@ class TestLayout:
         # candidate of every knot through c = 10 must not.
         import twobridge.render as render
         from twobridge.knot import enumerate_knots
-        from twobridge.solver import _rungs
+        from twobridge.solver import c2
 
         def boom(entries):
             raise AssertionError(f"worded {entries}")
@@ -76,7 +76,7 @@ class TestLayout:
             layout(cf(1, 1))
         for c in range(3, 11):
             for k in enumerate_knots(c):
-                _rungs(k)
+                c2(k)
 
     def test_crossing_sum_invariant(self):
         for entries in [(1, 2), (5,), (3, 1, 3), (2, 6, 1, 4), (1, 2, 1, 2, 1)]:

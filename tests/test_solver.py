@@ -34,7 +34,6 @@ from twobridge.solver import (
     _pairs,
     _preimages,
     _residue_lookup,
-    _rungs,
     _semi_even_pick,
     _sign_steps,
     _solve,
@@ -42,7 +41,6 @@ from twobridge.solver import (
     _type_a_magnitudes,
     _type_b_halves,
     METHOD_EXHAUSTED,
-    METHOD_SEARCH,
     METHOD_STEP1,
     METHOD_STEP2,
     C2Result,
@@ -175,8 +173,8 @@ class _EveryValue(dict):
 
 
 def _swept(knots):
-    """{k: result} from the census's solve, ``_solve`` with no search limit,
-    over the knots' records."""
+    """{k: result} from the census's solve, ``_solve``, over the knots'
+    records."""
     return {k: _solve(_positive_family(k)) for k in knots}
 
 
@@ -344,30 +342,14 @@ class TestSignBudget:
                     hits += want is not None
         assert hits > 0
 
-    def test_search_rung_with_loose_bounds_is_unchanged(self, monkeypatch):
-        # Raising the semi-even bounds by 3 puts the Type A distance below
-        # them, so the Search rung decides most knots; c2 and the census
-        # solve must find the unpruned oracle's value and first witness.
-        # A witness with no negative entry is the positive Type A expansion,
-        # whose bound m = c decides Step1, so its bound stays put.
-        import twobridge.solver as solver
-
-        real_pick = solver._semi_even_pick
-
-        def loose(fam):
-            m, w, evens = real_pick(fam)
-            return (m + 3 if min(w.entries) < 0 else m), w, evens
-
-        monkeypatch.setattr(solver, "_semi_even_pick", loose)
-        knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
-        got = {k: c2(k) for k in knots}
-        assert _swept(knots) == got
+    def test_search_at_finds_every_oracle_witness_to_13(self):
+        # No solve runs the per-knot search since Lemma A, so it is checked
+        # on its own: at each knot's c2, c or m, it finds the unpruned
+        # oracle's first witness.
         oracle = global_c2_map(13)
-        for k, res in got.items():
-            assert res.value == oracle[k][0]
-            if res.method == METHOD_SEARCH:
-                assert res.witness == oracle[k][1]
-        assert sum(r.method == METHOD_SEARCH for r in got.values()) > 400
+        for k, (t, cf) in oracle.items():
+            assert search_at(k, t) == cf, k
+        assert len(oracle) == 714
 
 
 def _move(x):
@@ -596,42 +578,18 @@ class TestC2:
         assert c2(canonicalize(65, 18)).method == METHOD_EXHAUSTED
         assert search_at(canonicalize(13, 5), 7).entries == (1, 2, -2, -2)
 
-    def test_distance_below_m_is_searched(self, monkeypatch):
-        # K(187,108) has c = 12, m = 15 and q^2 not +-1 (mod p), so c2 runs
-        # no search.  A Type A distance below m, which would make Lemma A
-        # false, sends every total from it up to m - 1 to the search.
-        import twobridge.solver as solver
-
-        real, searched = solver._least_hit, []
-
-        def recorded(fam, t, *args):
-            searched.append(t)
-            return real(fam, t, *args)
-
-        monkeypatch.setattr(solver, "_least_hit", recorded)
-        k = canonicalize(187, 108)
-        want = c2(k)
-        assert (want.base_crossing, want.value, want.method) == (12, 15, METHOD_EXHAUSTED)
-        assert searched == []
-        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 13)
-        assert c2(k) == want
-        assert searched == [13, 14]
-
     def test_search_limit(self, monkeypatch):
-        # K(65,18) has c = 10 and m = 12.  A Type A distance of 11, which
-        # would make Lemma A false, sends t = 11 to the search, and 3
-        # sequences are too few for it.
+        # K(65,18) has c = 10 and m = 12; its search at 12 takes 16
+        # sequences, and 3 are too few for it.  c2 runs no search.
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
         monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
         k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
-            c2(k)
+            search_at(k, 12)
         assert (info.value.knot, info.value.c, info.value.m) == (k, 10, 12)
-        assert str(info.value) == "c2 of K(65,18) undecided within the search limit: 10 <= c2 <= 12"
-        with pytest.raises(SearchBudgetExceeded):
-            search_at(k, 11)
+        assert str(info.value) == "search of K(65,18) at t=12 passed the search limit: 10 <= c2 <= 12"
+        assert (c2(k).value, c2(k).method) == (12, METHOD_EXHAUSTED)
         assert c2(canonicalize(13, 5)).method == METHOD_STEP2
 
     def test_search_limit_bounds_the_preimages(self, monkeypatch):
@@ -667,18 +625,11 @@ class TestC2:
             "search of K(13,8) at t=80 passed the search limit: 6 <= c2 <= 7"
         )
 
-    def test_refusal_carries_its_total(self, monkeypatch):
-        # .t is the total a search_at refusal searched; a c2 refusal has none.
+    def test_refusal_carries_its_total(self):
+        # .t is the total a search_at refusal searched.
         with pytest.raises(SearchBudgetExceeded) as info:
             search_at(canonicalize(13, 5), 80)
         assert info.value.t == 80
-        import twobridge.solver as solver
-
-        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
-        with pytest.raises(SearchBudgetExceeded) as info:
-            c2(canonicalize(65, 18))
-        assert info.value.t is None
 
     def test_c2_reads_no_slopes(self, monkeypatch):
         # A canonical knot's c2, search included, reads its slopes off one
@@ -713,33 +664,33 @@ class TestC2:
 
     def test_crossing_number_once_per_knot(self, monkeypatch):
         # One Euclid run gives a knot's record, c, the four slopes and the
-        # Step1 candidates, and its rungs run once on it, swept or searched.
+        # Step1 candidates, and its one solve runs once on it.
         import twobridge.knot as knot
         import twobridge.solver as solver
 
-        calls, rungs, expansions = [], [], []
-        real, real_rungs = solver._positive_family, solver._rungs_of
+        calls, solved, expansions = [], [], []
+        real, real_solve = solver._positive_family, solver._solve
         real_entries = knot._positive_entries
 
         def counted(k):
             calls.append(k)
             return real(k)
 
-        def counted_rungs(fam):
-            rungs.append(fam[0])
-            return real_rungs(fam)
+        def counted_solve(fam):
+            solved.append(fam[0])
+            return real_solve(fam)
 
         def counted_entries(p, q):
             expansions.append((p, q))
             return real_entries(p, q)
 
         monkeypatch.setattr(solver, "_positive_family", counted)
-        monkeypatch.setattr(solver, "_rungs_of", counted_rungs)
+        monkeypatch.setattr(solver, "_solve", counted_solve)
         monkeypatch.setattr(knot, "_positive_entries", counted_entries)
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
         knots += [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P]
         solve_many(knots)
-        assert sorted(calls) == sorted(rungs) == sorted(knots)
+        assert sorted(calls) == sorted(solved) == sorted(knots)
         assert len(expansions) == len(knots)
 
     def test_slopes_once_per_knot_on_the_rung_path(self, monkeypatch):
@@ -764,28 +715,6 @@ class TestC2:
         global_c2_map(10)
         assert calls == []
 
-    def test_search_branch_self_corrects(self, monkeypatch):
-        # If the greedy bound ever came out loose, the Type A distance lies
-        # below it, and the census solve must still land on the true value;
-        # simulate a looser rule.
-        import twobridge.solver as solver
-
-        real = solver._semi_even_pick
-        k13 = canonicalize(13, 5)
-
-        def loose(fam):
-            m, w, evens = real(fam)
-            if fam[0] == k13:
-                return m + 2, w, evens
-            return m, w, evens
-
-        monkeypatch.setattr(solver, "_semi_even_pick", loose)
-        res = _swept([k13])[k13]
-        assert res.value == 7
-        assert res.method == METHOD_SEARCH
-        assert res.witness.entries == (1, 2, -2, -2)
-        assert res.semi_even_bound == 9
-
 
 _REFERENCE_LARGE_P = [(100003, 40000), (912309, 231710), (594199, 41628), (534047, 62852)]
 
@@ -793,10 +722,10 @@ _REFERENCE_LARGE_P = [(100003, 40000), (912309, 231710), (594199, 41628), (53404
 class TestRungsLargeP:
     @given(knots(max_p=10**6))
     def test_rung_witnesses_check_out(self, k):
-        # Steps 1 and 2 only: most knots this large need the search, and
-        # their record is the ExhaustedToBound one at m that a hit may replace.
-        res = _rungs(k)
-        m, wit, _ = _semi_even_pick(_positive_family(k))
+        # Steps 1 and 2 decide every knot: most this large end
+        # ExhaustedToBound at m, with the semi-even witness.
+        res = c2(k)
+        m, wit = _semi_even_pick(_positive_family(k))
         c = crossing_number(k)
         assert fraction_to_knot(eval_cf(wit)) == k
         assert classify_type(wit) is ExpansionClass.TYPE_A
@@ -814,13 +743,8 @@ class TestRungsLargeP:
     @settings(deadline=None)
     @given(knots(max_p=10**6))
     def test_c2_checks_out(self, k):
-        rec = _rungs(k)
-        c, m = rec.base_crossing, rec.semi_even_bound
-        try:
-            res = c2(k)
-        except SearchBudgetExceeded as exc:
-            assert (exc.knot, exc.c, exc.m) == (k, c, m)
-            return
+        c, m = crossing_number(k), _semi_even_pick(_positive_family(k))[0]
+        res = c2(k)
         assert fraction_to_knot(eval_cf(res.witness)) == k
         assert classify_type(res.witness) is res.witness_class
         assert crossing_sum(res.witness) == res.value
@@ -845,8 +769,8 @@ class TestRungsLargeP:
             assert classify_type(x) is ExpansionClass.NEITHER
 
     def test_search_size_of_the_readme_knot(self, monkeypatch):
-        # README: c2 of K(100003,16668), c = 3342, runs no search (its Type A
-        # distance is m and q^2 is not +-1), and the search one crossing up
+        # README: c2 of K(100003,16668), c = 3342, runs no search, and
+        # search_at runs none below m (q^2 is not +-1); the search one crossing up
         # takes 8 sequences from the search tree, counted off its work list.
         import twobridge.solver as solver
 
@@ -861,8 +785,8 @@ class TestRungsLargeP:
         res = c2(k)
         assert (res.base_crossing, res.value, res.method) == (3342, 3344, METHOD_EXHAUSTED)
         assert works == []
-        # 3343 is odd and below the distance, so search_at walks nothing;
-        # the search tree one crossing up holds 8 sequences.
+        # 3343 is odd and below m, so search_at walks nothing; the search
+        # tree one crossing up holds 8 sequences.
         assert search_at(k, 3343) is None
         assert works == []
         work = [solver._SEARCH_LIMIT]
@@ -896,8 +820,8 @@ class TestRungsLargeP:
     def test_large_p_decided_without_a_search(self, monkeypatch):
         # K(791256216780409,209614989723732), whose search from c = 105 to
         # m = 116 passes the search limit, and the first 20 knots of the
-        # seeded draw p < 10^15: q^2 is not +-1 (mod p) and the Type A
-        # distance is m, so none is searched.
+        # seeded draw p < 10^15: q^2 is not +-1 (mod p), so none is
+        # searched.
         import twobridge.solver as solver
 
         def no_search(fam, *args):
@@ -920,23 +844,25 @@ class TestRungsLargeP:
         assert (res.base_crossing, res.value) == (105, 116)
 
     def test_solve_many_refuses_as_c2_does(self, monkeypatch):
-        # K(65,18), c = 10 and m = 12, with a Type A distance of 11 and a
-        # limit of 3, as in TestC2::test_search_limit.
+        # c2 runs no search, so neither it nor solve_many refuses a knot
+        # whose search_at refuses: K(65,18), c = 10 and m = 12, at a limit
+        # of 3, as in TestC2::test_search_limit.
         import twobridge.solver as solver
 
-        monkeypatch.setattr(solver, "_type_a_distance", lambda evens: 11)
         monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
         k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
-            solve_many([canonicalize(13, 5), k])
+            search_at(k, 12)
         assert (info.value.knot, info.value.c, info.value.m) == (k, 10, 12)
+        knots = [canonicalize(13, 5), k]
+        assert solve_many(knots) == {k: c2(k) for k in knots}
 
     def test_fibonacci_knots_decided_without_a_search(self, monkeypatch):
         # K(F(n), F(n - 1)) has q^2 = +-1 (mod p) by Cassini's identity.
         # For odd n and odd F(n), up to n = 301, the rungs decide n = 5 and
         # 7; from n = 11 on Step 1 finds no Type B positive sequence, so by
-        # Lemma B no Type B sequence reaches the knot, and the Type A
-        # distance is m: none is searched.
+        # Lemma B no Type B sequence reaches the knot, and by Lemma A none
+        # is searched.
         import twobridge.solver as solver
 
         def no_search(fam, *args):
@@ -978,8 +904,7 @@ class TestRungsLargeP:
         assert res.witness.entries == (3, 2, -1, -2, 3, 2, -2, -2, 1, 2, -3, -2, 1, 2)
 
     def test_search_at_obeys_the_certificates(self, monkeypatch):
-        # Below the Type A distance, search_at walks no total that c2 rules
-        # out: even ones, and every one of a knot with no Type B positive
+        # Below m, search_at walks no total that the lemmas rule out: even ones, and every one of a knot with no Type B positive
         # sequence (Lemma B).  K(12545,3362)'s walk at 27 for Type A and
         # Type B sequences alone passes the search limit.
         import twobridge.solver as solver
@@ -991,7 +916,7 @@ class TestRungsLargeP:
         for p, q, ts in [(12545, 3362, range(23, 28)), (100003, 40000, [3343]), (65, 18, [11])]:
             for t in ts:
                 assert search_at(canonicalize(p, q), t) is None, (p, q, t)
-        # At the distance it walks, and below it at an odd total of a knot
+        # At m it walks, and below it at an odd total of a knot
         # that Step 1 decides by a Type B sequence: K(15,4), c = 7, m = 8.
         for p, q, t in [(13, 5, 7), (65, 18, 12), (15, 4, 7)]:
             with pytest.raises(AssertionError, match="searched"):
@@ -1021,8 +946,8 @@ class TestGlobalMap:
         real = solver._semi_even_pick
 
         def low(fam):
-            m, wit, evens = real(fam)
-            return (m - 1 if (fam[0].p, fam[0].q) == (13, 8) else m), wit, evens
+            m, wit = real(fam)
+            return (m - 1 if (fam[0].p, fam[0].q) == (13, 8) else m), wit
 
         monkeypatch.setattr(solver, "_semi_even_pick", low)
         with pytest.raises(RuntimeError) as info:

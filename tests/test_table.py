@@ -234,25 +234,24 @@ class TestSharedSweep:
     c2 shares, and writes each row as it completes."""
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
-        import twobridge.solver as solver
+        import twobridge.table as table
 
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real, solved = solver._rungs_of, []
+        real, solved = table._solve, []
 
         def recorded(fam):
             solved.append(fam[0])
             return real(fam)
 
-        monkeypatch.setattr(solver, "_rungs_of", recorded)
+        monkeypatch.setattr(table, "_solve", recorded)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
         want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
         assert sorted(solved) == sorted(want)
 
     def test_census_walks_no_knot(self, monkeypatch):
-        # Lemma A leaves only Type B to search for, and by Lemma B a knot
-        # that Step 1 leaves has no Type B sequence: the census walks no
+        # By Lemmas A and B the rungs decide every knot: the census walks no
         # preimage tree.
         import twobridge.solver as solver
 
