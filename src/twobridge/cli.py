@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 bad arguments or invalid input, 3 failed name
 lookup, 4 cross-check disagreement.  All output is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
-any work, naming that row's knot count: the rows double in size, and a cold
-build of rows 3 to 21 took 1.8 s and 16 MiB on a 2-vCPU Xeon VM (Python 3.11).
+any work, naming that row's knot count.  Rows are counted, not solved knot
+by knot: a cold build of rows 3 to 21 took 0.03 s and 17 MiB in process on a
+2-vCPU Xeon VM (Python 3.11).
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from twobridge.knot import (
     _fills,
     _knot_count,
     _knot_key,
+    _palindromes,
     _positive_family,
     canonicalize,
     crossing_number,
@@ -233,3 +234,22 @@ class TestEnumerateKnots:
                 tuple(s.den for s in slopes),
                 [list(positive_expansion(s).entries) for s in slopes],
             )
+
+
+class TestPalindromes:
+    @pytest.mark.parametrize("c", range(3, 17))
+    def test_every_palindromic_composition_once(self, c):
+        got = [tuple(b) for b in _palindromes(c)]
+        comps = (
+            (*m, rest) for n in range(1, c) for m, rest in _fills(c, [1] * (n - 1), 1, 2)
+        )
+        want = {b for b in comps if b[0] >= 2 and b == b[::-1]}
+        assert len(got) == len(set(got)) and set(got) == want
+
+    def test_palindromic_knots_are_the_palindromes_to_16(self):
+        # q^2 = +-1 (mod p) exactly when the knot's compositions with first
+        # and last entry >= 2, b and reversed(b), are one palindrome.
+        for c in range(3, 17):
+            for k, _, _, family in _families(c):
+                b = [e for e in family if e[0] >= 2]
+                assert (k.q * k.q % k.p in (1, k.p - 1)) == (b[0] == b[0][::-1]), k

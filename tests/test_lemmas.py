@@ -42,6 +42,12 @@ the carry rule of ``contfrac._semi_even_of``, with no division.  It equals
 the nearest-even Euclid that it replaced, kept here as its reference, and
 its crossing sum is c plus its carries, on every even slope of every knot
 with c <= 16 and on a seeded draw of slopes of both numerator parities.
+Its carries depend only on the parities of the entries: the parity table
+``contfrac._PARITY_STEP``, on which the census counts its rows, gives the
+same carries on the same slopes.  Each parity permutes the table's three
+states, and the state after a word is the bottom row of the word's
+continuant matrix mod 2, so the states are the three cosets of Gamma_0(2)
+in SL_2(Z) (the points of P^1(F_2)), and no two of them are equivalent.
 """
 
 import random
@@ -53,6 +59,7 @@ import pytest
 from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
+    _PARITY_STEP,
     _eval_entries,
     _positive_entries,
     _semi_even_of,
@@ -786,3 +793,50 @@ class TestCarryRule:
             self._check(_positive_entries(p, q), p, q)
         even = sum(p % 2 == 0 for p, _ in slopes)
         assert 0 < even < len(slopes)
+
+
+def _table_carries(b, state=0):
+    """The carries of b by the parity table, from F (0) or C (1)."""
+    carries = 0
+    for a in b:
+        state = _PARITY_STEP[state][a % 2]
+        carries += state == 2
+    return carries
+
+
+class TestParityTable:
+    def test_every_even_slope_to_16(self, records):
+        n = 0
+        for k, _, slopes, family in records[:-300]:
+            for j in (0, 2 if slopes[2] % 2 == 0 else 3):
+                assert _table_carries(family[j]) == _semi_even_of(family[j])[1], k
+                n += 1
+        assert n == 11_092
+
+    def test_seeded_slopes_of_both_parities(self):
+        for p, q in _seeded_slopes():
+            b = _positive_entries(p, q)
+            assert _table_carries(b, 1 - p % 2) == _semi_even_of(b, p % 2 == 1)[1], (p, q)
+
+    def test_each_parity_permutes_the_states(self):
+        for a in (0, 1):
+            assert sorted(row[a] for row in _PARITY_STEP) == [0, 1, 2]
+
+    def test_the_states_are_the_cosets_of_gamma0_2(self):
+        # F, C, X are the bottom rows (0, 1), (1, 0), (1, 1) of the word's
+        # continuant matrix mod 2, so right cosets of Gamma_0(2), which fixes
+        # a bottom row mod 2 up to its odd corner entry.
+        rows = {(0, 1): 0, (1, 0): 1, (1, 1): 2}
+        n = 0
+        for length in range(13):
+            for word in product((0, 1), repeat=length):
+                state, (x, y) = 0, (0, 1)
+                for a in word:
+                    state, x, y = _PARITY_STEP[state][a], (x * a + y) % 2, x
+                assert rows[x, y] == state, word
+                n += 1
+        assert n == 2**13 - 1
+        # No two states are equivalent: one entry of some parity gives them
+        # different carries, so the automaton is minimal.
+        for s, t in ((0, 1), (0, 2), (1, 2)):
+            assert any((_PARITY_STEP[s][a] == 2) != (_PARITY_STEP[t][a] == 2) for a in (0, 1))

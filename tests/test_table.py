@@ -1,12 +1,13 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import EXPECTED_TABLE
 from twobridge.cli import main
-from twobridge.knot import canonicalize, crossing_number, enumerate_knots
-from twobridge.solver import solve_many
+from twobridge.knot import _families, canonicalize, crossing_number, enumerate_knots
+from twobridge.solver import _solve, solve_many
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -120,6 +121,63 @@ def _corrupt(monkeypatch, victims):
     monkeypatch.setattr(table, "_solve", corrupt)
 
 
+# Rows 17..21 as README's CI section prints them, and row 22 as the per-knot
+# solve built it before rows were counted.
+LARGE_ROWS = {
+    17: (5504, {0: 694, 1: 1830, 2: 2277, 3: 619, 4: 84}),
+    18: (10965, {0: 923, 1: 3667, 2: 3965, 3: 2212, 4: 188, 5: 10}),
+    19: (21931, {0: 1767, 1: 5826, 2: 9207, 3: 4096, 4: 1023, 5: 12}),
+    20: (43776, {0: 2464, 1: 11200, 2: 15704, 3: 12069, 4: 2109, 5: 230}),
+    21: (87552, {0: 4521, 1: 17965, 2: 34269, 3: 21904, 4: 8429, 5: 452, 6: 12}),
+    22: (174933, {0: 6509, 1: 33437, 2: 57973, 3: 57263, 4: 16560, 5: 3155, 6: 36}),
+}
+
+
+class TestCount:
+    """Each row is counted over compositions (``table._carry_counts``), with
+    the palindromes corrected by their solve; these pin the count."""
+
+    def test_counted_rows_are_the_solved_tally_to_18(self):
+        for row in build_table(3, 18):
+            tally = {0: 0}
+            for fam in _families(row.c):
+                j = _solve(fam).value - row.c
+                tally[j] = tally.get(j, 0) + 1
+            assert row.offsets == tally, row.c
+
+    def test_rows_17_to_22(self):
+        rows = build_table(17, 22)
+        assert {r.c: (r.two_bridge_count, r.offsets) for r in rows} == LARGE_ROWS
+
+    def test_readme_prints_rows_17_to_21(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        for c, (n, offsets) in LARGE_ROWS.items():
+            if c < 22:
+                line = ",".join(map(str, [c, n, *offsets.values()]))
+                assert f"\n{line}\n" in readme or f"\n{line},0\n" in readme, c
+
+    def test_cross_check_catches_a_miscount(self, monkeypatch, tmp_path):
+        # One knot of row 7 counted one offset too high: the row keeps its
+        # size, so only the solved tally can tell.
+        import twobridge.table as table
+
+        real = table._carry_counts
+
+        def miscount(c_max):
+            counts = real(c_max)
+            counts[7][0] -= 2  # a knot with no palindromic b is counted twice
+            counts[7][1] = counts[7].get(1, 0) + 2
+            return counts
+
+        monkeypatch.setattr(table, "_carry_counts", miscount)
+        assert build_table(7, 7)[0].offsets == {0: 6, 1: 1}
+        with pytest.raises(RuntimeError, match="row 7 counts"):
+            build_table(3, 8, cross_check=True, cache_dir=tmp_path)
+        assert [table._cache_path(tmp_path, c).exists() for c in range(3, 9)] == [
+            True, True, True, True, False, False,
+        ]
+
+
 class TestCache:
     def test_write_then_read(self, tmp_path, monkeypatch):
         rows = build_table(5, 6, cache_dir=tmp_path)
@@ -193,16 +251,18 @@ class TestCache:
         assert path.read_text() == good
 
     def test_row_short_of_its_count_raises(self, tmp_path, monkeypatch):
-        # Row sizes come from the closed form, not the enumeration: a knot
-        # the enumeration drops leaves its row unwritten and raises.
+        # Row sizes come from the closed form, not the count: a knot the
+        # count drops leaves its row unwritten and raises.
         import twobridge.table as table
 
-        real, dropped = table._families, min(enumerate_knots(6))
+        real = table._carry_counts
 
-        def short(c):
-            return (fam for fam in real(c) if fam[0] != dropped)
+        def short(c_max):
+            counts = real(c_max)
+            counts[6][0] -= 2  # a knot with no palindromic b is counted twice
+            return counts
 
-        monkeypatch.setattr(table, "_families", short)
+        monkeypatch.setattr(table, "_carry_counts", short)
         with pytest.raises(RuntimeError, match="short"):
             build_table(5, 6, cache_dir=tmp_path)
         assert table._cache_path(tmp_path, 5).exists()
@@ -230,8 +290,9 @@ class TestCache:
 
 
 class TestSharedSweep:
-    """build_table solves each record once through the per-record solve that
-    c2 shares, and writes each row as it completes."""
+    """build_table counts each row it computes, solves only its palindromes
+    through the per-record solve that c2 shares, and writes each row as it
+    completes."""
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
         import twobridge.table as table
@@ -239,16 +300,21 @@ class TestSharedSweep:
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real, solved = table._solve, []
+        real_offsets, real_solve, counted, solved = table._offsets, table._solve, [], []
 
-        def recorded(fam):
-            solved.append(fam[0])
-            return real(fam)
+        def recount(c, *args):
+            counted.append(c)
+            return real_offsets(c, *args)
 
-        monkeypatch.setattr(table, "_solve", recorded)
+        def resolve(fam):
+            solved.append(fam[1])
+            return real_solve(fam)
+
+        monkeypatch.setattr(table, "_offsets", recount)
+        monkeypatch.setattr(table, "_solve", resolve)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
-        want = enumerate_knots(4) | enumerate_knots(6) | enumerate_knots(8)
-        assert sorted(solved) == sorted(want)
+        assert counted == [4, 6, 8]
+        assert sorted(solved) == [4, 6, 8, 8, 8]  # their palindromic knots alone
 
     def test_census_walks_no_knot(self, monkeypatch):
         # By Lemmas A and B the rungs decide every knot: the census walks no
@@ -263,21 +329,15 @@ class TestSharedSweep:
         ]
         assert searched == []
 
-    def test_stream_matches_solve_many(self, monkeypatch):
-        # The census hands each knot's four expansions straight to the rungs;
-        # its results, witnesses included, are those of solve_many.
-        import twobridge.table as table
-
-        real, got = table._solve, []
-
-        def recorded(fam, *args):
-            got.append((fam[0], real(fam, *args)))
-            return got[-1][1]
-
-        monkeypatch.setattr(table, "_solve", recorded)
-        build_table(3, 13)
-        assert len({k for k, _ in got}) == len(got)
-        assert dict(got) == solve_many(k for c in range(3, 14) for k in enumerate_knots(c))
+    def test_stream_matches_solve_many(self):
+        # The counted rows are the tally of c2 over every knot.
+        solved = solve_many(k for c in range(3, 14) for k in enumerate_knots(c))
+        for row in build_table(3, 13):
+            tally = {0: 0}
+            for k, res in solved.items():
+                if res.base_crossing == row.c:
+                    tally[res.value - row.c] = tally.get(res.value - row.c, 0) + 1
+            assert row.offsets == tally, row.c
 
     def test_interrupted_build_keeps_completed_rows(self, monkeypatch, tmp_path):
         import twobridge.table as table
