@@ -6,12 +6,12 @@ range, with CSV/JSON export and caching), render (SVG diagram of a Type A
 or B sequence), names (validate a name,p,q CSV and look names up).
 
 Exit codes: 0 success, 2 bad arguments or invalid input, 3 failed name
-lookup, 4 cross-check disagreement.  All output is deterministic.
+lookup, 4 a census check disagreed.  All output is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
 any work, naming that row's knot count.  Rows are counted, not solved knot
-by knot: a cold build of rows 3 to 21 took 0.03 s and 17 MiB in process on a
-2-vCPU Xeon VM (Python 3.11).
+by knot: a cold build of rows 3 to 21 took 0.008 s and 16 MiB in process on
+a 2-vCPU Xeon VM (Python 3.11).
 """
 
 from __future__ import annotations
@@ -319,6 +319,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             f" sweep gave {exc.oracle}",
             file=sys.stderr,
         )
+        return 4
+    except RuntimeError as exc:  # a census row missed its knot count or tally
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

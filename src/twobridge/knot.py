@@ -234,17 +234,6 @@ def _families(c: int) -> Iterator[_Family]:
                 yield fam
 
 
-def _palindromes(c: int) -> Iterator[list[int]]:
-    """The palindromic compositions b of c with first and last entry >= 2:
-    [c], and h + [mid] + reversed(h) with h[0] >= 2 and mid >= 1, or with
-    no middle entry (mid = 0).  About 2^(c/2) of them."""
-    yield [c]
-    for k in range(1, c // 2):  # sum(h) >= k + 1
-        for m, mid in _fills(c - 2, [1] * k, 2, 0):
-            h = [m[0] + 1, *m[1:]]
-            yield [*h, mid, *h[::-1]] if mid else [*h, *h[::-1]]
-
-
 def _knot_count(c: int) -> int:
     """How many knots :func:`enumerate_knots` gives at c >= 3, with no
     enumeration: the closed form of Ernst and Sumners (1987)."""

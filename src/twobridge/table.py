@@ -1,41 +1,32 @@
 """Census tables: how far the symmetric-diagram crossing count sits above the
 crossing number, tallied over :func:`twobridge.knot.enumerate_knots` per c.
 
-:func:`build_table` counts each row it has to compute instead of solving
-its knots.  Since Lemmas A and B (``solver``), a knot's c2 is c or its
-semi-even bound m, and m - c is the fewer carries of its two even slopes'
-positive expansions (``contfrac._semi_even_of``).  Write b = [a1, .., an]
-for a composition of c with a1, an >= 2, and p = K(a1..an), q = K(a2..an),
-r = K(a1..a(n-1)) for its continuants (``knot._family_of``):
+:func:`build_table` counts each row instead of solving its knots.  By
+Lemmas A and B (``solver``), c2 is c or the semi-even bound m, and m - c is
+the fewer carries of the two even slopes' positive expansions
+(``contfrac._semi_even_of``).  Write b = [a1, .., an] for a composition of c
+with a1, an >= 2, and p = K(a1..an), q = K(a2..an), r = K(a1..a(n-1)):
 
 - b names a knot when p is odd.  Its even slopes have the expansions b, or
   [1, a1 - 1, a2, .., an] when q is odd, and reversed(b), or
-  [1, an - 1, .., a1] when r is odd.  So m - c = min(X, Y), the carries of
-  those two.
-- q^2 = +-1 (mod p) exactly when the slope pairs {q, p - q} and
-  {r, p - r} meet.  Only r = q can, since the expansions of p - q and
-  p - r start with 1 and those of q and r do not, so exactly when
+  [1, an - 1, .., a1] when r is odd.  So m - c = min(X, Y), their carries.
+- q^2 = +-1 (mod p) exactly when the slope pairs {q, p - q} and {r, p - r}
+  meet, so (the expansions of p - q and p - r start with 1) exactly when
   reversed(b) = b.  A knot with no palindromic b has no Type B sequence,
-  so c2 = m, and it has exactly two such b: b and reversed(b), which give
-  the same min(X, Y).
-- The carries come from the parity table ``contfrac._PARITY_STEP``, and the
-  parities of p, q and r from the continuant matrix mod 2.  So a count over
-  compositions needs only the parity of each entry.  An entry of a given
-  parity is its least value plus any number of 2s, so counts by entry sum
-  come from prefix sums with step 2.
-- The run on [1, a1 - 1, ..] is the run on b from X instead of F.  Each
-  parity permutes the states, so the run on reversed(b), read from a1
-  back to an, is deterministic too: the count guesses its final state
-  and checks its start.
+  so c2 = m, and two such b, b and reversed(b), with one min(X, Y).
+- Lemma C: a knot's palindromic b = h + [centre] + reversed(h) has c2 = c
+  if its length and centre are odd, else c2 - c = X = Y (q = r).  Of its
+  eight candidates (``solver._candidates``) only b and
+  [1, a1 - 1, .., an - 1, 1] can be palindromes, with centres of one
+  parity, so only then is one Type B (Lemma B).  As b's continuant matrix
+  is M(h) A(centre) M(h)^T, p = P(h) * centre (mod 2), so that is odd c.
 
-:func:`_carry_counts` counts every b of each c by min(X, Y) in one dynamic
-program.  A row is then (that count, less the palindromes at their m - c)
-/ 2, plus the palindromes at the c2 - c of ``solver._solve``, the solve
-behind :func:`twobridge.solver.c2`.  Palindromic compositions number about
-2^(c/2) and are listed directly (``knot._palindromes``).  Each row's size
-is known apart from the count: the closed form of Ernst and Sumners,
-``knot._knot_count``.  A row is written only with that many knots, and a
-cached row is served only with that count.
+The carries follow ``contfrac._PARITY_STEP`` on the entries' parities, so
+:func:`_carry_counts` counts every b by min(X, Y), and every palindrome by
+X, in one dynamic program over the 72 states of :func:`_states`, numbered
+on first use.  A row is half that count, with each palindrome moved to its
+c2 - c and counted twice, so the census solves no knot, and it is written
+or read from the cache only with its Ernst-Sumners count (``_knot_count``).
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -46,14 +37,16 @@ same directory and renamed onto its path, so a reader never sees half a row.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 
 from .contfrac import _PARITY_STEP
-from .knot import TwoBridgeKnot, _families, _family_of, _knot_count, _palindromes
+from .knot import TwoBridgeKnot, _families, _knot_count
 from .solver import _solve, global_c2_map
 
 __all__ = [
@@ -157,78 +150,94 @@ def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-def _carry_counts(c_max: int) -> list[dict[int, int]]:
-    """[{j: how many compositions b of c with first and last entry >= 2 and
-    p odd have min(X, Y) = j} for c in 0..c_max], in one dynamic program;
-    the dicts below c = 3 are empty.
-
-    A prefix a1..ai is in state (M, f, y, gq, gr): M its continuant matrix
-    mod 2 as (p, r, q, s), f the state of the run that gives X after the
-    prefix, y the state of the run that gives Y before the prefix (that run
-    reads an first and a1 last), and gq, gr the guessed parities of q and
-    r, which pick the words: the run on b starts at F = 0, the run on
-    [1, a1 - 1, ..] at X = 2.  The empty prefix gives y any state, and the
-    last entry must bring it back to the start, 2 * gr.
-    The prefixes of each state are kept as one polynomial in the carries,
-    an int with the count of (X, Y) in the w bits at w * (X * w + Y)."""
+@functools.cache
+def _states() -> tuple[tuple, tuple]:
+    """(keys, steps): the 72 states (M, f, y, gq, gr) of :func:`_carry_counts`
+    from its 12 seeds, M in SL_2(F_2) and f, y fixed by M and the guesses,
+    and steps[a][i] = (next state, X carry, Y carry) after parity a."""
     step = _PARITY_STEP
-    back = {(step[s][a], a): s for s in range(3) for a in (0, 1)}
+    keys = [((1, 0, 0, 1), 2 * gq, e, gq, gr) for gq in (0, 1) for gr in (0, 1) for e in range(3)]
+    steps = ([], [])
+    for (p, r, q, s), f, y, gq, gr in keys:  # keys grows as states are found
+        for a in (0, 1):
+            key = ((p & a ^ r, p, q & a ^ s, q), step[f][a], [t[a] for t in step].index(y), gq, gr)
+            if key not in keys:
+                keys.append(key)
+            steps[a].append((keys.index(key), key[1] == 2, y == 2))
+    return tuple(keys), tuple(map(tuple, steps))
+
+
+def _carry_counts(c_max: int) -> list[dict[int, int]]:
+    """[{j: twice the number of knots with crossing number c and c2 - c = j}
+    for c in 0..c_max] (empty below c = 3), in one dynamic program.
+
+    A prefix a1..ai is in a state (M, f, y, gq, gr) of :func:`_states`: M
+    its continuant matrix mod 2 as (p, r, q, s), f the state of the run for
+    X after it, y the state of the run for Y (which reads an first, from a
+    guessed end) before it, and gq, gr the guessed parities of q and r: the
+    run on b starts at F = 0, the one on [1, a1 - 1, ..] at X = 2, and b's
+    last entry must bring y to 2 * gr.  Each state holds one int, its
+    prefixes by (X, Y) in the w bits at w * (X * w + Y).  With gr = gq a
+    prefix is also the h of h + [centre] + reversed(h): that run closes
+    when y is f after the centre, and X adds the centre's carry."""
+    keys, steps = _states()
     w = c_max + 1  # above every carry count and every count's bit length
+    moves = [[(i, w * w * dx + w * dy) for i, dx, dy in steps[a]] for a in (0, 1)]
+    zero = [0] * len(keys)
 
     def extend(layer, a, out):  # append an entry of parity a to each prefix
-        for ((p, r, q, s), f, y, gq, gr), poly in layer.items():
-            f1 = step[f][a]
-            key = ((p & a ^ r, p, q & a ^ s, q), f1, back[y, a], gq, gr)
-            poly <<= w * w * (f1 == 2) + w * (y == 2)
-            out[key] = out.get(key, 0) + poly
+        for poly, (i, shift) in zip(layer, moves[a]):
+            out[i] += poly << shift
 
-    # seed: the empty prefix for each guess; prefixes[s]: a1 >= 2, then
-    # entries >= 1, summing to s; ends[a][s]: prefixes[s - k] summed over the
-    # k of parity a from 2 - a on, so one more entry of parity a reaches s.
-    # Row s needs no layer below s - 2, so those are dropped.
-    seed = {
-        ((1, 0, 0, 1), 2 * gq, e, gq, gr): 1 for gq in (0, 1) for gr in (0, 1) for e in range(3)
-    }
-    prefixes, ends, counts = {}, ({}, {}), [{} for _ in range(c_max + 1)]
+    def unpack(poly):  # (X, Y, count) of each nonzero coefficient
+        for x in range(w):
+            if block := (poly >> w * w * x) & ((1 << w * w) - 1):
+                for y in range(w):
+                    if n := (block >> w * y) & ((1 << w) - 1):
+                        yield x, y, n
+
+    def closed(halves, t):  # the knots h + [an odd centre, if t] + reversed(h), X in X_h's bits
+        total = 0
+        for poly, ((p, r, q, s), f, y, gq, gr) in zip(halves, keys):
+            g = _PARITY_STEP[f][1] if t else f  # the run's state after the centre
+            pb, qb = (p, q & (p ^ r) ^ s & p) if t else (p ^ r, q & p ^ s & r)  # p, q of b
+            if poly and gq == gr and y == g and pb and qb == gq:
+                total += poly << w * w * (g == 2)
+        return total
+
+    # seed: the empty prefix; prefixes[s]: a1 >= 2, then entries >= 1,
+    # summing to s; ends[a][s]: prefixes[s - k] summed over the k of parity a
+    # from 2 - a on, so one more entry of parity a reaches s.  Row s needs no
+    # layer below s - 2, so those are dropped.  halves: h of sum <= s.
+    prefixes, ends, palindromes, counts = {}, ({}, {}), {}, [{} for _ in range(c_max + 1)]
+    seed = halves = [1] * 12 + zero[12:]
     for s in range(1, c_max + 1):
         for a in (0, 1):
-            ends[a][s] = end = dict(ends[a].get(s - 2, {}))
-            for key, poly in prefixes.get(s - 2 + a, {}).items():
-                end[key] = end.get(key, 0) + poly
-        prefixes[s] = {}
+            ends[a][s] = list(map(add, ends[a].get(s - 2, zero), prefixes.get(s - 2 + a, zero)))
+        prefixes[s] = layer = list(zero)
         if s > 1:
-            extend(seed, s % 2, prefixes[s])
+            extend(seed, s % 2, layer)
         for a in (0, 1):
-            extend(ends[a][s], a, prefixes[s])
+            extend(ends[a][s], a, layer)
+        if 2 * s <= c_max:
+            halves = list(map(add, halves, layer))
+            palindromes[2 * s], palindromes[2 * s + 1] = closed(layer, 0), closed(halves, 1)
         if s < 3:
             continue
-        last = {}
+        last = list(zero)
         for a, layer in ((s % 2, seed), (0, ends[0][s]), (1, ends[1][s - 2])):
             extend(layer, a, last)  # b = [s], then an even and an odd an >= 2
-        total = sum(
-            poly for ((p, r, q, _), _, y, gq, gr), poly in last.items()
-            if p and q == gq and r == gr and y == 2 * gr
-        )
-        for i in range(w * w):
-            if n := (total >> w * i) & ((1 << w) - 1):
-                j = min(divmod(i, w))
-                counts[s][j] = counts[s].get(j, 0) + n
+        total = sum(poly for poly, ((p, r, q, _), _, y, gq, gr) in zip(last, keys)
+                    if p and q == gq and r == gr and y == 2 * gr)
+        row = counts[s]
+        for x, y, n in unpack(total):
+            row[min(x, y)] = row.get(min(x, y), 0) + n
+        for x, y, n in unpack(palindromes[s]):  # each counted once above, at X
+            row[x + y] -= n
+            row[0 if s % 2 else x + y] += 2 * n  # Lemma C
         for layers in (prefixes, *ends):
             layers.pop(s - 2, None)
     return counts
-
-
-def _offsets(c: int, counted: dict[int, int]) -> dict[int, int]:
-    """Row c's offsets from its compositions counted by min(X, Y): each
-    knot with no palindromic b is counted twice, at c2 - c; a palindrome is
-    counted once, at m - c, and its c2 comes from the solve."""
-    twice = {0: 0, **counted}
-    for b in _palindromes(c):
-        if fam := _family_of(b):
-            res = _solve(fam)
-            for j, n in ((res.semi_even_bound - c, -1), (res.value - c, 2)):
-                twice[j] = twice.get(j, 0) + n
-    return {j: n // 2 for j, n in sorted(twice.items()) if n or not j}
 
 
 def build_table(
@@ -242,16 +251,15 @@ def build_table(
 
     Each row not read from the cache is counted (module docstring), from
     one count up to c_max made when the first such row is needed, and
-    written to the cache as soon as it is complete, so an interrupted build
-    keeps every row it completed.  A row whose count differs from its
-    Ernst-Sumners count raises RuntimeError and is not written.
+    written to the cache once complete, so an interrupted build keeps every
+    row it completed.  A row that misses its Ernst-Sumners count raises
+    RuntimeError and is not written.
 
-    With cross_check, every row is recomputed fresh (cache rows are not
-    trusted), and each of its knots is also solved and compared against the
-    independent global sweep; a disagreement raises CrossCheckError for the
-    least disagreeing knot of the least row that has one, once that row is
-    complete.  A row whose solved tally differs from its count raises
-    RuntimeError.  Only rows that agree are written.
+    With cross_check, the cache is not read, and each knot of each row is
+    also solved and compared against the independent global sweep: the
+    least disagreeing knot of the least row that has one raises
+    CrossCheckError, and a row whose solved tally differs from its count
+    raises RuntimeError.  Only rows that agree are written.
     """
     if not 3 <= c_min <= c_max:
         raise ValueError(f"need 3 <= c_min <= c_max, got {c_min}..{c_max}")
@@ -271,7 +279,7 @@ def build_table(
                 if bad:
                     raise CrossCheckError(*min(bad))
             counts = counts or _carry_counts(c_max)
-            offsets = _offsets(c, counts[c])
+            offsets = {j: n // 2 for j, n in sorted({0: 0, **counts[c]}.items()) if n or not j}
             if oracle is not None and tally != offsets:
                 raise RuntimeError(f"row {c} counts {offsets} but solves to {tally}")
             if (n := sum(offsets.values())) != (want := _knot_count(c)):

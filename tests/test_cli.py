@@ -234,6 +234,32 @@ class TestTable:
         assert code == 0
         assert out.splitlines()[-1] == "6,3,2,1,0,0"
 
+    @pytest.mark.parametrize(
+        "argv,moved,message",
+        [
+            ([], 0, "error: row 7 is over its knot count: 8 of 7"),
+            (["--cross-check"], 2, "error: row 7 counts {0: 6, 1: 1} but solves to {0: 7}"),
+        ],
+    )
+    def test_a_miscounted_row_is_exit_4(self, capsys, monkeypatch, argv, moved, message):
+        # A census check that disagrees ends in exit 4 and one line on
+        # stderr, not a traceback.  Row 7's knots are counted twice each.
+        import twobridge.table as table
+
+        real = table._carry_counts
+
+        def miscount(c_max):
+            counts = real(c_max)
+            counts[7][0] -= moved
+            counts[7][1] = 2
+            return counts
+
+        monkeypatch.setattr(table, "_carry_counts", miscount)
+        code, out, err = run(capsys, "table", "--min", "3", "--max", "8", *argv)
+        assert code == 4
+        assert out == ""
+        assert err == message + "\n"
+
 
 class TestRender:
     def test_writes_svg(self, capsys, tmp_path):

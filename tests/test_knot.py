@@ -11,7 +11,6 @@ from twobridge.knot import (
     _fills,
     _knot_count,
     _knot_key,
-    _palindromes,
     _positive_family,
     canonicalize,
     crossing_number,
@@ -234,6 +233,18 @@ class TestEnumerateKnots:
                 tuple(s.den for s in slopes),
                 [list(positive_expansion(s).entries) for s in slopes],
             )
+
+
+def _palindromes(c):
+    """The palindromic compositions b of c with first and last entry >= 2:
+    [c], and h + [mid] + reversed(h) with h[0] >= 2 and mid >= 1, or with
+    no middle entry (mid = 0).  About 2^(c/2) of them: the reference
+    enumeration for the census's palindrome count."""
+    yield [c]
+    for k in range(1, c // 2):  # sum(h) >= k + 1
+        for m, mid in _fills(c - 2, [1] * k, 2, 0):
+            h = [m[0] + 1, *m[1:]]
+            yield [*h, mid, *h[::-1]] if mid else [*h, *h[::-1]]
 
 
 class TestPalindromes:

@@ -48,6 +48,12 @@ same carries on the same slopes.  Each parity permutes the table's three
 states, and the state after a word is the bottom row of the word's
 continuant matrix mod 2, so the states are the three cosets of Gamma_0(2)
 in SL_2(Z) (the points of P^1(F_2)), and no two of them are equivalent.
+
+Lemma C: a palindromic composition b = h + [centre] + reversed(h) of c that
+names a knot has c2 - c = 0 when its length and centre are odd (a Type B
+root) and its carries X otherwise, with X = Y.  Its proof is in ``table``'s
+docstring, with the corollary that the first case is exactly odd c; both
+are checked against the solve on every palindromic knot with c <= 24.
 """
 
 import random
@@ -56,6 +62,7 @@ from math import gcd
 
 import pytest
 
+from test_knot import _palindromes
 from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
@@ -70,6 +77,7 @@ from twobridge.contfrac import (
 from twobridge.knot import (
     TwoBridgeKnot,
     _families,
+    _family_of,
     _knot_key,
     _positive_family,
     canonicalize,
@@ -840,3 +848,22 @@ class TestParityTable:
         # different carries, so the automaton is minimal.
         for s, t in ((0, 1), (0, 2), (1, 2)):
             assert any((_PARITY_STEP[s][a] == 2) != (_PARITY_STEP[t][a] == 2) for a in (0, 1))
+
+
+class TestLemmaC:
+    def test_every_palindromic_knot_to_24(self):
+        n = type_b = 0
+        for c in range(3, 25):
+            for b in _palindromes(c):
+                if not (fam := _family_of(b)):
+                    continue
+                k, _, slopes, family = fam
+                x, y = (_semi_even_of(family[j])[1] for j in (slopes[0] % 2, 2 + slopes[2] % 2))
+                odd = len(b) % 2 == 1 and b[len(b) // 2] % 2 == 1
+                res = _solve(fam)
+                assert x == y, b
+                assert res.value - c == (0 if odd else x), b
+                assert (_type_b_root(fam) is not None) == odd == (c % 2 == 1), b
+                n += 1
+                type_b += odd
+        assert (n, type_b) == (2_730, 1_365)

@@ -135,7 +135,7 @@ LARGE_ROWS = {
 
 class TestCount:
     """Each row is counted over compositions (``table._carry_counts``), with
-    the palindromes corrected by their solve; these pin the count."""
+    the palindromes moved by Lemma C; these pin the count."""
 
     def test_counted_rows_are_the_solved_tally_to_18(self):
         for row in build_table(3, 18):
@@ -155,6 +155,27 @@ class TestCount:
             if c < 22:
                 line = ",".join(map(str, [c, n, *offsets.values()]))
                 assert f"\n{line}\n" in readme or f"\n{line},0\n" in readme, c
+
+    def test_every_row_to_40_has_its_knot_count(self):
+        # Past the pinned rows, each counted row still meets its
+        # Ernst-Sumners size (build_table raises otherwise).
+        rows = build_table(3, 40)
+        assert rows[-1].two_bridge_count == 45_813_071_872
+        assert [r.c for r in rows] == list(range(3, 41))
+
+    def test_the_count_runs_over_72_numbered_states(self):
+        # The matrix mod 2 is one of the 6 of SL_2(F_2); f and y follow from
+        # it and the guesses, so the 12 seeds reach 6 * 2 * 2 * 3 states.
+        import twobridge.table as table
+
+        keys, steps = table._states()
+        assert len(keys) == len(set(keys)) == 72
+        assert {key[0] for key in keys} == {
+            (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0),
+        }
+        assert len({(m, gq, gr) for m, _, _, gq, gr in keys}) == 24
+        for a in (0, 1):
+            assert sorted(i for i, _, _ in steps[a]) == list(range(72))  # a permutation
 
     def test_cross_check_catches_a_miscount(self, monkeypatch, tmp_path):
         # One knot of row 7 counted one offset too high: the row keeps its
@@ -189,10 +210,10 @@ class TestCache:
         # Second pass must not recompute: make recomputation explode.
         import twobridge.table as table
 
-        def boom(fam, *args):
-            raise AssertionError(f"cache should have been used, not {fam[0]} solved")
+        def boom(c_max):
+            raise AssertionError(f"cache should have been used, not rows to {c_max} counted")
 
-        monkeypatch.setattr(table, "_solve", boom)
+        monkeypatch.setattr(table, "_carry_counts", boom)
         assert build_table(5, 6, cache_dir=tmp_path) == rows
 
     def test_failed_replace_leaves_previous_row(self, tmp_path, monkeypatch):
@@ -290,9 +311,8 @@ class TestCache:
 
 
 class TestSharedSweep:
-    """build_table counts each row it computes, solves only its palindromes
-    through the per-record solve that c2 shares, and writes each row as it
-    completes."""
+    """build_table counts each row it computes, solves no knot unless asked
+    to cross-check, and writes each row as it completes."""
 
     def test_cached_rows_are_not_solved(self, monkeypatch, tmp_path):
         import twobridge.table as table
@@ -300,21 +320,39 @@ class TestSharedSweep:
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real_offsets, real_solve, counted, solved = table._offsets, table._solve, [], []
+        real_write, real_solve, counted, solved = table._write_cached_row, table._solve, [], []
 
-        def recount(c, *args):
-            counted.append(c)
-            return real_offsets(c, *args)
+        def recount(cache_dir, row):
+            counted.append(row.c)
+            return real_write(cache_dir, row)
 
         def resolve(fam):
             solved.append(fam[1])
             return real_solve(fam)
 
-        monkeypatch.setattr(table, "_offsets", recount)
+        monkeypatch.setattr(table, "_write_cached_row", recount)
         monkeypatch.setattr(table, "_solve", resolve)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
         assert counted == [4, 6, 8]
-        assert sorted(solved) == [4, 6, 8, 8, 8]  # their palindromic knots alone
+        assert solved == []  # Lemma C counts the palindromes too
+
+    def test_census_solves_no_knot(self, monkeypatch):
+        import twobridge.solver as solver
+        import twobridge.table as table
+
+        solved, real = [], solver._solve
+
+        def spy(fam):
+            solved.append(fam)
+            return real(fam)
+
+        for module in (solver, table):
+            monkeypatch.setattr(module, "_solve", spy)
+        rows = build_table(3, 22)
+        assert {r.c: (r.two_bridge_count, r.offsets) for r in rows[14:]} == LARGE_ROWS
+        assert solved == []
+        build_table(3, 5, cross_check=True)  # the spy sees a solve when there is one
+        assert len(solved) == 4
 
     def test_census_walks_no_knot(self, monkeypatch):
         # By Lemmas A and B the rungs decide every knot: the census walks no
@@ -344,14 +382,14 @@ class TestSharedSweep:
 
         cold_dir, cut_dir = tmp_path / "cold", tmp_path / "cut"
         build_table(3, 12, cache_dir=cold_dir)
-        real = table._solve
+        real = table.os.replace
 
-        def cut(fam, *args):
-            if fam[1] == 12:
+        def cut(src, dst):  # interrupted while row 12 is being written
+            if Path(dst).name.startswith("c12."):
                 raise KeyboardInterrupt
-            return real(fam, *args)
+            return real(src, dst)
 
-        monkeypatch.setattr(table, "_solve", cut)
+        monkeypatch.setattr(table.os, "replace", cut)
         with pytest.raises(KeyboardInterrupt):
             build_table(3, 12, cache_dir=cut_dir)
         for c in range(3, 12):
