@@ -251,15 +251,6 @@ def _semi_even_of(b: list[int], free: bool = True) -> tuple[list[int], int]:
     return out, carries
 
 
-# The carry rule of :func:`_semi_even_of` on parities alone, the parity
-# table: _PARITY_STEP[s][a % 2] is the state after an entry a read in state
-# s, where 0 (F) is a free slot, 1 (C) a constrained one and 2 (X) a
-# constrained slot that reads x - 1 after a carry.  A run starts at F for an
-# odd numerator, and an entry carries exactly when it leads into X.  Each
-# parity permutes the states, so a run can be read backwards too.
-_PARITY_STEP = ((1, 1), (0, 2), (2, 0))
-
-
 def semi_even_expansion(r: Rational) -> ContinuedFraction:
     """Greedy expansion forcing even entries only where the shape needs them.
 

@@ -222,16 +222,6 @@ def _semi_even_pick(fam: _Family) -> tuple[int, ContinuedFraction]:
     return c + s, ContinuedFraction._trusted(tuple(e))
 
 
-def _bound_above(k: TwoBridgeKnot, c: int, m: int) -> int:
-    """m, checked to exceed c: at m = c(K) Step 1 decides the knot."""
-    if m <= c:
-        raise RuntimeError(
-            f"semi-even bound {m} for {k} does not exceed c={c}; "
-            "Step 1 must already decide this knot"
-        )
-    return m
-
-
 def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
     """The eight positive sequences of a knot's class, the search roots:
     each positive expansion of the four slopes (last entry >= 2) and its
@@ -273,9 +263,15 @@ def step1_check(k: TwoBridgeKnot) -> C2Result | None:
 
 def step2_bound(k: TwoBridgeKnot) -> int:
     """Semi-even upper bound m; meaningful once step1_check has failed.
-    Raises RuntimeError when m <= c(K)."""
+    Raises RuntimeError when m <= c(K): there Step 1 decides the knot."""
     res = c2(k)
-    return _bound_above(k, res.base_crossing, res.semi_even_bound)
+    c, m = res.base_crossing, res.semi_even_bound
+    if m <= c:
+        raise RuntimeError(
+            f"semi-even bound {m} for {k} does not exceed c={c}; "
+            "Step 1 must already decide this knot"
+        )
+    return m
 
 
 def _palindromic(k: TwoBridgeKnot) -> bool:

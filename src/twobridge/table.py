@@ -21,12 +21,13 @@ with a1, an >= 2, and p = K(a1..an), q = K(a2..an), r = K(a1..a(n-1)):
   parity, so only then is one Type B (Lemma B).  As b's continuant matrix
   is M(h) A(centre) M(h)^T, p = P(h) * centre (mod 2), so that is odd c.
 
-The carries follow ``contfrac._PARITY_STEP`` on the entries' parities, so
-:func:`_carry_counts` counts every b by min(X, Y), and every palindrome by
-X, in one dynamic program over the 72 states of :func:`_states`, numbered
-on first use.  A row is half that count, with each palindrome moved to its
-c2 - c and counted twice, so the census solves no knot, and it is written
-or read from the cache only with its Ernst-Sumners count (``_knot_count``).
+The carries depend on the entries' parities alone, so :func:`_carry_counts`
+counts every b by min(X, Y), and every palindrome by X, in one dynamic
+program over 12 states: the continuant matrix mod 2 and a guessed parity
+of q (:func:`_states`).  A row is half that count, with each palindrome
+moved to its c2 - c and counted twice, so the census solves no knot, and
+it is written or read from the cache only with its Ernst-Sumners count
+(``_knot_count``).
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from operator import add
 from pathlib import Path
 
-from .contfrac import _PARITY_STEP
 from .knot import TwoBridgeKnot, _families, _knot_count
 from .solver import _solve, global_c2_map
 
@@ -152,18 +152,18 @@ def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
 
 @functools.cache
 def _states() -> tuple[tuple, tuple]:
-    """(keys, steps): the 72 states (M, f, y, gq, gr) of :func:`_carry_counts`
-    from its 12 seeds, M in SL_2(F_2) and f, y fixed by M and the guesses,
-    and steps[a][i] = (next state, X carry, Y carry) after parity a."""
-    step = _PARITY_STEP
-    keys = [((1, 0, 0, 1), 2 * gq, e, gq, gr) for gq in (0, 1) for gr in (0, 1) for e in range(3)]
+    """(keys, steps): the 12 states (M, gq) of :func:`_carry_counts`, M in
+    SL_2(F_2) as (p, r, q, s), found from the seeds (I, 0) and (I, 1), and
+    steps[a][i] = (next state, X carry, Y carry) after parity a."""
+    keys = [((1, 0, 0, 1), gq) for gq in (0, 1)]
     steps = ([], [])
-    for (p, r, q, s), f, y, gq, gr in keys:  # keys grows as states are found
+    for (p, r, q, s), gq in keys:  # keys grows as states are found
+        x, y = q ^ gq & p, s ^ gq & r  # X's row, which a goes to (x * a + y, x)
         for a in (0, 1):
-            key = ((p & a ^ r, p, q & a ^ s, q), step[f][a], [t[a] for t in step].index(y), gq, gr)
+            key = (p & a ^ r, p, q & a ^ s, q), gq
             if key not in keys:
                 keys.append(key)
-            steps[a].append((keys.index(key), key[1] == 2, y == 2))
+            steps[a].append((keys.index(key), x & (y ^ a), r & p))
     return tuple(keys), tuple(map(tuple, steps))
 
 
@@ -171,15 +171,17 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
     """[{j: twice the number of knots with crossing number c and c2 - c = j}
     for c in 0..c_max] (empty below c = 3), in one dynamic program.
 
-    A prefix a1..ai is in a state (M, f, y, gq, gr) of :func:`_states`: M
-    its continuant matrix mod 2 as (p, r, q, s), f the state of the run for
-    X after it, y the state of the run for Y (which reads an first, from a
-    guessed end) before it, and gq, gr the guessed parities of q and r: the
-    run on b starts at F = 0, the one on [1, a1 - 1, ..] at X = 2, and b's
-    last entry must bring y to 2 * gr.  Each state holds one int, its
-    prefixes by (X, Y) in the w bits at w * (X * w + Y).  With gr = gq a
-    prefix is also the h of h + [centre] + reversed(h): that run closes
-    when y is f after the centre, and X adds the centre's carry."""
+    A prefix a1..ai is in a state (M, gq) of :func:`_states`: M its
+    continuant matrix mod 2 and gq the guessed parity of q, checked at b's
+    end.  A run's state F, C or X is a point (0, 1), (1, 0) or (1, 1) of
+    P^1(F_2), and an entry carries when it leads into X.  The run for X
+    reads b from F, or [1, a1 - 1, ..] from X when q is odd, so it is at
+    M's bottom row, or the sum of its rows.  The run for Y reads b
+    backwards and ends at F, an even slope's bottom row mod 2, so before
+    the prefix it is at (r, p), and at 2 * r where b ends, as p is odd.
+    Each state holds one int, its prefixes by (X, Y) in the w bits at
+    w * (X * w + Y).  A prefix is also the h of h + [centre] + reversed(h),
+    whose Y run retraces its X run: X = X_h + Y_h + the centre's carry."""
     keys, steps = _states()
     w = c_max + 1  # above every carry count and every count's bit length
     moves = [[(i, w * w * dx + w * dy) for i, dx, dy in steps[a]] for a in (0, 1)]
@@ -198,11 +200,10 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
 
     def closed(halves, t):  # the knots h + [an odd centre, if t] + reversed(h), X in X_h's bits
         total = 0
-        for poly, ((p, r, q, s), f, y, gq, gr) in zip(halves, keys):
-            g = _PARITY_STEP[f][1] if t else f  # the run's state after the centre
+        for poly, ((p, r, q, s), gq), (_, dx, _) in zip(halves, keys, steps[t]):
             pb, qb = (p, q & (p ^ r) ^ s & p) if t else (p ^ r, q & p ^ s & r)  # p, q of b
-            if poly and gq == gr and y == g and pb and qb == gq:
-                total += poly << w * w * (g == 2)
+            if pb and qb == gq:
+                total += poly << w * w * dx  # the odd centre's carry (with none, 0 as pb is odd)
         return total
 
     # seed: the empty prefix; prefixes[s]: a1 >= 2, then entries >= 1,
@@ -210,7 +211,7 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
     # from 2 - a on, so one more entry of parity a reaches s.  Row s needs no
     # layer below s - 2, so those are dropped.  halves: h of sum <= s.
     prefixes, ends, palindromes, counts = {}, ({}, {}), {}, [{} for _ in range(c_max + 1)]
-    seed = halves = [1] * 12 + zero[12:]
+    seed = halves = [1, 1] + zero[2:]
     for s in range(1, c_max + 1):
         for a in (0, 1):
             ends[a][s] = list(map(add, ends[a].get(s - 2, zero), prefixes.get(s - 2 + a, zero)))
@@ -227,8 +228,7 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
         last = list(zero)
         for a, layer in ((s % 2, seed), (0, ends[0][s]), (1, ends[1][s - 2])):
             extend(layer, a, last)  # b = [s], then an even and an odd an >= 2
-        total = sum(poly for poly, ((p, r, q, _), _, y, gq, gr) in zip(last, keys)
-                    if p and q == gq and r == gr and y == 2 * gr)
+        total = sum(poly for poly, ((p, _, q, _), gq) in zip(last, keys) if p and q == gq)
         row = counts[s]
         for x, y, n in unpack(total):
             row[min(x, y)] = row.get(min(x, y), 0) + n

@@ -43,11 +43,13 @@ the nearest-even Euclid that it replaced, kept here as its reference, and
 its crossing sum is c plus its carries, on every even slope of every knot
 with c <= 16 and on a seeded draw of slopes of both numerator parities.
 Its carries depend only on the parities of the entries: the parity table
-``contfrac._PARITY_STEP``, on which the census counts its rows, gives the
-same carries on the same slopes.  Each parity permutes the table's three
-states, and the state after a word is the bottom row of the word's
-continuant matrix mod 2, so the states are the three cosets of Gamma_0(2)
-in SL_2(Z) (the points of P^1(F_2)), and no two of them are equivalent.
+``_PARITY_STEP`` gives the same carries on the same slopes.  Each parity
+permutes the table's three states, and the state after a word is the
+bottom row of the word's continuant matrix mod 2, so the states are the
+three cosets of Gamma_0(2) in SL_2(Z) (the points of P^1(F_2)), and no two
+of them are equivalent.  The census counts its rows on the matrix mod 2
+alone (``table._states``): a run from X is at the sum of the matrix's rows
+(p, r) + (q, s), and a backward run that ends at F is at (r, p).
 
 Lemma C: a palindromic composition b = h + [centre] + reversed(h) of c that
 names a knot has c2 - c = 0 when its length and centre are odd (a Type B
@@ -66,7 +68,6 @@ from test_knot import _palindromes
 from twobridge.contfrac import (
     ContinuedFraction,
     ExpansionClass,
-    _PARITY_STEP,
     _eval_entries,
     _positive_entries,
     _semi_even_of,
@@ -96,6 +97,7 @@ from twobridge.solver import (
     c2,
     enumerate_type_ab,
 )
+from twobridge.table import _states
 
 
 def _nearest_even_entries(p, q):
@@ -803,8 +805,17 @@ class TestCarryRule:
         assert 0 < even < len(slopes)
 
 
+# The carry rule of :func:`_semi_even_of` on parities alone, the parity
+# table: _PARITY_STEP[s][a % 2] is the state after an entry a read in state
+# s, where 0 (F) is a free slot, 1 (C) a constrained one and 2 (X) a
+# constrained slot that reads x - 1 after a carry.  A run starts at F for an
+# odd numerator, and an entry carries exactly when it leads into X.  Each
+# parity permutes the states, so a run can be read backwards too.
+_PARITY_STEP = ((1, 1), (0, 2), (2, 0))
+
+
 def _table_carries(b, state=0):
-    """The carries of b by the parity table, from F (0) or C (1)."""
+    """The carries of b by the parity table, from F (0), C (1) or X (2)."""
     carries = 0
     for a in b:
         state = _PARITY_STEP[state][a % 2]
@@ -832,22 +843,45 @@ class TestParityTable:
 
     def test_the_states_are_the_cosets_of_gamma0_2(self):
         # F, C, X are the bottom rows (0, 1), (1, 0), (1, 1) of the word's
-        # continuant matrix mod 2, so right cosets of Gamma_0(2), which fixes
-        # a bottom row mod 2 up to its odd corner entry.
+        # continuant matrix [[p, r], [q, s]] mod 2, so right cosets of
+        # Gamma_0(2), which fixes a bottom row mod 2 up to its odd corner
+        # entry.  The census reads its other runs off that matrix too: the
+        # run from X is at (p + q, r + s), and the backward run (the word
+        # read from its last entry) that ends at F starts at (r, p).
         rows = {(0, 1): 0, (1, 0): 1, (1, 1): 2}
         n = 0
         for length in range(13):
             for word in product((0, 1), repeat=length):
-                state, (x, y) = 0, (0, 1)
+                f, x, y, (p, r, q, s) = 0, 2, 0, (1, 0, 0, 1)
                 for a in word:
-                    state, x, y = _PARITY_STEP[state][a], (x * a + y) % 2, x
-                assert rows[x, y] == state, word
+                    f, x = _PARITY_STEP[f][a], _PARITY_STEP[x][a]
+                    y = [t[a] for t in _PARITY_STEP].index(y)  # the state from which a leads to y
+                    p, r, q, s = (p * a + r) % 2, p, (q * a + s) % 2, q
+                assert (f, x, y) == (rows[q, s], rows[p ^ q, r ^ s], rows[r, p]), word
                 n += 1
         assert n == 2**13 - 1
         # No two states are equivalent: one entry of some parity gives them
         # different carries, so the automaton is minimal.
         for s, t in ((0, 1), (0, 2), (1, 2)):
             assert any((_PARITY_STEP[s][a] == 2) != (_PARITY_STEP[t][a] == 2) for a in (0, 1))
+
+    def test_the_census_steps_carry_as_the_table(self):
+        # table._states' steps, walked over a word from the seed (I, gq),
+        # give the carries of the run from F or X and of the backward run
+        # that ends at F.
+        _, steps = _states()
+        for length in range(11):
+            for word in product((0, 1), repeat=length):
+                y = 0
+                for a in word:
+                    y = [t[a] for t in _PARITY_STEP].index(y)
+                for gq in (0, 1):
+                    i, dx, dy = gq, 0, 0
+                    for a in word:
+                        i, x1, y1 = steps[a][i]
+                        dx, dy = dx + x1, dy + y1
+                    want = _table_carries(word, 2 * gq), _table_carries(word[::-1], y)
+                    assert (dx, dy) == want, (word, gq)
 
 
 class TestLemmaC:

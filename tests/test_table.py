@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -163,19 +164,31 @@ class TestCount:
         assert rows[-1].two_bridge_count == 45_813_071_872
         assert [r.c for r in rows] == list(range(3, 41))
 
-    def test_the_count_runs_over_72_numbered_states(self):
-        # The matrix mod 2 is one of the 6 of SL_2(F_2); f and y follow from
-        # it and the guesses, so the 12 seeds reach 6 * 2 * 2 * 3 states.
+    def test_the_count_runs_over_12_states(self):
+        # A state is the prefix's matrix mod 2, one of the 6 of SL_2(F_2),
+        # and the guessed parity of q: the 2 seeds reach 6 * 2 states.
         import twobridge.table as table
 
         keys, steps = table._states()
-        assert len(keys) == len(set(keys)) == 72
-        assert {key[0] for key in keys} == {
-            (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0),
+        assert len(keys) == len(set(keys)) == 12
+        assert set(keys) == {
+            (m, gq)
+            for m in ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0))
+            for gq in (0, 1)
         }
-        assert len({(m, gq, gr) for m, _, _, gq, gr in keys}) == 24
+        assert keys[:2] == (((1, 0, 0, 1), 0), ((1, 0, 0, 1), 1))
         for a in (0, 1):
-            assert sorted(i for i, _, _ in steps[a]) == list(range(72))  # a permutation
+            assert sorted(i for i, _, _ in steps[a]) == list(range(12))  # a permutation
+            assert all(keys[i][1] == keys[j][1] for j, (i, _, _) in enumerate(steps[a]))
+
+    def test_rows_23_to_60_keep_their_digest(self):
+        # Past the pinned rows only the Ernst-Sumners sizes checked the
+        # count; this pins every offset of rows 23..60 as counted today.
+        rows = build_table(23, 60)
+        text = json.dumps([r.to_json_dict() for r in rows]).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "960d1de65f4ede5a32ee577ac7e61c5db97bcb09ead6fa142aaa1d3d0c9b286b"
+        )
 
     def test_cross_check_catches_a_miscount(self, monkeypatch, tmp_path):
         # One knot of row 7 counted one offset too high: the row keeps its
