@@ -22,12 +22,17 @@ with a1, an >= 2, and p = K(a1..an), q = K(a2..an), r = K(a1..a(n-1)):
   is M(h) A(centre) M(h)^T, p = P(h) * centre (mod 2), so that is odd c.
 
 The carries depend on the entries' parities alone, so :func:`_carry_counts`
-counts every b by min(X, Y), and every palindrome by X, in one dynamic
-program over 12 states: the continuant matrix mod 2 and a guessed parity
-of q (:func:`_states`).  A row is half that count, with each palindrome
-moved to its c2 - c and counted twice, so the census solves no knot, and
-it is written or read from the cache only with its Ernst-Sumners count
-(``_knot_count``).
+counts every b by min(X, Y), and every palindrome by X, over 12 states: the
+continuant matrix mod 2 and a guessed parity of q (:func:`_states`).  With
+T_a their step matrix for an entry of parity a (u^dX v^dY where it carries)
+and e the seeds, an entry of parity a contributes x^(2 - a) / (1 - x^2) T_a
+and a1 >= 2, so the prefixes sum to F = e (x^2 T0 + x^3 T1) ((1 - x^2) I -
+x^2 T0 - x T1)^-1, whose layers obey f(s) = f(s - 2) (I + T0) +
+f(s - 1) T1 + [s = 2] e T0 + [s = 3] e T1.  The b, whose an >= 2 too, sum
+to F (I - x T1), read at the states with p odd and q = gq.  A row is half
+the count of its b, with each palindrome moved to its c2 - c and counted
+twice, so the census solves no knot, and it is written or read from the
+cache only with its Ernst-Sumners count (``_knot_count``).
 
 Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
 Bump it for any change to a row's counts or offsets, or to the row's JSON
@@ -181,7 +186,11 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
     the prefix it is at (r, p), and at 2 * r where b ends, as p is odd.
     Each state holds one int, its prefixes by (X, Y) in the w bits at
     w * (X * w + Y).  A prefix is also the h of h + [centre] + reversed(h),
-    whose Y run retraces its X run: X = X_h + Y_h + the centre's carry."""
+    whose Y run retraces its X run: X = X_h + Y_h + the centre's carry.
+
+    Raising an entry by 2 keeps its state and carries, which gives the
+    recurrence of the module docstring: before its T1 term a layer holds the
+    b of sum s, as no b ends in a 1."""
     keys, steps = _states()
     w = c_max + 1  # above every carry count and every count's bit length
     moves = [[(i, w * w * dx + w * dy) for i, dx, dy in steps[a]] for a in (0, 1)]
@@ -206,37 +215,27 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
                 total += poly << w * w * dx  # the odd centre's carry (with none, 0 as pb is odd)
         return total
 
-    # seed: the empty prefix; prefixes[s]: a1 >= 2, then entries >= 1,
-    # summing to s; ends[a][s]: prefixes[s - k] summed over the k of parity a
-    # from 2 - a on, so one more entry of parity a reaches s.  Row s needs no
-    # layer below s - 2, so those are dropped.  halves: h of sum <= s.
-    prefixes, ends, palindromes, counts = {}, ({}, {}), {}, [{} for _ in range(c_max + 1)]
+    # f2, f1: f(s - 2), f(s - 1); halves: the h of sum <= s, and the empty h.
     seed = halves = [1, 1] + zero[2:]
+    f2 = f1 = zero
+    palindromes, counts = {}, [{} for _ in range(c_max + 1)]
     for s in range(1, c_max + 1):
-        for a in (0, 1):
-            ends[a][s] = list(map(add, ends[a].get(s - 2, zero), prefixes.get(s - 2 + a, zero)))
-        prefixes[s] = layer = list(zero)
-        if s > 1:
+        layer = list(f2)
+        extend(f2, 0, layer)
+        if s in (2, 3):
             extend(seed, s % 2, layer)
-        for a in (0, 1):
-            extend(ends[a][s], a, layer)
+        total = sum(poly for poly, ((p, _, q, _), gq) in zip(layer, keys) if p and q == gq)
+        extend(f1, 1, layer)
+        f2, f1 = f1, layer
         if 2 * s <= c_max:
             halves = list(map(add, halves, layer))
             palindromes[2 * s], palindromes[2 * s + 1] = closed(layer, 0), closed(halves, 1)
-        if s < 3:
-            continue
-        last = list(zero)
-        for a, layer in ((s % 2, seed), (0, ends[0][s]), (1, ends[1][s - 2])):
-            extend(layer, a, last)  # b = [s], then an even and an odd an >= 2
-        total = sum(poly for poly, ((p, _, q, _), gq) in zip(last, keys) if p and q == gq)
         row = counts[s]
         for x, y, n in unpack(total):
             row[min(x, y)] = row.get(min(x, y), 0) + n
-        for x, y, n in unpack(palindromes[s]):  # each counted once above, at X
+        for x, y, n in unpack(palindromes.get(s, 0)):  # each counted once above, at X
             row[x + y] -= n
             row[0 if s % 2 else x + y] += 2 * n  # Lemma C
-        for layers in (prefixes, *ends):
-            layers.pop(s - 2, None)
     return counts
 
 

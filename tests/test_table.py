@@ -157,12 +157,13 @@ class TestCount:
                 line = ",".join(map(str, [c, n, *offsets.values()]))
                 assert f"\n{line}\n" in readme or f"\n{line},0\n" in readme, c
 
-    def test_every_row_to_40_has_its_knot_count(self):
+    def test_every_row_to_120_has_its_knot_count(self):
         # Past the pinned rows, each counted row still meets its
-        # Ernst-Sumners size (build_table raises otherwise).
-        rows = build_table(3, 40)
-        assert rows[-1].two_bridge_count == 45_813_071_872
-        assert [r.c for r in rows] == list(range(3, 41))
+        # Ernst-Sumners size (build_table raises otherwise), which shares
+        # no code with the count.
+        rows = build_table(3, 120)
+        assert rows[40 - 3].two_bridge_count == 45_813_071_872
+        assert [r.c for r in rows] == list(range(3, 121))
 
     def test_the_count_runs_over_12_states(self):
         # A state is the prefix's matrix mod 2, one of the 6 of SL_2(F_2),
