@@ -10,8 +10,8 @@ lookup, 4 a census check disagreed.  All output is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
 any work, naming that row's knot count.  Rows are counted, not solved knot
-by knot: a cold build of rows 3 to 21 took 0.002 s and 16 MiB in process on
-a 2-vCPU Xeon VM (Python 3.11).
+by knot: a cold build of rows 3 to 21 took 0.002 s, 0.004 s into a fresh
+cache, and 16 MiB in process on a 2-vCPU Xeon VM (Python 3.11).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .contfrac import (
 from .knot import TwoBridgeKnot, _knot_count, canonicalize
 from .render import layout, to_svg
 from .solver import c2
-from .table import CrossCheckError, build_table
+from .table import CrossCheckError, _rows_text, build_table
 
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
 
@@ -208,15 +208,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = build_table(
         args.min, args.max, cross_check=args.cross_check, cache_dir=cache_dir
     )
-    text = _table_csv(rows)
-    sys.stdout.write(text)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in rows], fh, indent=2)
-            fh.write("\n")
+    # Files first: a path that cannot be written is exit 2 with nothing on stdout.
+    for path, spell in ((args.csv, _table_csv), (args.json, _rows_text)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(spell(rows))
+    sys.stdout.write(_table_csv(rows))
     return 0
 
 

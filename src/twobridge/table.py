@@ -34,11 +34,12 @@ the count of its b, with each palindrome moved to its c2 - c and counted
 twice, so the census solves no knot, and it is written or read from the
 cache only with its Ernst-Sumners count (``_knot_count``).
 
-Rows can be cached one file per crossing number, keyed by ALGORITHM_VERSION.
-Bump it for any change to a row's counts or offsets, or to the row's JSON
-layout.  The cache stores no witnesses, so a change that alters only
-witnesses needs no bump.  A row file is written to a temporary name in the
-same directory and renamed onto its path, so a reader never sees half a row.
+Rows are cached in one file per directory, rows.v{ALGORITHM_VERSION}.json:
+the --json export of its rows, in ascending c.  Bump ALGORITHM_VERSION (2
+since the cache became one file) for any change to a row's counts or
+offsets, or to the file's layout; witnesses are not cached.  The file is
+written to a temporary name and renamed onto its path, so a reader never
+sees half a file, and a build that raises leaves the directory as it was.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ __all__ = [
     "build_table",
 ]
 
-ALGORITHM_VERSION = 1
+ALGORITHM_VERSION = 2
 
 
 class CrossCheckError(Exception):
@@ -118,38 +119,37 @@ def table_row(c: int) -> TableRow:
     return build_table(c, c)[0]
 
 
-def _cache_path(cache_dir: str | Path, c: int) -> Path:
-    return Path(cache_dir) / f"c{c}.v{ALGORITHM_VERSION}.json"
+def _cache_path(cache_dir: str | Path) -> Path:
+    return Path(cache_dir) / f"rows.v{ALGORITHM_VERSION}.json"
 
 
-def _row_text(row: TableRow) -> str:
-    """The row file's whole text: the one spelling a cached row may have."""
-    return json.dumps(row.to_json_dict(), indent=2) + "\n"
+def _rows_text(rows: list[TableRow]) -> str:
+    """The cache file's text, which is also the CLI's --json export."""
+    return json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
 
 
-def _read_cached_row(cache_dir: str | Path, c: int) -> TableRow | None:
-    path = _cache_path(cache_dir, c)
+def _read_cached_rows(cache_dir: str | Path) -> dict[int, TableRow]:
     try:
-        text = path.read_text(encoding="utf-8")
-        row = TableRow.from_json_dict(json.loads(text))
+        text = _cache_path(cache_dir).read_text(encoding="utf-8")
+        rows = [TableRow.from_json_dict(d) for d in json.loads(text)]
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
             RecursionError):
         # Unreadable, or valid JSON of another shape (offsets as a list, an
-        # infinite c, nesting too deep to parse): a miss, so the row is rebuilt.
-        return None
-    # int() takes true, 5.9 and "5" too: a row is served only if writing it
-    # back gives the same text, and only with the row's Ernst-Sumners count.
-    ok = row.c == c and row.two_bridge_count == _knot_count(c) and text == _row_text(row)
-    return row if ok else None
+        # infinite c, nesting too deep to parse): a miss, so its rows are rebuilt.
+        return {}
+    # int() takes true, 5.9 and "5" too: the file is used only if writing its
+    # rows back, in strictly ascending c, gives the same text.
+    ok = text == _rows_text(rows) and all(a.c < b.c for a, b in zip(rows, rows[1:]))
+    return {r.c: r for r in rows} if ok else {}
 
 
-def _write_cached_row(cache_dir: str | Path, row: TableRow) -> None:
-    path = _cache_path(cache_dir, row.c)
+def _write_cached_rows(cache_dir: str | Path, rows: list[TableRow]) -> None:
+    path = _cache_path(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_row_text(row))
+            fh.write(_rows_text(rows))
         os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
@@ -248,26 +248,26 @@ def build_table(
 ) -> list[TableRow]:
     """Rows for c_min..c_max inclusive.
 
-    Each row not read from the cache is counted (module docstring), from
-    one count up to c_max made when the first such row is needed, and
-    written to the cache once complete, so an interrupted build keeps every
-    row it completed.  A row that misses its Ernst-Sumners count raises
-    RuntimeError and is not written.
+    The cache file is read once, and a row served from it only with its
+    Ernst-Sumners count.  The other rows are counted (module docstring),
+    from one count up to c_max; if there are any, every row is merged into
+    the file, written once after the last row.  A row that misses its
+    Ernst-Sumners count raises RuntimeError.
 
-    With cross_check, the cache is not read, and each knot of each row is
+    With cross_check, no cached row is served, and each knot of each row is
     also solved and compared against the independent global sweep: the
     least disagreeing knot of the least row that has one raises
     CrossCheckError, and a row whose solved tally differs from its count
-    raises RuntimeError.  Only rows that agree are written.
+    raises RuntimeError.
     """
     if not 3 <= c_min <= c_max:
         raise ValueError(f"need 3 <= c_min <= c_max, got {c_min}..{c_max}")
     oracle = global_c2_map(c_max) if cross_check else None
-    read = cache_dir is not None and not cross_check
+    cached = _read_cached_rows(cache_dir) if cache_dir is not None else {}
     rows, counts = [], None
     for c in range(c_min, c_max + 1):
-        row = _read_cached_row(cache_dir, c) if read else None
-        if row is None:
+        row = cached.get(c)
+        if oracle is not None or row is None or row.two_bridge_count != _knot_count(c):
             if oracle is not None:
                 tally, bad = {0: 0}, []
                 for fam in _families(c):
@@ -285,7 +285,8 @@ def build_table(
                 side = "short of" if n < want else "over"
                 raise RuntimeError(f"row {c} is {side} its knot count: {n} of {want}")
             row = TableRow(c, n, offsets)
-            if cache_dir is not None:
-                _write_cached_row(cache_dir, row)
         rows.append(row)
+    if counts is not None and cache_dir is not None:
+        merged = cached | {r.c: r for r in rows}
+        _write_cached_rows(cache_dir, [merged[c] for c in sorted(merged)])
     return rows

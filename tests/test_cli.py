@@ -214,7 +214,26 @@ class TestTable:
             capsys, "table", "--min", "5", "--max", "5", "--cache-dir", str(tmp_path)
         )
         assert code == 0
-        assert any(p.suffix == ".json" for p in tmp_path.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.v2.json"]
+
+    def test_json_file_is_the_cache_file(self, capsys, tmp_path):
+        # One spelling of rows: the --json export is the cache file's text.
+        json_path = tmp_path / "t.json"
+        code, _, _ = run(
+            capsys, "table", "--min", "5", "--max", "8",
+            "--json", str(json_path), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == 0
+        assert json_path.read_bytes() == (tmp_path / "cache" / "rows.v2.json").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_export_is_exit_2_before_stdout(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "t.out"
+        code, out, err = run(capsys, "table", "--min", "3", "--max", "4", flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_cache_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         flag_dir = tmp_path / "flag"

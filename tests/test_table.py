@@ -204,30 +204,44 @@ class TestCount:
             counts[7][1] = counts[7].get(1, 0) + 2
             return counts
 
+        path = table._cache_path(tmp_path)
+        build_table(3, 4, cache_dir=tmp_path)
+        before = path.read_text()
         monkeypatch.setattr(table, "_carry_counts", miscount)
         assert build_table(7, 7)[0].offsets == {0: 6, 1: 1}
         with pytest.raises(RuntimeError, match="row 7 counts"):
             build_table(3, 8, cross_check=True, cache_dir=tmp_path)
-        assert [table._cache_path(tmp_path, c).exists() for c in range(3, 9)] == [
-            True, True, True, True, False, False,
-        ]
+        # Rows 3..6 agreed, but a build that raises writes nothing.
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def _json_rows(*rows: str) -> str:
+    """A cache file's text in its own spelling, one row per argument."""
+    return "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+def _json_row(c: int, count: int, offsets: dict[str, int]) -> str:
+    body = ",\n".join(f'      "{j}": {n}' for j, n in offsets.items())
+    return f'  {{\n    "c": {c},\n    "count": {count},\n    "offsets": {{\n{body}\n    }}\n  }}'
+
+
+def _must_not_count(c_max):
+    raise AssertionError(f"rows to {c_max} were counted, not read from the cache")
 
 
 class TestCache:
     def test_write_then_read(self, tmp_path, monkeypatch):
-        rows = build_table(5, 6, cache_dir=tmp_path)
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == [
-            f"c5.v{ALGORITHM_VERSION}.json",
-            f"c6.v{ALGORITHM_VERSION}.json",
-        ]
-        # Second pass must not recompute: make recomputation explode.
         import twobridge.table as table
 
-        def boom(c_max):
-            raise AssertionError(f"cache should have been used, not rows to {c_max} counted")
+        rows = build_table(5, 6, cache_dir=tmp_path)
+        path = tmp_path / f"rows.v{ALGORITHM_VERSION}.json"
+        assert list(tmp_path.iterdir()) == [path]
+        five, six = _json_row(5, 2, {"0": 2}), _json_row(6, 3, {"0": 2, "1": 1})
+        assert path.read_text() == _json_rows(five, six)
 
-        monkeypatch.setattr(table, "_carry_counts", boom)
+        # Second pass must not recompute: make recomputation explode.
+        monkeypatch.setattr(table, "_carry_counts", _must_not_count)
         assert build_table(5, 6, cache_dir=tmp_path) == rows
 
     def test_failed_replace_leaves_previous_row(self, tmp_path, monkeypatch):
@@ -238,7 +252,7 @@ class TestCache:
         def fail(src, dst):
             raise OSError("simulated crash before the rename")
 
-        path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
+        path = tmp_path / f"rows.v{ALGORITHM_VERSION}.json"
         monkeypatch.setattr(table.os, "replace", fail)
         with pytest.raises(OSError):
             build_table(5, 5, cache_dir=tmp_path)
@@ -249,7 +263,7 @@ class TestCache:
         before = path.read_text()
         monkeypatch.setattr(table.os, "replace", fail)
         with pytest.raises(OSError):
-            table._write_cached_row(tmp_path, TableRow(5, 3, {0: 3}))
+            build_table(5, 6, cache_dir=tmp_path)
         assert path.read_text() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -257,37 +271,41 @@ class TestCache:
         "text",
         [
             "{ not json",
-            '{"c": 5, "count": 2, "offsets": [2]}',
-            '{"c": 5, "count": 2, "offsets": null}',
+            '[{"c": 5, "count": 2, "offsets": [2]}]',
+            '[{"c": 5, "count": 2, "offsets": null}]',
             "[5, 2, {}]",
-            '{"c": Infinity, "count": 2, "offsets": {"0": 2}}',
+            '[{"c": Infinity, "count": 2, "offsets": {"0": 2}}]',
             "[" * 100_000,
-            '{"c": 5, "count": true, "offsets": {"0": true}}',
-            '{"c": 5.9, "count": 2.5, "offsets": {"0": 2.7}}',
-            '{"c": "5", "count": "2", "offsets": {"0": "2"}}',
-            '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 3,\n    "1": -1\n  }\n}\n',
-            '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 2,\n    "7": 0\n  }\n}\n',
-            '{\n  "c": 5,\n  "count": 3,\n  "offsets": {\n    "0": 3\n  }\n}\n',
+            '[{"c": 5, "count": true, "offsets": {"0": true}}]',
+            '[{"c": 5.9, "count": 2.5, "offsets": {"0": 2.7}}]',
+            '[{"c": "5", "count": "2", "offsets": {"0": "2"}}]',
+            _json_rows(_json_row(5, 2, {"0": 3, "1": -1})),
+            _json_rows(_json_row(5, 2, {"0": 2, "7": 0})),
+            _json_rows(_json_row(5, 3, {"0": 3})),
+            # A row file of ALGORITHM_VERSION 1, well-formed in its own layout.
+            '{\n  "c": 5,\n  "count": 2,\n  "offsets": {\n    "0": 2\n  }\n}\n',
+            _json_rows(_json_row(5, 2, {"0": 2})).replace("\n]", "\n"),
         ],
         ids=[
             "not-json", "offsets-list", "offsets-null", "top-level-list", "c-infinite", "too-deep",
             "booleans", "floats", "strings", "negative-count", "zero-count", "wrong-count",
+            "v1-row", "torn",
         ],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, text):
         build_table(5, 5, cache_dir=tmp_path)
-        path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
+        path = tmp_path / f"rows.v{ALGORITHM_VERSION}.json"
         good = path.read_text()
         path.write_text(text)
         rows = build_table(5, 5, cache_dir=tmp_path)
         assert rows[0].two_bridge_count == 2
         # and the bad file was replaced with a good one
-        assert json.loads(path.read_text())["c"] == 5
+        assert json.loads(path.read_text())[0]["c"] == 5
         assert path.read_text() == good
 
     def test_row_short_of_its_count_raises(self, tmp_path, monkeypatch):
         # Row sizes come from the closed form, not the count: a knot the
-        # count drops leaves its row unwritten and raises.
+        # count drops raises, and the build writes no row.
         import twobridge.table as table
 
         real = table._carry_counts
@@ -297,31 +315,99 @@ class TestCache:
             counts[6][0] -= 2  # a knot with no palindromic b is counted twice
             return counts
 
+        path = table._cache_path(tmp_path)
+        build_table(3, 4, cache_dir=tmp_path)
+        before = path.read_text()
         monkeypatch.setattr(table, "_carry_counts", short)
         with pytest.raises(RuntimeError, match="short"):
             build_table(5, 6, cache_dir=tmp_path)
-        assert table._cache_path(tmp_path, 5).exists()
-        assert not table._cache_path(tmp_path, 6).exists()
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
 
-    def test_mismatched_cache_content_is_ignored(self, tmp_path):
-        build_table(5, 5, cache_dir=tmp_path)
-        path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
-        blob = json.loads(path.read_text())
-        blob["c"] = 7  # file claims a different crossing number
-        path.write_text(json.dumps(blob))
-        rows = build_table(5, 5, cache_dir=tmp_path)
-        assert rows[0].c == 5
-        assert rows[0].two_bridge_count == 2
+    def test_mismatched_cache_content_is_ignored(self, tmp_path, monkeypatch):
+        # Every row well-formed, but c not strictly ascending: the whole
+        # file is a miss, row 6 included.
+        import twobridge.table as table
+
+        build_table(5, 6, cache_dir=tmp_path)
+        path = table._cache_path(tmp_path)
+        good = path.read_text()
+        five, six = _json_row(5, 2, {"0": 2}), _json_row(6, 3, {"0": 2, "1": 1})
+        real, counted = table._carry_counts, []
+
+        def spy(c_max):
+            counted.append(c_max)
+            return real(c_max)
+
+        monkeypatch.setattr(table, "_carry_counts", spy)
+        for text in (_json_rows(six, five), _json_rows(five, five, six)):
+            path.write_text(text)
+            rows = build_table(6, 6, cache_dir=tmp_path)
+            assert rows == [TableRow(6, 3, {0: 2, 1: 1})]
+            assert path.read_text() == _json_rows(six)
+        assert counted == [6, 6]
+        assert good == _json_rows(five, six)
 
     def test_cross_check_bypasses_cache_read(self, tmp_path):
-        build_table(5, 5, cache_dir=tmp_path)
-        path = tmp_path / f"c5.v{ALGORITHM_VERSION}.json"
-        blob = json.loads(path.read_text())
-        blob["count"] = 999
-        blob["offsets"] = {"0": 999}
-        path.write_text(json.dumps(blob))
-        rows = build_table(5, 5, cross_check=True, cache_dir=tmp_path)
-        assert rows[0].two_bridge_count == 2
+        import twobridge.table as table
+
+        build_table(5, 6, cache_dir=tmp_path)
+        path = table._cache_path(tmp_path)
+        # Row 6 tampered to keep its knot count: only the cross-check can tell.
+        rows = json.loads(path.read_text())
+        rows[1]["offsets"] = {"0": 3}
+        path.write_text(json.dumps(rows, indent=2) + "\n")
+        assert build_table(6, 6, cache_dir=tmp_path)[0].offsets == {0: 3}
+        rows = build_table(5, 6, cross_check=True, cache_dir=tmp_path)
+        assert [r.offsets for r in rows] == [{0: 2}, {0: 2, 1: 1}]
+        assert path.read_text() == table._rows_text(rows)
+
+    def test_cold_build_replaces_once(self, tmp_path, monkeypatch):
+        import twobridge.table as table
+
+        real, renamed = table.os.replace, []
+
+        def spy(src, dst):
+            renamed.append(Path(dst).name)
+            return real(src, dst)
+
+        monkeypatch.setattr(table.os, "replace", spy)
+        cold = build_table(3, 16, cache_dir=tmp_path / "cache")
+        assert renamed == ["rows.v2.json"]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["rows.v2.json"]
+        assert cold == build_table(3, 16)
+
+    def test_warm_build_counts_and_writes_nothing(self, tmp_path, monkeypatch):
+        import twobridge.table as table
+
+        cold = build_table(3, 16, cache_dir=tmp_path)
+
+        def no_write(src, dst):
+            raise AssertionError(f"a warm build wrote {dst}")
+
+        monkeypatch.setattr(table, "_carry_counts", _must_not_count)
+        monkeypatch.setattr(table.os, "replace", no_write)
+        assert build_table(3, 16, cache_dir=tmp_path) == cold
+
+    def test_rows_outside_the_range_are_not_checked(self, tmp_path, monkeypatch):
+        # A cached row far past the range is kept but never sized: its
+        # Ernst-Sumners count would have about 300,000 digits.
+        import twobridge.table as table
+
+        rows = [*build_table(3, 8), TableRow(10**6, 1, {0: 1})]
+        path = table._cache_path(tmp_path)
+        path.write_text(table._rows_text(rows))
+        real, sized = table._knot_count, []
+
+        def spy(c):
+            sized.append(c)
+            return real(c)
+
+        monkeypatch.setattr(table, "_knot_count", spy)
+        monkeypatch.setattr(table, "_carry_counts", _must_not_count)
+        assert build_table(3, 8, cache_dir=tmp_path) == rows[:-1]
+        assert sized == list(range(3, 9))
+        assert path.read_text() == table._rows_text(rows)
 
 
 class TestSharedSweep:
@@ -334,20 +420,22 @@ class TestSharedSweep:
         cold = build_table(4, 8)
         build_table(5, 5, cache_dir=tmp_path)
         build_table(7, 7, cache_dir=tmp_path)
-        real_write, real_solve, counted, solved = table._write_cached_row, table._solve, [], []
+        assert [r["c"] for r in json.loads(table._cache_path(tmp_path).read_text())] == [5, 7]
+        real_count, real_solve, solved = table._carry_counts, table._solve, []
 
-        def recount(cache_dir, row):
-            counted.append(row.c)
-            return real_write(cache_dir, row)
+        def recount(c_max):  # rows 5 and 7 come from the file, or the build raises
+            counts = real_count(c_max)
+            counts[5] = counts[7] = None
+            return counts
 
         def resolve(fam):
             solved.append(fam[1])
             return real_solve(fam)
 
-        monkeypatch.setattr(table, "_write_cached_row", recount)
+        monkeypatch.setattr(table, "_carry_counts", recount)
         monkeypatch.setattr(table, "_solve", resolve)
         assert build_table(4, 8, cache_dir=tmp_path) == cold
-        assert counted == [4, 6, 8]
+        assert table._cache_path(tmp_path).read_text() == table._rows_text(cold)
         assert solved == []  # Lemma C counts the palindromes too
 
     def test_census_solves_no_knot(self, monkeypatch):
@@ -392,22 +480,23 @@ class TestSharedSweep:
             assert row.offsets == tally, row.c
 
     def test_interrupted_build_keeps_completed_rows(self, monkeypatch, tmp_path):
+        # The file the last finished build wrote survives a build cut while
+        # it writes, byte for byte, with no temporary file left behind.
         import twobridge.table as table
 
-        cold_dir, cut_dir = tmp_path / "cold", tmp_path / "cut"
-        build_table(3, 12, cache_dir=cold_dir)
+        cold = build_table(3, 8, cache_dir=tmp_path)
+        path = table._cache_path(tmp_path)
+        before = path.read_text()
         real = table.os.replace
 
-        def cut(src, dst):  # interrupted while row 12 is being written
-            if Path(dst).name.startswith("c12."):
-                raise KeyboardInterrupt
-            return real(src, dst)
+        def cut(src, dst):  # interrupted while rows 3..12 are being written
+            raise KeyboardInterrupt
 
         monkeypatch.setattr(table.os, "replace", cut)
         with pytest.raises(KeyboardInterrupt):
-            build_table(3, 12, cache_dir=cut_dir)
-        for c in range(3, 12):
-            want = table._cache_path(cold_dir, c).read_text()
-            assert table._cache_path(cut_dir, c).read_text() == want
-        assert not table._cache_path(cut_dir, 12).exists()
-        assert not list(cut_dir.glob("*.tmp"))
+            build_table(3, 12, cache_dir=tmp_path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+        monkeypatch.setattr(table.os, "replace", real)
+        monkeypatch.setattr(table, "_carry_counts", _must_not_count)
+        assert build_table(3, 8, cache_dir=tmp_path) == cold
