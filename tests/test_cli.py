@@ -4,7 +4,7 @@ import time
 import pytest
 
 from svgcheck import crossing_groups, symmetry_defect
-from twobridge.cli import main
+from twobridge.cli import _build_parser, main
 
 EXPECTED_3_12 = """\
 c,count,plus0,plus1,plus2,plus3
@@ -404,6 +404,32 @@ class TestNames:
 class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    # main reuses one parser per process; no call may leave state for the next.
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_help_twice_is_the_same(self, capsys):
+        first, second = run(capsys, "--help"), run(capsys, "--help")
+        assert first[0] == 0
+        assert first[1].startswith("usage: twobridge ")
+        assert second == first
+
+    def test_usage_error_then_a_good_call(self, capsys):
+        code, out, err = run(capsys, "table", "--min", "3")
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: --max" in err
+        code, out, _ = run(capsys, "table", "--min", "3", "--max", "8")
+        assert code == 0
+        assert out == "".join(EXPECTED_3_12.splitlines(keepends=True)[:7])
+
+    def test_csv_path_does_not_carry_over(self, capsys, tmp_path):
+        csv_path = tmp_path / "t.csv"
+        argv = ["table", "--min", "3", "--max", "5"]
+        assert run(capsys, *argv, "--csv", str(csv_path))[0] == 0
+        csv_path.unlink()
+        assert run(capsys, *argv)[0] == 0
+        assert not csv_path.exists()
 
     def test_no_command(self, capsys):
         assert main([]) == 2

@@ -102,7 +102,10 @@ class TestBuildTable:
             build_table(6, 7, cross_check=True)
         assert exc.value.knot == six
         assert main(["table", "--min", "6", "--max", "7", "--cross-check"]) == 4
-        assert f"cross-check failed at {six}:" in capsys.readouterr().err
+        # The stepwise solve, corrupted to report c2 + 1, against the sweep.
+        assert capsys.readouterr().err == (
+            "cross-check failed at K(13,8): stepwise gave 8, sweep gave 7\n"
+        )
 
 
 def _corrupt(monkeypatch, victims):
