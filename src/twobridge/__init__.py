@@ -8,10 +8,12 @@ diagrams.  All arithmetic is exact integer work; the library has no
 floats.
 """
 
-from . import contfrac, knot, render, solver, table
+from . import contfrac, knot, oracle, render, search, solver, table
 from .contfrac import *
 from .knot import *
+from .oracle import *
 from .render import *
+from .search import *
 from .solver import *
 from .table import *
 
@@ -20,6 +22,8 @@ __version__ = "0.1.0"
 __all__ = []
 __all__ += contfrac.__all__
 __all__ += knot.__all__
+__all__ += oracle.__all__
 __all__ += render.__all__
+__all__ += search.__all__
 __all__ += solver.__all__
 __all__ += table.__all__

@@ -316,11 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:
-        print(
-            f"cross-check failed at {exc.knot}: stepwise gave {exc.direct},"
-            f" sweep gave {exc.oracle}",
-            file=sys.stderr,
-        )
+        print(exc, file=sys.stderr)
         return 4
     except RuntimeError as exc:  # a census row missed its knot count or tally
         print(f"error: {exc}", file=sys.stderr)

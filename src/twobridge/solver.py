@@ -16,12 +16,14 @@ Two rungs decide c2, by Lemmas A and B below:
    Lemma B no Type B sequence reaches a knot that Step 1 leaves.
 
 The paper's Step 3, a search of the totals between c and m, survives as
-:func:`search_at`, the search at one total t; no :func:`c2` result carries
-METHOD_SEARCH.  Each knot travels as one record, ``knot._Family`` = (k, c,
+``search.search_at``, the search at one total t, and the independent
+oracle ``oracle.global_c2_map`` sweeps every total; this module imports
+neither.  Each knot travels as one record, ``knot._Family`` = (k, c,
 slopes, family): c, the slope residues and their positive expansions (the
 Step1 candidates and search roots), read off one Euclid run or, in the
 census, one composition.  One solve, ``_solve``, serves :func:`c2`,
-:func:`solve_many` and the census.
+:func:`solve_many` and the census's ``cross_check``; the census itself
+counts its rows and solves no knot.
 
 Lemma A.  No Type A sequence into the class of an even slope p/r has a
 smaller crossing sum than the semi-even expansion [a1, b1, .., an, bn] of
@@ -91,79 +93,33 @@ mirror); M(x) = M(w) S_z M(w)^T, with M([a]) = S_a = [[a, 1], [1, 0]].
    u' [a2 - 1, 1, a2 - 1] rev(u') for u = u' [a2].  Zeros merge as in 1,
    or leave [0, 1, 0] or [1, -1, 1], no knot.  The result, 0, 2 or 4
    crossings below the base, is a positive odd palindrome with an odd
-   centre, so one of the eight (see below).  ``tests/test_lemmas.py``
+   centre, so one of the eight: a value's positive sequences are its
+   Euclid expansion and its trailing-1 variant.  ``tests/test_lemmas.py``
    checks each case.
-
-The per-knot search of :func:`search_at` turns that around.  Take a hit x
-at t = c + d with a positive first entry (its negation names the mirror,
-the same knot).  Apply the move at its first sign change,
-with its merges, again and again: each step removes at least one crossing,
-so after at most d steps no sign change is left, and what is left is a
-positive sequence of the knot's class with crossing sum c.  The positive
-sequences of a value p/r are its Euclid expansion and the trailing-1
-variant, so it is one of the eight of :func:`_candidates`.  ``_preimages`` undoes
-one such step exactly, at every cost: every x it yields maps back, and
-every preimage is yielded once.  So the hits at t are the Type A / Type B
-sequences among the preimages of the eight candidates that lie d crossings
-up.  For fixed d their number is polynomial in c, where a sweep's grows
-exponentially in t.  Each is evaluated before it counts, and the least
-under ``_order_key``, which reproduces :func:`enumerate_type_ab` order, is
-the answer.  The walk prunes what cannot be Type A: a later step keeps the
-entries after the first sign change in place counted from the right, and
-Type A fixes the parity of every other one of them.  Where Type B cannot
-hit, a preimage that spends all the crossings left is a leaf, and it is
-built only if it is Type A, which a few parities of its node decide.  One
-:func:`search_at` call walks at most ``_SEARCH_LIMIT`` sequences: once it
-holds more than it may still walk, it raises SearchBudgetExceeded with its
-total and the proven bracket c <= c2 <= m.
-
-The sweep serves only :func:`global_c2_map`, the independent oracle.  It
-skips sequences with a negative first entry, whose negations come earlier
-(+ sorts before -) and name the mirror, and probes each value with one int
-lookup of a slope residue q, p - q, q^-1 or p - q^-1 (see :func:`_sweep`).
-A Type A counter step sets the signs of all but the last two entries and
-then probes the sign pairs of those two in product order, + first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice, product
 from typing import Iterable, Iterator
 
-from .contfrac import (
-    ContinuedFraction,
-    ExpansionClass,
-    _eval_entries,
-    _semi_even_of,
-    _shape,
-)
-from .knot import TwoBridgeKnot, _Family, _families, _fills, _positive_family
+from .contfrac import ContinuedFraction, ExpansionClass, _semi_even_of, _shape
+from .knot import TwoBridgeKnot, _Family, _positive_family
 
 __all__ = [
     "METHOD_STEP1",
     "METHOD_STEP2",
-    "METHOD_SEARCH",
     "METHOD_EXHAUSTED",
     "C2Result",
-    "SearchBudgetExceeded",
     "step1_check",
     "step2_bound",
-    "enumerate_type_ab",
-    "search_at",
     "c2",
     "solve_many",
-    "global_c2_map",
 ]
 
 METHOD_STEP1 = "Step1"
 METHOD_STEP2 = "Step2"
-METHOD_SEARCH = "Search"
 METHOD_EXHAUSTED = "ExhaustedToBound"
-
-# Work ceiling of one search_at call: sequences built by the per-knot search.
-_SEARCH_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -188,15 +144,6 @@ class C2Result:
                 f"inconsistent result: c={self.base_crossing}, "
                 f"value={self.value}, bound={self.semi_even_bound}"
             )
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """:func:`search_at` reached its work ceiling at the crossing total t;
-    the message names t and the proven bracket c <= c2 <= m."""
-
-    def __init__(self, knot: TwoBridgeKnot, c: int, m: int, t: int):
-        super().__init__(f"search of {knot} at t={t} passed the search limit: {c} <= c2 <= {m}")
-        self.knot, self.c, self.m, self.t = knot, c, m, t
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +180,10 @@ def _candidates(family: list[list[int]]) -> Iterator[list[int]]:
 
 def _solve(fam: _Family) -> C2Result:
     """The knot's result from its record, the one solve behind :func:`c2`,
-    :func:`solve_many` and the census: the Step1 or Step2 result, or else
-    ExhaustedToBound at the semi-even bound m with its witness, which by
-    Lemmas A and B (module docstring) no sequence below m beats.
+    :func:`solve_many` and the census's cross_check: the Step1 or Step2
+    result, or else ExhaustedToBound at the semi-even bound m with its
+    witness, which by Lemmas A and B (module docstring) no sequence below m
+    beats.
 
     Step1's Type A case is m = c, with the pick's witness.  m is c plus the
     fewer carries, and an even slope's positive expansion b takes no carry
@@ -292,382 +240,6 @@ def _type_b_root(fam: _Family) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of Type A / Type B sequences by crossing sum
-
-
-def _type_a_magnitudes(total: int) -> Iterator[tuple[int, ...]]:
-    """Magnitude patterns of Type A sequences with the given crossing sum.
-
-    Even length; odd positions carry any magnitude >= 1, even positions an
-    even magnitude >= 2.  Ordered by length, then lexicographically.
-    """
-    for n in range(2, 2 * total // 3 + 1, 2):  # least sum of length n: 3n/2
-        for m, rest in _fills(total, [1 + j % 2 for j in range(n - 1)], 1, 2):
-            if rest % 2 == 0:  # the last slot is an even position
-                yield (*m, rest)
-
-
-def _type_b_halves(total: int) -> Iterator[tuple[int, ...]]:
-    """Half patterns (m_1 .. m_h) of Type B palindromes, center last.
-
-    Non-center magnitudes count twice, the center once and must be odd, so
-    these exist only for odd totals.  Ordered by length, then lexicographically.
-    """
-    for h in range(1, (total + 1) // 2 + 1) if total % 2 else ():
-        for m, rest in _fills(total, [1] * (h - 1), 2, 1):
-            yield (*m, rest)
-
-
-def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
-    """Every signed sequence with crossing sum t that classify_type accepts,
-    each exactly once.
-
-    Deterministic order: all Type A sequences, then all Type B; within a class
-    ascending length, magnitude tuples lexicographically, then sign vectors
-    with + before - scanning left to right (Type B signs are chosen on the
-    first half and mirrored).
-    """
-    if t < 1:
-        raise ValueError(f"crossing sum must be >= 1, got {t}")
-    for mag in _type_a_magnitudes(t):
-        for signs in product((1, -1), repeat=len(mag)):
-            yield ContinuedFraction._trusted(tuple(s * m for s, m in zip(signs, mag)))
-    for half in _type_b_halves(t):
-        for signs in product((1, -1), repeat=len(half)):
-            head = tuple(s * m for s, m in zip(signs, half))
-            yield ContinuedFraction._trusted(head + head[-2::-1])
-
-
-@lru_cache
-def _sign_steps(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """The sign vectors of a pattern of length n with a + first entry, as
-    steps.
-
-    The heads, signs of slots 0 .. n - 2, come in product order (+ before -):
-    each prefix is extended by + and then by -.  Step (i, signs, lasts) turns
-    the previous head into the next one: i is the first slot that differs,
-    signs are the new signs of slots i .. n - 2, and lasts are the signs that
-    the last slot takes, + first.  The Type A sweep asks for n - 1 slots of
-    its n: lasts then sign the slot before its last.
-    """
-    if n == 1:  # the one entry is the first
-        return ((0, (), (1,)),)
-    # (i, signs of slots i .. j) for each head of slots 0 .. j: + keeps i, and
-    # the - head after it differs from it first at j.
-    heads = [(0, (1,))]
-    for j in range(1, n - 1):
-        heads = [h for i, signs in heads for h in ((i, signs + (1,)), (j, (-1,)))]
-    return tuple((i, signs, (1, -1)) for i, signs in heads)
-
-
-def _residue_lookup(slopes: Iterable[tuple[int, ...]]) -> dict[int, dict[int, tuple]]:
-    """{p: {r: slopes}}: each knot's slope residues as its record holds them,
-    canonical q first, each mapped to the tuple in a row at p = q + (p - q).
-    They are closed under negation and inversion, so -den, den^-1 and
-    -den^-1 (mod p) name the same knot as den: a sweep may probe with any."""
-    lookup: dict[int, dict[int, tuple]] = {}
-    for s in slopes:
-        lookup.setdefault(s[0] + s[1], {}).update(dict.fromkeys(s, s))
-    return lookup
-
-
-def _take(lookup: dict[int, dict[int, tuple]], p: int, r: int) -> tuple[int, int]:
-    """The key (p, q) of the residues at lookup[p][r], q the first of them,
-    once they, and their row if it runs empty, have left lookup."""
-    row = lookup[p]
-    slopes = row[r]
-    for s in slopes:
-        row.pop(s, None)
-    if not row:
-        del lookup[p]
-    return p, slopes[0]
-
-
-def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
-    """(key, sequence, class) at each key's first hit: among the sequences
-    with crossing sum t and a positive first entry, in :func:`enumerate_type_ab`
-    order, the first whose value num/den probes key = lookup[|num|][r].  The
-    key's residues then leave lookup, and its row once empty; the sweep ends
-    when lookup is empty.
-
-    r is taken only when lookup has a row at |num|.  A Type A sequence
-    P_n/Q_n probes r = P_(n-1) mod |num|, the numerator of its head a[:-1]:
-    P_n Q_(n-1) - P_(n-1) Q_n = +-1 makes it +-den^-1, which names the same
-    knot as den, so the Type A path keeps no denominators.  A Type B
-    palindrome, evaluated from its half h as M(h) M(h[:-1])^T, has a
-    symmetric matrix and probes r = den mod |num|.
-
-    The signs of each pattern come from :func:`_sign_steps`, and the prefix
-    continuants are kept, so a step from slot i recomputes only the prefixes
-    from i on.  A Type A step covers the last two slots: its head a[:-2] comes
-    from ``_sign_steps(n - 1)``, each sign of a[-2] gives K(a[:-1]) off the
-    head's continuants, and both signs of a[-1] are probed inline, in
-    product order; a[-2:] is written only on a hit.  A Type B step reads
-    each sign of its centre off the continuants of its head a[:-1].
-    """
-    A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
-    for mag in _type_a_magnitudes(t):
-        a, n, y, x = list(mag), len(mag), mag[-2], mag[-1]
-        P = [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
-        for i, signs, ys in _sign_steps(n - 1):
-            for j, s in enumerate(signs, i):
-                a[j] = v = s * mag[j]
-                P[j + 2] = v * P[j + 1] + P[j]
-            p1, p0 = P[n - 1], P[n - 2]
-            for s in ys:
-                h = s * y * p1 + p0  # K(a[:-1])
-                u = x * h
-                num = abs(u + p1)
-                if num in lookup and (r := h % num) in lookup[num]:
-                    a[-2:] = s * y, x
-                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
-                    if not lookup:
-                        return
-                num = abs(u - p1)
-                if num in lookup and (r := h % num) in lookup[num]:
-                    a[-2:] = s * y, -x
-                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
-                    if not lookup:
-                        return
-    for mag in _type_b_halves(t):
-        a, n, last = list(mag), len(mag), mag[-1]
-        # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
-        P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-        for i, signs, lasts in _sign_steps(n):
-            for j, s in enumerate(signs, i):
-                a[j] = x = s * mag[j]
-                P[j + 2] = x * P[j + 1] + P[j]
-                Q[j + 2] = x * Q[j + 1] + Q[j]
-            p1, p0, q1, q0 = P[n], P[n - 1], Q[n], Q[n - 1]
-            for s in lasts:
-                x = s * last
-                num = abs(p1 * (x * p1 + 2 * p0))
-                if num in lookup and (r := ((x * q1 + q0) * p1 + q1 * p0) % num) in lookup[num]:
-                    a[-1] = x
-                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a + a[-2::-1])), B
-                    if not lookup:
-                        return
-
-
-# ---------------------------------------------------------------------------
-# Per-knot search: the preimages of the eight positive sequences
-
-
-def _negated(entries: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-a for a in entries)
-
-
-def _unstack(stack: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The head L + (a,) of a preimage [L, a, -b, ..], L positive, from the
-    positive entries that its move leaves before b - 1: those are L + (a - 1,
-    1) when a >= 2, or L[:-1] + (l + 1,), merged from [.., l, 0, 1], when a =
-    1.  None for (1,): a = 1 with L empty is the leading case."""
-    if stack[-1] > 1:
-        return stack[:-1] + (stack[-1] - 1, 1)
-    return stack[:-2] + (stack[-2] + 1,) if len(stack) > 1 else None
-
-
-def _pairs(room: int) -> Iterator[tuple[int, ...]]:
-    """Every (s_1, .., s_k), k >= 0, of positive entries with 2 * sum <= room:
-    the entries that cancel in pairs when a merge leaves another zero.
-
-    Lexicographic order, a prefix first: the walk appends a 1 while room is
-    left, else drops the last entry and raises the one before it."""
-    tops, free = [], room
-    yield ()
-    while True:
-        if free >= 2:
-            tops.append(1)
-        elif len(tops) < 2:
-            return
-        else:
-            free += 2 * tops.pop()
-            tops[-1] += 1
-        free -= 2
-        yield tuple(tops)
-
-
-def _preimages(
-    y: tuple[int, ...], room: int, a_only: bool
-) -> Iterator[tuple[int, ...]]:
-    """Every x with a positive first entry that the move at its first sign
-    change, with the zero merges it leaves, carries to y or -y, at a cost of
-    crossing_sum(x) - crossing_sum(y) <= room crossings.
-
-    The move turns x = L + [a, -b] + R, L positive, into [L, a - 1, 1, b - 1,
-    -R].  A zero at a - 1 merges into L (or, with L empty, leaves a leading
-    [0, 1, ..] that drops the 1); a zero at b - 1 merges the entries on its
-    two sides, again while they cancel, until one survives, R runs out (the
-    trailing rule drops the entry left of the zero) or the left side does (the
-    leading rule drops the entry right of it).  Each x is yielded once and
-    maps back to y, so preimages of distinct sequences never meet.
-
-    With a_only, only the x that can still lead to a Type A sequence are
-    yielded.  Counted from the right, a Type A sequence has an even entry at
-    every odd place.  Every later move keeps in place, counted from the
-    right, the entries after the first negative y[j] of y (y[j] too, unless
-    the move costs 3 or more), and x keeps those after the y[i] it merges
-    into.  So y[low:], low the least index that qualifies, must cover both.
-
-    An x of cost room is a leaf, and with a_only it is yielded only if it
-    is Type A, which parities of y decide before it is built.  Most such x
-    put two odd entries side by side around their -1.  The others rewrite
-    y[i - 1] and y[i], or, when y[i - 1] = 1, y[i - 2 .. i] (the
-    b >= 2 case at cost 1; the b = 1 merge of s = 1 into v = y[i], at cost
-    1 or, for v < 0, 3), or y[0] (the leading case at cost 2).  Its length
-    is n +- 1, so n must be odd.  The entries after the rewritten ones keep
-    their places, which low covers; those before them move by one place,
-    so they hold no odd entry at an odd index: they end at most at hi, the
-    first such index (n if none).  The rewritten entries that land on odd
-    places must be even:
-      - b >= 2, y[i - 1] > 1: x has [y[i - 1] - 1, 1, -1 - y[i]], so n - i,
-        y[i] and y[i - 1] are odd;
-      - b >= 2, y[i - 1] = 1: x has [y[i - 2] + 1, -1 - y[i]], so y[i] is
-        odd if n - i is odd, and y[i - 2] is odd if n - i is even;
-      - the merge: x has [y[i - 1] + 1, -1, 1 - v], so n - i, v and
-        y[i - 1] are odd;
-      - the leading case: x starts [1, -1 - y[0]], so y[0] is odd.
-    """
-    n = len(y)
-    if a_only and room == 1 and n % 2 == 0:  # every x has length n +- 1
-        return
-    j = next((i for i, a in enumerate(y) if a < 0), n)  # y[:j] is positive
-    low, hi = 0, n
-    if a_only:
-        low = next((i + 1 for i in range(n - 1, -1, -2) if y[i] % 2), 0)
-        if low > (j if room < 3 else j + 1):
-            return
-        hi = next((i for i in range(1, n, 2) if y[i] % 2), n)
-    # b >= 2: y = stack + [b - 1] + (-R), cost 1.
-    for i in range(max(1, low - 1), j):
-        if a_only and room == 1 and not (
-            y[i - 1] > 1 and (n - i) % 2 and y[i] % 2 and y[i - 1] % 2 and i - 1 <= hi
-            or y[i - 1] == 1 and y[i if (n - i) % 2 else i - 2] % 2 and i - 2 <= hi
-        ):
-            continue
-        head = _unstack(y[:i])
-        if head:
-            yield head + (-1 - y[i],) + _negated(y[i + 1:])
-    # a = 1 with L empty and b >= 2: [0, 1, b - 1, -R] names the knot of [b - 1, -R].
-    if room >= 2 and low <= 1 and (room > 2 or not a_only or n % 2 and y[0] % 2):
-        yield (1, -1 - y[0]) + _negated(y[1:])
-    # b = 1: the entries tops = (s_1, .., s_k) cancel against the top of the
-    # stack first, then the zero ends in one of three ways.  The first is a
-    # merge s + q = v into y[i] (or, at i = 0, into -y[0], the result then
-    # being negated), at cost s + |q| - |v|.
-    merges = [(i, y) for i in range(max(0, low - 1), min(j + 1, n))]
-    if low <= 1:
-        merges.append((0, _negated(y)))
-    for tops in _pairs(room - 1):
-        spent = 1 + 2 * sum(tops)
-        rest = room - spent
-        stacked = tops[::-1]
-        for i, z in merges:
-            v = z[i]
-            top = max(v, 0) + rest // 2
-            if a_only and not rest:
-                top = 0 if tops else min(top, 1)
-            for s in range(1, top + 1):
-                cost = spent + s + abs(v - s) - abs(v)
-                if s == v or a_only and cost == room and (
-                    tops or s > 1
-                    or not (n % 2 and (n - i) % 2 and v % 2 and z[i - 1] % 2 and i - 1 <= hi)
-                ):
-                    continue
-                head = _unstack(z[:i] + (s,) + stacked)
-                if head:
-                    yield head + (-1,) + tops + (s - v,) + _negated(z[i + 1:])
-        last = rest if a_only else rest + 1  # the three below end in odd neighbours
-        # R runs out: the trailing rule drops the entry x above y.
-        if j == n:
-            for x in range(1, last):
-                yield _unstack(y + (x,) + stacked) + (-1,) + tops
-        # The stack runs out: the leading rule drops the entry x before +-y.
-        head = _unstack(stacked) if tops and not low else None
-        for x in range(1, last if head else 1):
-            for sx, z in product((x, -x), (y, _negated(y))):
-                yield head + (-1,) + tops + (-sx,) + _negated(z)
-    # a = 1 with L empty and b = 1: [0, 1, 0, -x, +-y] names the knot of +-y.
-    if not low:
-        for x in range(1, room - 2 if a_only else room - 1):
-            for sx, z in product((x, -x), (y, _negated(y))):
-                yield (1, -1, -sx) + _negated(z)
-
-
-def _order_key(entries: tuple[int, ...], cls: ExpansionClass) -> tuple:
-    """:func:`enumerate_type_ab` order as a sort key: class A before B, then
-    length, then magnitudes, then signs with + first; a Type B sequence is
-    compared by its half, centre last."""
-    if cls is ExpansionClass.TYPE_B:
-        entries = entries[: len(entries) // 2 + 1]
-    return (
-        cls is ExpansionClass.TYPE_B,
-        len(entries),
-        tuple(abs(a) for a in entries),
-        tuple(a < 0 for a in entries),
-    )
-
-
-def _least_hit(
-    fam: _Family, t: int, m: int, work: list[int]
-) -> tuple[tuple[int, ...], ExpansionClass] | None:
-    """(entries, class) of the first sequence in :func:`enumerate_type_ab`
-    order at crossing sum t that evaluates into the class of fam's knot, or None.
-
-    The hits are the preimages, t - c crossings up, of the eight positive
-    sequences of :func:`_candidates` under :func:`_preimages` (see the
-    module docstring).
-    The tree is walked depth first; each sequence taken from it costs one
-    unit of work[0].  A stack longer than the work left raises
-    SearchBudgetExceeded with t and c <= c2 <= m, so none is built longer.
-    Type B needs an odd t and, by Lemma B, a knot with a Type B positive
-    sequence (:func:`_type_b_root`); otherwise the walk asks
-    :func:`_preimages` for the Type A ones only.
-    """
-    k, c, slopes, family = fam
-    if t < c:
-        return None
-    a_only = t % 2 == 0 or not _type_b_root(fam)
-    residues = set(slopes)
-    todo = list({tuple(e) for e in _candidates(family)})
-    best = None
-    while todo:
-        if len(todo) > work[0]:
-            raise SearchBudgetExceeded(k, c, m, t)
-        work[0] -= 1
-        y = todo.pop()
-        room = t - sum(map(abs, y))
-        if room:
-            todo.extend(islice(_preimages(y, room, a_only), work[0] - len(todo) + 1))
-            continue
-        cls = _shape(y)
-        if cls is ExpansionClass.NEITHER:
-            continue
-        num, den = _eval_entries(y)
-        if abs(num) == k.p and den % k.p in residues:
-            key = _order_key(y, cls)
-            if best is None or key < best[0]:
-                best = key, y, cls
-    return best and best[1:]
-
-
-def search_at(k: TwoBridgeKnot, t: int) -> ContinuedFraction | None:
-    """First sequence in enumeration order at crossing sum t that evaluates
-    into k's slope class, or None.  Raises SearchBudgetExceeded, naming t,
-    past the search's work ceiling.
-
-    A t below m gets None with no walk when it is even or the knot has no
-    Type B sequence (:func:`_type_b_root`): by Lemma A no Type A sequence
-    and by Lemma B no Type B one can hit there."""
-    fam = _positive_family(k)
-    m = _semi_even_pick(fam)[0]
-    if t < m and (t % 2 == 0 or not _type_b_root(fam)):
-        return None
-    hit = _least_hit(fam, t, m, [_SEARCH_LIMIT])
-    return hit and ContinuedFraction._trusted(hit[0])
-
-
-# ---------------------------------------------------------------------------
 # Full solves
 
 
@@ -680,39 +252,3 @@ def c2(k: TwoBridgeKnot) -> C2Result:
     """Least crossing sum over Type A / Type B sequences representing k:
     the one solve, ``_solve``, on k's record, with no search."""
     return _solve(_positive_family(k))
-
-
-def global_c2_map(
-    max_crossing: int,
-) -> dict[TwoBridgeKnot, tuple[int, ContinuedFraction]]:
-    """Independent cross-check: sweep t = 1, 2, 3, ... over the full
-    enumeration and record the first t at which each knot appears.
-
-    Uses only enumeration, evaluation, and the slope-class lookup, none of
-    the stepwise machinery, so agreement with :func:`c2` is meaningful.
-    Returns {knot: (t, first witness)} for every knot with crossing number up
-    to max_crossing.  Every knot is found by the time t reaches its semi-even
-    bound m (that expansion is itself an enumerated Type A sequence); a knot
-    first hit past its m, or left when t passes the largest m, would be an
-    implementation bug and raises.
-    """
-    if max_crossing < 3:
-        raise ValueError(f"max_crossing must be >= 3, got {max_crossing}")
-    targets: dict[tuple[int, int], tuple[TwoBridgeKnot, int, tuple]] = {}
-    for c in range(3, max_crossing + 1):
-        for fam in _families(c):
-            k, slopes = fam[0], fam[2]
-            targets[(k.p, k.q)] = (k, _semi_even_pick(fam)[0], slopes)
-
-    lookup = _residue_lookup(slopes for *_, slopes in targets.values())
-    found: dict[TwoBridgeKnot, tuple[int, ContinuedFraction]] = {}
-    net = max(m for _, m, _ in targets.values())
-    for t in range(1, net + 1):
-        for key, cf, _ in _sweep(t, lookup):
-            k, m, _ = targets[key]
-            if t > m:
-                raise RuntimeError(f"{k} first hit at t={t}, past its semi-even bound {m}")
-            found[k] = (t, cf)
-        if not lookup:
-            return found
-    raise RuntimeError(f"enumeration passed every pending bound ({net}) without a hit")

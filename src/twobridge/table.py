@@ -53,7 +53,8 @@ from operator import add
 from pathlib import Path
 
 from .knot import TwoBridgeKnot, _families, _knot_count
-from .solver import _solve, global_c2_map
+from .oracle import global_c2_map
+from .solver import _solve
 
 __all__ = [
     "ALGORITHM_VERSION",
@@ -74,7 +75,7 @@ class CrossCheckError(Exception):
         self.direct = direct
         self.oracle = oracle
         super().__init__(
-            f"cross-check failed for {knot}: stepwise {direct}, global sweep {oracle}"
+            f"cross-check failed at {knot}: stepwise gave {direct}, sweep gave {oracle}"
         )
 
 

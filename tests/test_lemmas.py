@@ -83,6 +83,7 @@ from twobridge.knot import (
     _positive_family,
     canonicalize,
 )
+from twobridge.oracle import _type_b_halves, enumerate_type_ab
 from twobridge.solver import (
     METHOD_EXHAUSTED,
     METHOD_STEP1,
@@ -92,10 +93,8 @@ from twobridge.solver import (
     _palindromic,
     _semi_even_pick,
     _solve,
-    _type_b_halves,
     _type_b_root,
     c2,
-    enumerate_type_ab,
 )
 from twobridge.table import _states
 

@@ -12,7 +12,7 @@ import pytest
 import twobridge
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ["contfrac", "knot", "render", "solver", "table"]
+MODULES = ["contfrac", "knot", "oracle", "render", "search", "solver", "table"]
 
 PUBLIC = [
     "ALGORITHM_VERSION",
@@ -22,7 +22,6 @@ PUBLIC = [
     "DiagramLayout",
     "ExpansionClass",
     "METHOD_EXHAUSTED",
-    "METHOD_SEARCH",
     "METHOD_STEP1",
     "METHOD_STEP2",
     "Rational",
@@ -95,6 +94,41 @@ def test_module_all_names_are_defined_in_that_module(module):
     mod = _module(module)
     missing = set(mod.__all__) - _top_level_names(mod)
     assert not missing, f"{module}.__all__ lists names it does not define: {sorted(missing)}"
+
+
+# What each module of the solve may import from its siblings: c2 never
+# sweeps or searches, and the oracle shares no rung or search code.
+BOUNDARIES = {
+    "solver": {"oracle": set(), "search": set(), "table": set()},
+    "search": {"oracle": set(), "solver": {"_candidates", "_semi_even_pick", "_type_b_root"}},
+    "oracle": {"search": set(), "solver": {"_semi_even_pick"}},
+}
+
+
+def _sibling_imports(module):
+    """{sibling: names} over the imports of twobridge/<module>.py from the
+    package, relative or absolute; "*" stands for a whole module."""
+    tree = ast.parse(Path(_module(module).__file__).read_text(encoding="utf-8"))
+    got = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("twobridge."):
+                    got.setdefault(alias.name.split(".")[1], set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            path = "." * node.level + (node.module or "")
+            if node.level == 1 or path.startswith("twobridge"):
+                base = path.removeprefix("twobridge").removeprefix(".")
+                for alias in node.names:
+                    sibling, name = (base, alias.name) if base else (alias.name, "*")
+                    got.setdefault(sibling, set()).add(name)
+    return got
+
+
+@pytest.mark.parametrize("module", sorted(BOUNDARIES))
+def test_module_imports_only_its_share_of_the_solve(module):
+    got = _sibling_imports(module)
+    assert {m: got.get(m, set()) for m in BOUNDARIES[module]} == BOUNDARIES[module]
 
 
 def test_version_matches_pyproject():

@@ -28,27 +28,25 @@ from twobridge.knot import (
     enumerate_knots,
     fraction_to_knot,
 )
-from twobridge.solver import (
-    _candidates,
-    _order_key,
-    _pairs,
-    _preimages,
+from twobridge.oracle import (
     _residue_lookup,
-    _semi_even_pick,
     _sign_steps,
-    _solve,
     _sweep,
     _type_a_magnitudes,
     _type_b_halves,
+    enumerate_type_ab,
+    global_c2_map,
+)
+from twobridge.search import _order_key, _pairs, _preimages, SearchBudgetExceeded, search_at
+from twobridge.solver import (
+    _candidates,
+    _semi_even_pick,
+    _solve,
     METHOD_EXHAUSTED,
     METHOD_STEP1,
     METHOD_STEP2,
     C2Result,
-    SearchBudgetExceeded,
     c2,
-    enumerate_type_ab,
-    global_c2_map,
-    search_at,
     solve_many,
     step1_check,
     step2_bound,
@@ -569,21 +567,21 @@ class TestC2:
             assert batched[k] == c2(k)
 
     def test_c2_and_search_at_never_sweep(self, monkeypatch):
-        import twobridge.solver as solver
+        import twobridge.oracle as oracle
 
         def no_sweep(*args):
             raise AssertionError("swept")
 
-        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        monkeypatch.setattr(oracle, "_sweep", no_sweep)
         assert c2(canonicalize(65, 18)).method == METHOD_EXHAUSTED
         assert search_at(canonicalize(13, 5), 7).entries == (1, 2, -2, -2)
 
     def test_search_limit(self, monkeypatch):
         # K(65,18) has c = 10 and m = 12; its search at 12 takes 16
         # sequences, and 3 are too few for it.  c2 runs no search.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
+        monkeypatch.setattr(search, "_SEARCH_LIMIT", 3)
         k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
             search_at(k, 12)
@@ -595,9 +593,9 @@ class TestC2:
     def test_search_limit_bounds_the_preimages(self, monkeypatch):
         # The stack never grows past the work left: one node's preimages
         # are not all built before the limit is checked.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
-        real, built = solver._preimages, [0]
+        real, built = search._preimages, [0]
 
         def counted(*args):
             for x in real(*args):
@@ -605,8 +603,8 @@ class TestC2:
                 assert built[0] <= 10_000, "preimages built past the limit"
                 yield x
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 1_000)
-        monkeypatch.setattr(solver, "_preimages", counted)
+        monkeypatch.setattr(search, "_SEARCH_LIMIT", 1_000)
+        monkeypatch.setattr(search, "_preimages", counted)
         with pytest.raises(SearchBudgetExceeded):
             search_at(canonicalize(13, 5), 80)
 
@@ -697,6 +695,7 @@ class TestC2:
         # A knot's slope residues are read once, off its record: the rungs,
         # the batch lookup, the census and the oracle make no _slopes call.
         import twobridge.knot as knot
+        import twobridge.oracle as oracle
         import twobridge.solver as solver
         from twobridge.table import build_table
 
@@ -708,7 +707,8 @@ class TestC2:
 
         knots = [k for c in range(3, 11) for k in enumerate_knots(c)]
         monkeypatch.setattr(knot, "_slopes", counted_slopes)
-        assert not hasattr(solver, "_slopes")  # every call goes through knot
+        for module in (solver, oracle):
+            assert not hasattr(module, "_slopes")  # every call goes through knot
         results = solve_many(knots)
         assert any(r.method == METHOD_EXHAUSTED for r in results.values())
         build_table(3, 12)
@@ -772,15 +772,15 @@ class TestRungsLargeP:
         # README: c2 of K(100003,16668), c = 3342, runs no search, and
         # search_at runs none below m (q^2 is not +-1); the search one crossing up
         # takes 8 sequences from the search tree, counted off its work list.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
-        real, works = solver._least_hit, []
+        real, works = search._least_hit, []
 
         def spy(fam, t, m, work):
             works.append(work)
             return real(fam, t, m, work)
 
-        monkeypatch.setattr(solver, "_least_hit", spy)
+        monkeypatch.setattr(search, "_least_hit", spy)
         k = canonicalize(100003, 40000)
         res = c2(k)
         assert (res.base_crossing, res.value, res.method) == (3342, 3344, METHOD_EXHAUSTED)
@@ -789,9 +789,9 @@ class TestRungsLargeP:
         # tree one crossing up holds 8 sequences.
         assert search_at(k, 3343) is None
         assert works == []
-        work = [solver._SEARCH_LIMIT]
+        work = [search._SEARCH_LIMIT]
         assert real(_positive_family(k), 3343, 3344, work) is None
-        assert solver._SEARCH_LIMIT - work[0] == 8
+        assert search._SEARCH_LIMIT - work[0] == 8
 
     def test_solve_many_hands_large_bounds_to_c2(self):
         # solve_many returns what c2 does at once, where a sweep from
@@ -805,7 +805,7 @@ class TestRungsLargeP:
     def test_solve_many_never_sweeps(self, monkeypatch):
         # solve_many is c2 per knot: only the oracle sweeps.  K(11047,6378)
         # has c = 21 and m = 27.
-        import twobridge.solver as solver
+        import twobridge.oracle as oracle
 
         def no_sweep(*args):
             raise AssertionError("swept")
@@ -814,7 +814,7 @@ class TestRungsLargeP:
         knots += [canonicalize(p, q) for p, q in _REFERENCE_LARGE_P + [(11047, 6378)]]
         want = {k: c2(k) for k in knots}
         assert any(r.method == METHOD_EXHAUSTED for r in want.values())
-        monkeypatch.setattr(solver, "_sweep", no_sweep)
+        monkeypatch.setattr(oracle, "_sweep", no_sweep)
         assert solve_many(knots) == want
 
     def test_large_p_decided_without_a_search(self, monkeypatch):
@@ -822,12 +822,12 @@ class TestRungsLargeP:
         # m = 116 passes the search limit, and the first 20 knots of the
         # seeded draw p < 10^15: q^2 is not +-1 (mod p), so none is
         # searched.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
         def no_search(fam, *args):
             raise AssertionError(f"{fam[0]} searched")
 
-        monkeypatch.setattr(solver, "_least_hit", no_search)
+        monkeypatch.setattr(search, "_least_hit", no_search)
         rng, knots = random.Random(20), [canonicalize(791256216780409, 209614989723732)]
         while len(knots) < 21:
             p = rng.randrange(3, 10**15, 2)
@@ -847,9 +847,9 @@ class TestRungsLargeP:
         # c2 runs no search, so neither it nor solve_many refuses a knot
         # whose search_at refuses: K(65,18), c = 10 and m = 12, at a limit
         # of 3, as in TestC2::test_search_limit.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
-        monkeypatch.setattr(solver, "_SEARCH_LIMIT", 3)
+        monkeypatch.setattr(search, "_SEARCH_LIMIT", 3)
         k = canonicalize(65, 18)
         with pytest.raises(SearchBudgetExceeded) as info:
             search_at(k, 12)
@@ -863,12 +863,12 @@ class TestRungsLargeP:
         # 7; from n = 11 on Step 1 finds no Type B positive sequence, so by
         # Lemma B no Type B sequence reaches the knot, and by Lemma A none
         # is searched.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
         def no_search(fam, *args):
             raise AssertionError(f"{fam[0]} searched")
 
-        monkeypatch.setattr(solver, "_least_hit", no_search)
+        monkeypatch.setattr(search, "_least_hit", no_search)
         f = [0, 1]
         while len(f) <= 301:
             f.append(f[-1] + f[-2])
@@ -893,12 +893,12 @@ class TestRungsLargeP:
         # Type B positive sequence, so by Lemma B no Type B sequence reaches
         # it: 23, 25 and 27, whose walks for Type A and Type B sequences
         # take 131,772 sequences, more than the search limit, are ruled out.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
         def no_search(fam, *args):
             raise AssertionError(f"{fam[0]} searched")
 
-        monkeypatch.setattr(solver, "_least_hit", no_search)
+        monkeypatch.setattr(search, "_least_hit", no_search)
         res = c2(canonicalize(12545, 3362))
         assert (res.base_crossing, res.value, res.method) == (22, 28, METHOD_EXHAUSTED)
         assert res.witness.entries == (3, 2, -1, -2, 3, 2, -2, -2, 1, 2, -3, -2, 1, 2)
@@ -907,12 +907,12 @@ class TestRungsLargeP:
         # Below m, search_at walks no total that the lemmas rule out: even ones, and every one of a knot with no Type B positive
         # sequence (Lemma B).  K(12545,3362)'s walk at 27 for Type A and
         # Type B sequences alone passes the search limit.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
         def no_search(fam, *args):
             raise AssertionError(f"{fam[0]} searched")
 
-        monkeypatch.setattr(solver, "_least_hit", no_search)
+        monkeypatch.setattr(search, "_least_hit", no_search)
         for p, q, ts in [(12545, 3362, range(23, 28)), (100003, 40000, [3343]), (65, 18, [11])]:
             for t in ts:
                 assert search_at(canonicalize(p, q), t) is None, (p, q, t)
@@ -930,9 +930,9 @@ class TestGlobalMap:
 
     def test_no_hit_below_every_bound_raises(self, monkeypatch):
         # A sweep that never hits must end in an error, not a loop.
-        import twobridge.solver as solver
+        import twobridge.oracle as oracle
 
-        monkeypatch.setattr(solver, "_sweep", lambda t, lookup: iter(()))
+        monkeypatch.setattr(oracle, "_sweep", lambda t, lookup: iter(()))
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="enumeration passed every pending bound"):
             global_c2_map(5)
@@ -941,15 +941,15 @@ class TestGlobalMap:
     def test_hit_past_its_own_bound_raises(self, monkeypatch):
         # K(13,8) has m = 7; reported as 6, its hit at t = 7 must raise
         # although knots with larger bounds are still pending.
-        import twobridge.solver as solver
+        import twobridge.oracle as oracle
 
-        real = solver._semi_even_pick
+        real = oracle._semi_even_pick
 
         def low(fam):
             m, wit = real(fam)
             return (m - 1 if (fam[0].p, fam[0].q) == (13, 8) else m), wit
 
-        monkeypatch.setattr(solver, "_semi_even_pick", low)
+        monkeypatch.setattr(oracle, "_semi_even_pick", low)
         with pytest.raises(RuntimeError) as info:
             global_c2_map(8)
         assert str(info.value) == "K(13,8) first hit at t=7, past its semi-even bound 6"

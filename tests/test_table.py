@@ -101,6 +101,8 @@ class TestBuildTable:
         with pytest.raises(CrossCheckError) as exc:
             build_table(6, 7, cross_check=True)
         assert exc.value.knot == six
+        # The library's message is the CLI's exit-4 line.
+        assert str(exc.value) == "cross-check failed at K(13,8): stepwise gave 8, sweep gave 7"
         assert main(["table", "--min", "6", "--max", "7", "--cross-check"]) == 4
         # The stepwise solve, corrupted to report c2 + 1, against the sweep.
         assert capsys.readouterr().err == (
@@ -462,10 +464,10 @@ class TestSharedSweep:
     def test_census_walks_no_knot(self, monkeypatch):
         # By Lemmas A and B the rungs decide every knot: the census walks no
         # preimage tree.
-        import twobridge.solver as solver
+        import twobridge.search as search
 
         searched = []
-        monkeypatch.setattr(solver, "_least_hit", lambda fam, t, *args: searched.append(t))
+        monkeypatch.setattr(search, "_least_hit", lambda fam, t, *args: searched.append(t))
         rows = build_table(3, 14)
         assert [(r.c, r.two_bridge_count, r.offsets) for r in rows] == [
             (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
