@@ -24,7 +24,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,7 +45,6 @@ from .table import CrossCheckError, _rows_text, build_table
 
 __all__ = ["NameRecord", "NameLookupError", "read_names", "main"]
 
-CACHE_ENV_VAR = "TWOBRIDGE_CACHE_DIR"
 # The SVG takes 400 to 700 bytes per crossing: up to about 7 MB at the limit.
 _MAX_RENDER_CROSSINGS = 10_000
 _MAX_TABLE_ROW = 21
@@ -208,9 +206,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         # Past it Python would not print the count, so 2^(c - 5) bounds it unbuilt.
         count = f"{_knot_count(c):,}" if c < 14_000 else f"more than 2^{c - 5}"
         raise ValueError(f"row {c} has {count} knots; the table limit is row {_MAX_TABLE_ROW}")
-    cache_dir = os.environ.get(CACHE_ENV_VAR) or args.cache_dir
     rows = build_table(
-        args.min, args.max, cross_check=args.cross_check, cache_dir=cache_dir
+        args.min, args.max, cross_check=args.cross_check, cache_dir=args.cache_dir
     )
     # Files first: a path that cannot be written is exit 2 with nothing on stdout.
     for path, spell in ((args.csv, _table_csv), (args.json, _rows_text)):
@@ -287,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--csv", help="write the CSV here as well as stdout")
     p_tab.add_argument("--json", help="write a JSON array of rows here")
     p_tab.add_argument("--cross-check", action="store_true", help="verify against the global sweep")
-    p_tab.add_argument("--cache-dir", help=f"row cache directory (env {CACHE_ENV_VAR} overrides)")
+    p_tab.add_argument("--cache-dir", help="row cache directory, reused across runs")
     p_tab.set_defaults(func=cmd_table)
 
     p_ren = sub.add_parser("render", help="SVG diagram of a Type A or B sequence")

@@ -7,7 +7,6 @@ the criteria that carry targets.
 """
 
 import math
-import os
 import random
 import subprocess
 import sys
@@ -64,12 +63,8 @@ def criterion(capfd):
 
 
 def run_cli(*argv):
-    env = {k: v for k, v in os.environ.items() if k != "TWOBRIDGE_CACHE_DIR"}
     return subprocess.run(
-        [sys.executable, "-m", "twobridge", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "twobridge", *argv], capture_output=True, text=True
     )
 
 
