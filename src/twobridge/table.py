@@ -152,8 +152,9 @@ def _write_cached_rows(cache_dir: str | Path, rows: list[TableRow]) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_rows_text(rows))
         os.replace(tmp, path)
-    finally:
+    except BaseException:  # interrupts too: no temporary file outlives a failed write
         Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 @functools.cache
@@ -186,7 +187,8 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
     backwards and ends at F, an even slope's bottom row mod 2, so before
     the prefix it is at (r, p), and at 2 * r where b ends, as p is odd.
     Each state holds one int, its prefixes by (X, Y) in the w bits at
-    w * (X * w + Y).  A prefix is also the h of h + [centre] + reversed(h),
+    w * (X * w + Y); the decode reads only the blocks and fields below the
+    int's bit length.  A prefix is also the h of h + [centre] + reversed(h),
     whose Y run retraces its X run: X = X_h + Y_h + the centre's carry.
 
     Raising an entry by 2 keeps its state and carries, which gives the
@@ -201,12 +203,15 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
         for poly, (i, shift) in zip(layer, moves[a]):
             out[i] += poly << shift
 
-    def unpack(poly):  # (X, Y, count) of each nonzero coefficient
-        for x in range(w):
-            if block := (poly >> w * w * x) & ((1 << w * w) - 1):
-                for y in range(w):
-                    if n := (block >> w * y) & ((1 << w) - 1):
-                        yield x, y, n
+    def unpack(poly):  # (X, Y, count) of each nonzero coefficient, peeled from the low end
+        x = 0
+        while poly:
+            block, poly, y = poly & (1 << w * w) - 1, poly >> w * w, 0
+            while block:
+                if n := block & (1 << w) - 1:
+                    yield x, y, n
+                block, y = block >> w, y + 1
+            x += 1
 
     def closed(halves, t):  # the knots h + [an odd centre, if t] + reversed(h), X in X_h's bits
         total = 0
@@ -233,7 +238,7 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
             palindromes[2 * s], palindromes[2 * s + 1] = closed(layer, 0), closed(halves, 1)
         row = counts[s]
         for x, y, n in unpack(total):
-            row[min(x, y)] = row.get(min(x, y), 0) + n
+            row[j] = row.get(j := min(x, y), 0) + n
         for x, y, n in unpack(palindromes.get(s, 0)):  # each counted once above, at X
             row[x + y] -= n
             row[0 if s % 2 else x + y] += 2 * n  # Lemma C

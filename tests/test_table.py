@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EXPECTED_TABLE
+from test_lemmas import _PARITY_STEP
 from twobridge.cli import main
 from twobridge.knot import _families, canonicalize, crossing_number, enumerate_knots
 from twobridge.solver import _solve, solve_many
@@ -139,6 +141,78 @@ LARGE_ROWS = {
 }
 
 
+def _mul2(m, n):
+    """m n mod 2, each matrix (a, b, c, d) standing for [[a, b], [c, d]]."""
+    (a, b, c, d), (e, f, g, h) = m, n
+    return (a * e + b * g) % 2, (a * f + b * h) % 2, (c * e + d * g) % 2, (c * f + d * h) % 2
+
+
+def _reference_rows(c_max):
+    """{c: row c's offsets} for c = 3..c_max, by a dict-keyed dynamic program
+    over the parity words of compositions that shares no code with
+    ``table._states`` or ``table._carry_counts``.
+
+    A prefix of b = [a1, .., an] (a1, an >= 2) is read one unit at a time.
+    Its key is (M, gq, f, y, X, Y) and the open last entry's class (1, even,
+    or odd >= 3).  M is the closed entries' continuant matrix mod 2, as
+    (p, r, q, s).  gq guesses q's parity, and f runs ``_PARITY_STEP`` from F
+    or X as gq is 0 or 1.  y runs it backwards from a guessed end, so at b's
+    end it is the start of the run over reversed(b), which must be F or X as
+    r is even or odd.  X and Y count their carries.  A knot with no
+    palindromic b is counted twice, at min(X, Y), once by b and once by
+    reversed(b).
+
+    Every closed prefix h is also the half of the palindromes
+    h + reversed(h) and h + [m] + reversed(h), with M(reversed(h)) = M(h)^T.
+    Where the run over h (and m) ends at y, the run over reversed(h)
+    continues it, so X = X_h (+ m's carry) + Y_h.  Each such knot is moved
+    from X to its c2 - c by Lemma C: 0 for odd m, X otherwise."""
+    back = {(_PARITY_STEP[f][a], a): f for f in range(3) for a in (0, 1)}
+
+    def close(key, a):  # the open entry ends, with parity a
+        m, gq, f, y, x, yc = key
+        f = _PARITY_STEP[f][a]
+        return _mul2(m, (a, 1, 1, 0)), gq, f, back[y, a], x + (f == 2), yc + (y == 2)
+
+    empty = {((1, 0, 0, 1), gq, 2 * gq, end, 0, 0): 1 for gq in (0, 1) for end in range(3)}
+    layer = {(key, 2): n for key, n in empty.items()}  # a1 = 2, still open
+    halves, twice = {0: empty}, {c: {} for c in range(3, c_max + 1)}
+    for s in range(2, c_max + 1):
+        halves[s], grown = {}, {}
+        for (key, last), n in layer.items():
+            closed = close(key, last % 2)
+            halves[s][closed] = halves[s].get(closed, 0) + n
+            (p, r, q, _), gq, _, y, x, yc = closed
+            if s > 2 and last > 1 and p and q == gq and y == 2 * r:
+                twice[s][min(x, yc)] = twice[s].get(min(x, yc), 0) + n
+            bigger = key, 3 if last == 2 else 2  # the open entry grows by 1
+            grown[bigger] = grown.get(bigger, 0) + n
+        for closed, n in halves[s].items():
+            grown[closed, 1] = grown.get((closed, 1), 0) + n  # a new entry opens at 1
+        layer = grown
+    for t, half in halves.items():
+        for centre in (None, 0, 1):  # no centre, or m's parity
+            sizes = [2 * t] if centre is None else range(2 * t + 2 - centre, c_max + 1, 2)
+            sizes = [c for c in sizes if 3 <= c <= c_max]
+            for (m, gq, f, y, x, yc), n in half.items():
+                mid, carry = m, 0
+                if centre is not None:
+                    mid, f = _mul2(m, (centre, 1, 1, 0)), _PARITY_STEP[f][centre]
+                    carry = f == 2
+                pb, _, qb, _ = _mul2(mid, (m[0], m[2], m[1], m[3]))  # times M(h)^T
+                if f == y and pb and qb == gq:
+                    xb = x + carry + yc
+                    j = 0 if centre == 1 else xb  # Lemma C
+                    for c in sizes:
+                        twice[c][xb] -= n
+                        twice[c][j] = twice[c].get(j, 0) + 2 * n
+    assert all(n % 2 == 0 for row in twice.values() for n in row.values())
+    return {
+        c: {j: n // 2 for j, n in sorted({0: 0, **row}.items()) if n or not j}
+        for c, row in twice.items()
+    }
+
+
 class TestCount:
     """Each row is counted over compositions (``table._carry_counts``), with
     the palindromes moved by Lemma C; these pin the count."""
@@ -186,6 +260,13 @@ class TestCount:
         for a in (0, 1):
             assert sorted(i for i, _, _ in steps[a]) == list(range(12))  # a permutation
             assert all(keys[i][1] == keys[j][1] for j, (i, _, _) in enumerate(steps[a]))
+
+    def test_rows_to_60_equal_an_independent_count(self):
+        # The reference shares no code with the count, and covers every row
+        # the digest below pins.
+        reference = _reference_rows(60)
+        assert reference[10] == {0: 17, 1: 25, 2: 3}
+        assert {r.c: r.offsets for r in build_table(3, 60)} == reference
 
     def test_rows_23_to_60_keep_their_digest(self):
         # Past the pinned rows only the Ernst-Sumners sizes checked the
@@ -270,6 +351,39 @@ class TestCache:
         with pytest.raises(OSError):
             build_table(5, 6, cache_dir=tmp_path)
         assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_the_directory(self, tmp_path, monkeypatch):
+        import twobridge.table as table
+
+        build_table(5, 5, cache_dir=tmp_path)
+        path = table._cache_path(tmp_path)
+        before = path.read_text()
+        real_fdopen, real_unlink, unlinked = table.os.fdopen, Path.unlink, []
+
+        def full_disk(fd, *args, **kwargs):
+            fh = real_fdopen(fd, *args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, "simulated full disk")
+
+            fh.write = write
+            return fh
+
+        def spy(self, *args, **kwargs):
+            unlinked.append(self.name)
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", spy)
+        monkeypatch.setattr(table.os, "fdopen", full_disk)
+        with pytest.raises(OSError, match="full disk"):
+            build_table(5, 6, cache_dir=tmp_path)
+        assert path.read_text() == before
+        assert list(tmp_path.iterdir()) == [path]
+        assert [name.endswith(".tmp") for name in unlinked] == [True]  # as the write raised
+        monkeypatch.setattr(table.os, "fdopen", real_fdopen)
+        build_table(5, 6, cache_dir=tmp_path)
+        assert len(unlinked) == 1  # a write that succeeds unlinks nothing
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize(
