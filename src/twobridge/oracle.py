@@ -7,8 +7,8 @@ The sweep serves only the oracle.  It skips sequences with a negative
 first entry, whose negations come earlier (+ sorts before -) and name the
 mirror, and probes each value with one int lookup of a slope residue q,
 p - q, q^-1 or p - q^-1 (see :func:`_sweep`).  A Type A counter step sets
-the signs of all but the last two entries and then probes the sign pairs
-of those two in product order, + first.
+the signs of all but the last three entries and then probes the sign
+triples of those three in product order, + first.
 """
 
 from __future__ import annotations
@@ -71,25 +71,26 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
 
 
 @lru_cache
-def _sign_steps(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+def _sign_steps(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """The sign vectors of a pattern of length n with a + first entry, as
     steps.
 
     The heads, signs of slots 0 .. n - 2, come in product order (+ before -):
-    each prefix is extended by + and then by -.  Step (i, signs, lasts) turns
-    the previous head into the next one: i is the first slot that differs,
-    signs are the new signs of slots i .. n - 2, and lasts are the signs that
-    the last slot takes, + first.  The Type A sweep asks for n - 1 slots of
-    its n: lasts then sign the slot before its last.
+    each prefix is extended by + and then by -.  Step (pairs, lasts) turns
+    the previous head into the next one: pairs are the (slot, sign) of each
+    slot that it rewrites, from the first that differs through n - 2, and
+    lasts are the signs that the last slot takes, + first.  The Type A sweep
+    asks for n - 2 slots of its n: lasts then sign its third slot from the
+    end.
     """
     if n == 1:  # the one entry is the first
-        return ((0, (), (1,)),)
-    # (i, signs of slots i .. j) for each head of slots 0 .. j: + keeps i, and
-    # the - head after it differs from it first at j.
-    heads = [(0, (1,))]
+        return (((), (1,)),)
+    # The pairs of each head of slots 0 .. j: + extends the previous pairs,
+    # and the - head after it differs from it first at j.
+    heads = [((0, 1),)]
     for j in range(1, n - 1):
-        heads = [h for i, signs in heads for h in ((i, signs + (1,)), (j, (-1,)))]
-    return tuple((i, signs, (1, -1)) for i, signs in heads)
+        heads = [h for pairs in heads for h in (pairs + ((j, 1),), ((j, -1),))]
+    return tuple((pairs, (1, -1)) for pairs in heads)
 
 
 def _residue_lookup(slopes: Iterable[tuple[int, ...]]) -> dict[int, dict[int, tuple]]:
@@ -129,44 +130,56 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
     palindrome, evaluated from its half h as M(h) M(h[:-1])^T, has a
     symmetric matrix and probes r = den mod |num|.
 
-    The signs of each pattern come from :func:`_sign_steps`, and the prefix
-    continuants are kept, so a step from slot i recomputes only the prefixes
-    from i on.  A Type A step covers the last two slots: its head a[:-2] comes
-    from ``_sign_steps(n - 1)``, each sign of a[-2] gives K(a[:-1]) off the
-    head's continuants, and both signs of a[-1] are probed inline, in
-    product order; a[-2:] is written only on a hit.  A Type B step reads
-    each sign of its centre off the continuants of its head a[:-1].
+    The signs of each pattern come from :func:`_sign_steps` as (slot, sign)
+    pairs, and the prefix continuants are kept, so a step recomputes only the
+    prefixes from its first pair on.  A Type A step covers the last three
+    slots: its head a[:-3] comes from ``_sign_steps(n - 2)``, each sign of
+    a[-3] gives K(a[:-2]) once, each sign of a[-2] then K(a[:-1]) once, and
+    both signs of a[-1] are probed inline, all in product order; a[-3:] is
+    written only on a hit.  The patterns [y, +-x] of length 2 are probed
+    directly.  A Type B step reads each sign of its centre off the
+    continuants of its head a[:-1].
     """
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for mag in _type_a_magnitudes(t):
         a, n, y, x = list(mag), len(mag), mag[-2], mag[-1]
-        P = [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
-        for i, signs, ys in _sign_steps(n - 1):
-            for j, s in enumerate(signs, i):
+        if n == 2:  # [y, +-x]: K(a[:-1]) = y, K(a[:-2]) = 1
+            for v in (x, -x):
+                num = abs(v * y + 1)
+                if num in lookup and (r := y % num) in lookup[num]:
+                    yield _take(lookup, num, r), ContinuedFraction._trusted((y, v)), A
+                    if not lookup:
+                        return
+            continue
+        w, P = mag[-3], [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
+        for pairs, zs in _sign_steps(n - 2):
+            for j, s in pairs:
                 a[j] = v = s * mag[j]
                 P[j + 2] = v * P[j + 1] + P[j]
-            p1, p0 = P[n - 1], P[n - 2]
-            for s in ys:
-                h = s * y * p1 + p0  # K(a[:-1])
-                u = x * h
-                num = abs(u + p1)
-                if num in lookup and (r := h % num) in lookup[num]:
-                    a[-2:] = s * y, x
-                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
-                    if not lookup:
-                        return
-                num = abs(u - p1)
-                if num in lookup and (r := h % num) in lookup[num]:
-                    a[-2:] = s * y, -x
-                    yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
-                    if not lookup:
-                        return
+            p1, p0 = P[n - 2], P[n - 3]
+            for z in zs:
+                g = z * w * p1 + p0  # K(a[:-2])
+                for s in (1, -1):
+                    h = s * y * g + p1  # K(a[:-1])
+                    u = x * h
+                    num = abs(u + g)
+                    if num in lookup and (r := h % num) in lookup[num]:
+                        a[-3:] = z * w, s * y, x
+                        yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
+                        if not lookup:
+                            return
+                    num = abs(u - g)
+                    if num in lookup and (r := h % num) in lookup[num]:
+                        a[-3:] = z * w, s * y, -x
+                        yield _take(lookup, num, r), ContinuedFraction._trusted(tuple(a)), A
+                        if not lookup:
+                            return
     for mag in _type_b_halves(t):
         a, n, last = list(mag), len(mag), mag[-1]
         # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
         P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-        for i, signs, lasts in _sign_steps(n):
-            for j, s in enumerate(signs, i):
+        for pairs, lasts in _sign_steps(n):
+            for j, s in pairs:
                 a[j] = x = s * mag[j]
                 P[j + 2] = x * P[j + 1] + P[j]
                 Q[j + 2] = x * Q[j + 1] + Q[j]

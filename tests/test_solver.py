@@ -170,6 +170,14 @@ class _EveryValue(dict):
         return 1
 
 
+class _Drained(dict):
+    """A lookup that fails any probe made once it has run empty."""
+
+    def __contains__(self, p):
+        assert self, "probed an empty lookup"
+        return dict.__contains__(self, p)
+
+
 def _swept(knots):
     """{k: result} from the census's solve, ``_solve``, over the knots'
     records."""
@@ -239,6 +247,18 @@ class TestSweep:
                 first.setdefault(key, cf.entries)
         assert got == list(first.items())
 
+    @pytest.mark.parametrize(
+        "key, t, entries",
+        [((23, 4), 10, (4, -6)), ((49, 18), 10, (1, 2, -2, -2, -1, -2))],
+    )
+    def test_stops_at_the_hit_that_empties_the_lookup(self, key, t, entries):
+        # A length-2 pattern hit with its - last sign, and a longer one hit
+        # with its last tail signs (-, -, -): no probe may follow either.
+        lookup = _Drained(_lookup([key]))
+        got = [(k, cf.entries) for k, cf, _ in _sweep(t, lookup)]
+        assert got == [(key, entries)]
+        assert not lookup
+
     def test_knot_key_ignores_negation(self):
         for t in range(1, 11):
             for cf in enumerate_type_ab(t):
@@ -281,14 +301,19 @@ class TestSignBudget:
 
     def test_sign_table_grows_with_its_output(self):
         # Every head of length n - 1 with a + first sign, in product order,
-        # each step rewriting the slots from the first that differs.
-        assert _sign_steps(1) == ((0, (), (1,)),)
+        # each step rewriting, as (slot, sign) pairs, the slots from the
+        # first that differs through n - 2.
+        assert _sign_steps(1) == (((), (1,)),)
         for n in range(2, 13):
             steps, head = _sign_steps(n), []
             assert len(steps) == 2 ** (n - 2)
             heads = []
-            for i, signs, lasts in steps:
-                head = head[:i] + list(signs)
+            for pairs, lasts in steps:
+                i = pairs[0][0]
+                assert [j for j, _ in pairs] == list(range(i, n - 1))
+                new = head[:i] + [s for _, s in pairs]
+                assert not head or head[i] != new[i]
+                head = new
                 heads.append(tuple(head))
                 assert lasts == (1, -1)
             assert heads == [(1, *rest) for rest in product((1, -1), repeat=n - 2)]
@@ -964,16 +989,27 @@ class TestGlobalMap:
             assert crossing_sum(witness) == t
             assert classify_type(witness) is not ExpansionClass.NEITHER
 
-    def test_map_through_row_15_is_pinned(self):
-        # The benchmark's oracle pass: 2,794 knots, each with its first t and
-        # first witness, hashed in knot order.
-        found = global_c2_map(15)
+    @staticmethod
+    def _digest(found):
+        # Each knot with its first t and first witness, hashed in knot order.
         h = hashlib.sha256()
         for k in sorted(found):
             t, w = found[k]
             h.update(f"{k.p}/{k.q} {t} {','.join(map(str, w.entries))}\n".encode())
+        return h.hexdigest()
+
+    def test_map_through_row_15_is_pinned(self):
+        # The benchmark's oracle pass: 2,794 knots.
+        found = global_c2_map(15)
         assert len(found) == 2794
-        assert h.hexdigest() == "8c9b5f0cb8125890ecf1f76714a8efef7bab4697a45cdc0785d2c1a817b0727e"
+        assert self._digest(found) == "8c9b5f0cb8125890ecf1f76714a8efef7bab4697a45cdc0785d2c1a817b0727e"
+
+    def test_map_through_row_17_is_pinned(self):
+        # Row 15's map leaves t = 19 early; this one sweeps t = 19 and 20 in
+        # full and leaves t = 21 early.
+        found = global_c2_map(17)
+        assert len(found) == 11050
+        assert self._digest(found) == "f11c984ef88fe6d9545579e28397eb9d0565ac64e5e7799a5340bd15b418452c"
 
     def test_method_spread(self, solved_le_12):
         # Frozen tally: the intermediate search never fires on this range;
