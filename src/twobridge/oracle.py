@@ -71,26 +71,21 @@ def enumerate_type_ab(t: int) -> Iterator[ContinuedFraction]:
 
 
 @lru_cache
-def _sign_steps(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """The sign vectors of a pattern of length n with a + first entry, as
-    steps.
+def _sign_steps(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The signs of k head slots with a + first entry, as steps.
 
-    The heads, signs of slots 0 .. n - 2, come in product order (+ before -):
-    each prefix is extended by + and then by -.  Step (pairs, lasts) turns
-    the previous head into the next one: pairs are the (slot, sign) of each
-    slot that it rewrites, from the first that differs through n - 2, and
-    lasts are the signs that the last slot takes, + first.  The Type A sweep
-    asks for n - 2 slots of its n: lasts then sign its third slot from the
-    end.
+    The heads, signs of slots 0 .. k - 1, come in product order (+ before -):
+    each prefix is extended by + and then by -.  A step turns the previous
+    head into the next one: it is the (slot, sign) of each slot that it
+    rewrites, from the first that differs through k - 1.  k = 0 gives the
+    one empty head.
     """
-    if n == 1:  # the one entry is the first
-        return (((), (1,)),)
     # The pairs of each head of slots 0 .. j: + extends the previous pairs,
     # and the - head after it differs from it first at j.
-    heads = [((0, 1),)]
-    for j in range(1, n - 1):
+    heads = [((0, 1),)] if k else [()]
+    for j in range(1, k):
         heads = [h for pairs in heads for h in (pairs + ((j, 1),), ((j, -1),))]
-    return tuple((pairs, (1, -1)) for pairs in heads)
+    return tuple(heads)
 
 
 def _residue_lookup(slopes: Iterable[tuple[int, ...]]) -> dict[int, dict[int, tuple]]:
@@ -133,12 +128,12 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
     The signs of each pattern come from :func:`_sign_steps` as (slot, sign)
     pairs, and the prefix continuants are kept, so a step recomputes only the
     prefixes from its first pair on.  A Type A step covers the last three
-    slots: its head a[:-3] comes from ``_sign_steps(n - 2)``, each sign of
+    slots: its head a[:-3] comes from ``_sign_steps(n - 3)``, each sign of
     a[-3] gives K(a[:-2]) once, each sign of a[-2] then K(a[:-1]) once, and
     both signs of a[-1] are probed inline, all in product order; a[-3:] is
     written only on a hit.  The patterns [y, +-x] of length 2 are probed
     directly.  A Type B step reads each sign of its centre off the
-    continuants of its head a[:-1].
+    continuants of its head a[:-1], from ``_sign_steps(n - 1)``.
     """
     A, B = ExpansionClass.TYPE_A, ExpansionClass.TYPE_B
     for mag in _type_a_magnitudes(t):
@@ -152,12 +147,12 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
                         return
             continue
         w, P = mag[-3], [0, 1] + [0] * n  # P[j + 1] = K(a[:j]), from K() = 1
-        for pairs, zs in _sign_steps(n - 2):
+        for pairs in _sign_steps(n - 3):
             for j, s in pairs:
                 a[j] = v = s * mag[j]
                 P[j + 2] = v * P[j + 1] + P[j]
             p1, p0 = P[n - 2], P[n - 3]
-            for z in zs:
+            for z in (1, -1):
                 g = z * w * p1 + p0  # K(a[:-2])
                 for s in (1, -1):
                     h = s * y * g + p1  # K(a[:-1])
@@ -176,9 +171,10 @@ def _sweep(t: int, lookup: dict) -> Iterator[tuple]:
                             return
     for mag in _type_b_halves(t):
         a, n, last = list(mag), len(mag), mag[-1]
+        lasts = (1, -1) if n > 1 else (1,)  # a lone centre is the first entry
         # M(a[:j]) = [[P[j + 1], P[j]], [Q[j + 1], Q[j]]], from M([]) = I.
         P, Q = [0, 1] + [0] * n, [1, 0] + [0] * n
-        for pairs, lasts in _sign_steps(n):
+        for pairs in _sign_steps(n - 1):
             for j, s in pairs:
                 a[j] = x = s * mag[j]
                 P[j + 2] = x * P[j + 1] + P[j]

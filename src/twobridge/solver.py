@@ -222,17 +222,14 @@ def step2_bound(k: TwoBridgeKnot) -> int:
     return m
 
 
-def _palindromic(k: TwoBridgeKnot) -> bool:
-    """q^2 = +-1 (mod p): only such a knot has a Type B sequence, whose
-    symmetric continuant matrix makes den^2 = +-1 (mod num)."""
-    return k.q * k.q % k.p in (1, k.p - 1)
-
-
 def _type_b_root(fam: _Family) -> list[int] | None:
     """The first Type B one of the knot's eight positive sequences, or None.
     By Lemma B (module docstring) the knot has a Type B sequence exactly
-    when this is not None; q^2 = +-1 (mod p) is tested first."""
-    if _palindromic(fam[0]):
+    when this is not None.  Only a knot with q^2 = +-1 (mod p) has one (a
+    symmetric continuant matrix makes den^2 = +-1 (mod num)), and that is
+    tested first, on the record: q^-1 is then q or p - q."""
+    slopes = fam[2]
+    if slopes[2] in slopes[:2]:
         for cand in _candidates(fam[3]):
             if _shape(cand) is ExpansionClass.TYPE_B:
                 return cand

@@ -132,26 +132,6 @@ class TestC2:
         code, _, err = run(capsys, "c2", "--name", "3_1")
         assert code == 2
 
-    def test_large_p_decides(self, capsys):
-        # c = 3342 and m = 3344: the rungs decide it, with no search.
-        code, out, _ = run(capsys, "c2", "--p", "100003", "--q", "40000")
-        assert code == 0
-        assert out.strip() == (
-            "K(100003,16668): c2=3344 c=3342 m=3344 method=ExhaustedToBound"
-            " witness=[5,2,-1,-3332,2,2] class=TypeA"
-        )
-
-    def test_large_p_decided_within_the_search_limit(self, capsys):
-        # c = 139 and m = 147: by Lemma A the rungs decide it, with no
-        # search; it is in README.
-        code, out, _ = run(capsys, "c2", "--p", "314573286388203", "--q", "189071533637990")
-        assert code == 0
-        assert out.strip() == (
-            "K(314573286388203,189071533637990): c2=147 c=139 m=147 method=ExhaustedToBound"
-            " witness=[1,20,1,2,-2,-2,1,2,8,2,2,2,-1,-2,-1,-8,4,2,1,8,-3,-4,-1,-14,1,2,"
-            "-3,-4,-1,-38,2,2] class=TypeA"
-        )
-
 
 class TestSearchLimit:
     # No CLI command runs the per-knot search: c2 is decided by its rungs.
@@ -248,7 +228,7 @@ class TestTable:
         assert str(path) in err
 
     def test_rows_3_to_21_keep_their_pinned_digest(self, capsys):
-        # Every row as built today, byte for byte; row 21 has no independent check.
+        # Every row as built today, byte for byte.
         code, out, _ = run(capsys, "table", "--min", "3", "--max", "21")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (

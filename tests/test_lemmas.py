@@ -90,7 +90,6 @@ from twobridge.solver import (
     METHOD_STEP2,
     C2Result,
     _candidates,
-    _palindromic,
     _semi_even_pick,
     _solve,
     _type_b_root,
@@ -622,14 +621,14 @@ class TestStep1Scan:
     def test_no_candidate_of_a_non_palindromic_knot_is_type_b(self, records):
         palindromic = 0
         for k, _, _, family in records:
-            if _palindromic(k):
+            if k.q * k.q % k.p in (1, k.p - 1):
                 palindromic += 1
                 continue
             for cand in _candidates(family):
                 assert _shape(cand) is not ExpansionClass.TYPE_B, (k, cand)
         # Some knots have Type B candidates, and none of the draw does.
         assert 0 < palindromic < 5_546
-        assert not any(_palindromic(fam[0]) for fam in records[-300:])
+        assert not any(k.q * k.q % k.p in (1, k.p - 1) for k, *_ in records[-300:])
 
     def test_variants_still_decide_palindromic_knots(self, records):
         # 36 knots with c <= 16 are decided by a variant, a Type B one.
@@ -651,7 +650,7 @@ def _scan_rungs(fam):
     reference."""
     k, c, slopes, family = fam
     m, wit = _semi_even_pick(fam)
-    for cand in _candidates(family) if _palindromic(k) else family:
+    for cand in _candidates(family) if k.q * k.q % k.p in (1, k.p - 1) else family:
         cls = _shape(cand)
         if cls is not ExpansionClass.NEITHER:
             return C2Result(c, ContinuedFraction(cand), cls, METHOD_STEP1, m, c)

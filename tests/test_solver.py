@@ -41,7 +41,6 @@ from twobridge.search import _order_key, _pairs, _preimages, SearchBudgetExceede
 from twobridge.solver import (
     _candidates,
     _semi_even_pick,
-    _solve,
     METHOD_EXHAUSTED,
     METHOD_STEP1,
     METHOD_STEP2,
@@ -178,12 +177,6 @@ class _Drained(dict):
         return dict.__contains__(self, p)
 
 
-def _swept(knots):
-    """{k: result} from the census's solve, ``_solve``, over the knots'
-    records."""
-    return {k: _solve(_positive_family(k)) for k in knots}
-
-
 def _lookup(keys):
     """The sweep's lookup of the knots with these keys, from the slope
     residues that their records hold, canonical q first."""
@@ -300,38 +293,22 @@ class TestSignBudget:
         assert tight > 0
 
     def test_sign_table_grows_with_its_output(self):
-        # Every head of length n - 1 with a + first sign, in product order,
-        # each step rewriting, as (slot, sign) pairs, the slots from the
-        # first that differs through n - 2.
-        assert _sign_steps(1) == (((), (1,)),)
-        for n in range(2, 13):
-            steps, head = _sign_steps(n), []
-            assert len(steps) == 2 ** (n - 2)
+        # Every head of k slots with a + first sign, in product order, each
+        # step rewriting, as (slot, sign) pairs, the slots from the first
+        # that differs through k - 1.
+        assert _sign_steps(0) == ((),)
+        for k in range(1, 12):
+            steps, head = _sign_steps(k), []
+            assert len(steps) == 2 ** (k - 1)
             heads = []
-            for pairs, lasts in steps:
+            for pairs in steps:
                 i = pairs[0][0]
-                assert [j for j, _ in pairs] == list(range(i, n - 1))
+                assert [j for j, _ in pairs] == list(range(i, k))
                 new = head[:i] + [s for _, s in pairs]
                 assert not head or head[i] != new[i]
                 head = new
                 heads.append(tuple(head))
-                assert lasts == (1, -1)
-            assert heads == [(1, *rest) for rest in product((1, -1), repeat=n - 2)]
-
-    @pytest.mark.parametrize("t", range(1, 14))
-    def test_stream_is_the_unbudgeted_one_within_the_changes(self, t):
-        # The sweep has no budget: at every count of sign changes, its stream,
-        # classes included, is the product-built enumeration's positive half.
-        full = [
-            (cf.entries, classify_type(cf))
-            for cf in enumerate_type_ab(t)
-            if cf.entries[0] > 0 and abs(_eval_entries(cf.entries)[0]) > 1
-        ]
-        got = [(cf.entries, cls) for _, cf, cls in _sweep(t, _EveryValue())]
-        for changes in range(t):
-            want = [(e, c) for e, c in full if sign_changes(e) == changes]
-            assert [(e, c) for e, c in got if sign_changes(e) == changes] == want
-        assert got == full
+            assert heads == [(1, *rest) for rest in product((1, -1), repeat=k - 1)]
 
     @pytest.mark.parametrize("t", range(4, 16))
     def test_first_hits_of_the_knots_within_budget(self, t, keys_by_c_le_14):
@@ -585,11 +562,9 @@ class TestC2:
             assert c2(k).value == t, f"{k}: solver disagrees with brute force"
 
     def test_batched_equals_individual(self):
-        # The census solve, with no limit, and c2, witnesses included.
+        # solve_many is c2 per knot, witnesses included, in input order.
         knots = [k for c in range(3, 14) for k in enumerate_knots(c)]
-        batched = _swept(knots)
-        for k in knots:
-            assert batched[k] == c2(k)
+        assert list(solve_many(knots).items()) == [(k, c2(k)) for k in knots]
 
     def test_c2_and_search_at_never_sweep(self, monkeypatch):
         import twobridge.oracle as oracle
@@ -998,18 +973,16 @@ class TestGlobalMap:
             h.update(f"{k.p}/{k.q} {t} {','.join(map(str, w.entries))}\n".encode())
         return h.hexdigest()
 
-    def test_map_through_row_15_is_pinned(self):
-        # The benchmark's oracle pass: 2,794 knots.
-        found = global_c2_map(15)
-        assert len(found) == 2794
-        assert self._digest(found) == "8c9b5f0cb8125890ecf1f76714a8efef7bab4697a45cdc0785d2c1a817b0727e"
-
     def test_map_through_row_17_is_pinned(self):
-        # Row 15's map leaves t = 19 early; this one sweeps t = 19 and 20 in
-        # full and leaves t = 21 early.
+        # It sweeps t = 19 and 20 in full and leaves t = 21 early.  A knot's
+        # first hit does not depend on the other pending knots, so its
+        # 2,794 knots with c <= 15 are the benchmark's oracle pass.
         found = global_c2_map(17)
         assert len(found) == 11050
         assert self._digest(found) == "f11c984ef88fe6d9545579e28397eb9d0565ac64e5e7799a5340bd15b418452c"
+        row_15 = {k: found[k] for k in found if crossing_number(k) <= 15}
+        assert len(row_15) == 2794
+        assert self._digest(row_15) == "8c9b5f0cb8125890ecf1f76714a8efef7bab4697a45cdc0785d2c1a817b0727e"
 
     def test_method_spread(self, solved_le_12):
         # Frozen tally: the intermediate search never fires on this range;

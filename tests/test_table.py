@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import hashlib
 import json
 from pathlib import Path
 
@@ -10,7 +9,7 @@ from conftest import EXPECTED_TABLE
 from test_lemmas import _PARITY_STEP
 from twobridge.cli import main
 from twobridge.knot import _families, canonicalize, crossing_number, enumerate_knots
-from twobridge.solver import _solve, solve_many
+from twobridge.solver import _solve
 from twobridge.table import (
     ALGORITHM_VERSION,
     CrossCheckError,
@@ -262,20 +261,10 @@ class TestCount:
             assert all(keys[i][1] == keys[j][1] for j, (i, _, _) in enumerate(steps[a]))
 
     def test_rows_to_60_equal_an_independent_count(self):
-        # The reference shares no code with the count, and covers every row
-        # the digest below pins.
+        # The reference shares no code with the count.
         reference = _reference_rows(60)
         assert reference[10] == {0: 17, 1: 25, 2: 3}
         assert {r.c: r.offsets for r in build_table(3, 60)} == reference
-
-    def test_rows_23_to_60_keep_their_digest(self):
-        # Past the pinned rows only the Ernst-Sumners sizes checked the
-        # count; this pins every offset of rows 23..60 as counted today.
-        rows = build_table(23, 60)
-        text = json.dumps([r.to_json_dict() for r in rows]).encode()
-        assert hashlib.sha256(text).hexdigest() == (
-            "960d1de65f4ede5a32ee577ac7e61c5db97bcb09ead6fa142aaa1d3d0c9b286b"
-        )
 
     def test_cross_check_catches_a_miscount(self, monkeypatch, tmp_path):
         # One knot of row 7 counted one offset too high: the row keeps its
@@ -587,16 +576,6 @@ class TestSharedSweep:
             (c, *EXPECTED_TABLE[c]) for c in range(3, 15)
         ]
         assert searched == []
-
-    def test_stream_matches_solve_many(self):
-        # The counted rows are the tally of c2 over every knot.
-        solved = solve_many(k for c in range(3, 14) for k in enumerate_knots(c))
-        for row in build_table(3, 13):
-            tally = {0: 0}
-            for k, res in solved.items():
-                if res.base_crossing == row.c:
-                    tally[res.value - row.c] = tally.get(res.value - row.c, 0) + 1
-            assert row.offsets == tally, row.c
 
     def test_interrupted_build_keeps_completed_rows(self, monkeypatch, tmp_path):
         # The file the last finished build wrote survives a build cut while
