@@ -9,9 +9,7 @@ Exit codes: 0 success, 2 bad arguments or invalid input, 3 failed name
 lookup, 4 a census check disagreed.  All output is deterministic.
 
 table builds rows up to 21 and refuses a --max above it with exit 2 before
-any work, naming that row's knot count.  Rows are counted, not solved knot
-by knot: a cold build of rows 3 to 21 took 0.0008 s, 0.0012 s into a fresh
-cache, and 16 MiB in process on a 2-vCPU Xeon VM (Python 3.11).
+any work, naming that row's knot count.
 
 main builds its argument parser once per process, on its first call, and
 reuses it; a one-shot console run builds it once either way.

@@ -6,9 +6,8 @@ solver it takes only the semi-even bound m, which checks each first hit.
 The sweep serves only the oracle.  It skips sequences with a negative
 first entry, whose negations come earlier (+ sorts before -) and name the
 mirror, and probes each value with one int lookup of a slope residue q,
-p - q, q^-1 or p - q^-1 (see :func:`_sweep`).  A Type A counter step sets
-the signs of all but the last three entries and then probes the sign
-triples of those three in product order, + first.
+p - q, q^-1 or p - q^-1, canonicalizing nothing.  :func:`_sweep` says how,
+and how its counter steps set the signs.
 """
 
 from __future__ import annotations

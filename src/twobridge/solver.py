@@ -3,14 +3,13 @@
 Two rungs decide c2, by Lemmas A and B below:
 
 1. Step1: a Type A or Type B positive expansion settles the value at the
-   crossing number c.  The Step2 bound m is c plus the fewer carries of
-   the even slopes' positive expansions (``contfrac._semi_even_of``).  A
-   Type A one is an even slope's that takes no carry, so it exists exactly
-   when m = c, and the pick is then the first one (see ``_solve``).  A
-   Type B one needs q^2 = +-1 (mod p) and may be a trailing-1 variant
-   [.., a - 1, 1].
+   crossing number c.  A Type A one exists exactly when the Step2 bound m
+   is c (``_solve`` says why).  A Type B one needs q^2 = +-1 (mod p) and
+   may be a trailing-1 variant [.., a - 1, 1] (``_type_b_root``).
 2. Step2: the semi-even expansions of the two even-denominator slopes give an
-   upper bound m realized by a Type A sequence.  m = c + 1 settles the value.
+   upper bound m realized by a Type A sequence: c plus the fewer carries of
+   their positive expansions (``_semi_even_pick``).  m = c + 1 settles the
+   value.
    Otherwise the value is m, ExhaustedToBound: by Lemma A no Type A
    sequence into the knot's class has a crossing sum below m, and by
    Lemma B no Type B sequence reaches a knot that Step 1 leaves.
@@ -227,7 +226,8 @@ def _type_b_root(fam: _Family) -> list[int] | None:
     By Lemma B (module docstring) the knot has a Type B sequence exactly
     when this is not None.  Only a knot with q^2 = +-1 (mod p) has one (a
     symmetric continuant matrix makes den^2 = +-1 (mod num)), and that is
-    tested first, on the record: q^-1 is then q or p - q."""
+    tested first, on the record: q^-1 is then q or p - q.  It tests bare
+    entry lists; ``_solve`` builds a ContinuedFraction only for the hit."""
     slopes = fam[2]
     if slopes[2] in slopes[:2]:
         for cand in _candidates(fam[3]):

@@ -181,14 +181,14 @@ def _carry_counts(c_max: int) -> list[dict[int, int]]:
     A prefix a1..ai is in a state (M, gq) of :func:`_states`: M its
     continuant matrix mod 2 and gq the guessed parity of q, checked at b's
     end.  A run's state F, C or X is a point (0, 1), (1, 0) or (1, 1) of
-    P^1(F_2), and an entry carries when it leads into X.  The run for X
-    reads b from F, or [1, a1 - 1, ..] from X when q is odd, so it is at
-    M's bottom row, or the sum of its rows.  The run for Y reads b
-    backwards and ends at F, an even slope's bottom row mod 2, so before
-    the prefix it is at (r, p), and at 2 * r where b ends, as p is odd.
-    Each state holds one int, its prefixes by (X, Y) in the w bits at
-    w * (X * w + Y); the decode reads only the blocks and fields below the
-    int's bit length.  A prefix is also the h of h + [centre] + reversed(h),
+    P^1(F_2), one of the three cosets of Gamma_0(2), and an entry carries
+    when it leads into X.  The run for X reads b from F, or [1, a1 - 1, ..]
+    from X when q is odd, so it is at M's bottom row, or the sum of its
+    rows.  The run for Y reads b backwards and ends at F, an even slope's
+    bottom row mod 2, so before the prefix it is at (r, p), and at 2 * r
+    where b ends, as p is odd.  Each state holds one int, its prefixes by
+    (X, Y) in the w bits at w * (X * w + Y); the decode reads only the
+    blocks and fields below the int's bit length.  A prefix is also the h of h + [centre] + reversed(h),
     whose Y run retraces its X run: X = X_h + Y_h + the centre's carry.
 
     Raising an entry by 2 keeps its state and carries, which gives the

@@ -33,7 +33,6 @@ class TestExpand:
         "mode,want",
         [
             ("even", "[2,-2,-2,2] sum=8"),
-            ("semi-even", "[1,2,-2,-2] sum=7"),
             ("positive", "[1,1,1,1,2] sum=6"),
         ],
     )
@@ -86,13 +85,6 @@ class TestExpand:
 
 
 class TestC2:
-    def test_worked_example_text(self, capsys):
-        code, out, _ = run(capsys, "c2", "--p", "13", "--q", "5")
-        assert code == 0
-        assert out.strip() == (
-            "K(13,8): c2=7 c=6 m=7 method=Step2 witness=[1,2,-2,-2] class=TypeA"
-        )
-
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "c2", "--p", "13", "--q", "5", "--json")
         assert code == 0

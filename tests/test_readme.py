@@ -20,6 +20,9 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```$", TEXT, re.M | re.S)
 MODULES = "contfrac|knot|oracle|render|search|solver|table|cli"
 CITED = sorted(set(re.findall(rf"`({MODULES})\.(\w+)`", TEXT)))
 (TRANSCRIPT,) = re.findall(r"^## Command line\n.*?^```text\n(.*?)^```$", TEXT, re.M | re.S)
+# A wall time, a memory size or a machine: "0.0009 s", "16 MiB", "2-vCPU Xeon".
+# The space before a time unit keeps "any number of 2s" out.
+WALL_TIME = re.compile(r"\d (?:s|ms|µs)\b|[KMG]iB\b|vCPU|Xeon")
 
 
 def test_readme_has_python_examples():
@@ -55,6 +58,14 @@ def test_readme_cites_module_names():
 @pytest.mark.parametrize("module, name", CITED, ids=[".".join(c) for c in CITED])
 def test_readme_module_name_exists(module, name):
     assert hasattr(importlib.import_module(f"twobridge.{module}"), name)
+
+
+def test_no_wall_times():
+    # Timings depend on the machine and go stale with each speed-up: they
+    # live in CHANGES.md and BENCH_<n>.json, not in the README or a docstring.
+    docs = {m: importlib.import_module(f"twobridge.{m}").__doc__ for m in MODULES.split("|")}
+    for where, text in {"README.md": TEXT, **docs}.items():
+        assert not WALL_TIME.findall(text), where
 
 
 def _lines(shown):

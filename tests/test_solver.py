@@ -769,7 +769,7 @@ class TestRungsLargeP:
             assert classify_type(x) is ExpansionClass.NEITHER
 
     def test_search_size_of_the_readme_knot(self, monkeypatch):
-        # README: c2 of K(100003,16668), c = 3342, runs no search, and
+        # c2 of K(100003,16668), c = 3342, runs no search, and
         # search_at runs none below m (q^2 is not +-1); the search one crossing up
         # takes 8 sequences from the search tree, counted off its work list.
         import twobridge.search as search
